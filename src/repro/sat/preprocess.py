@@ -36,6 +36,51 @@ the reduced slab no longer assigns eliminated variables meaningfully.  The
 clauses removed per eliminated variable, in elimination order);
 :func:`extend_model` replays it backwards to extend any model of the reduced
 formula to the original variable space.
+
+Output contract
+---------------
+:func:`preprocess` is deterministic, and all of its output is behaviour,
+not detail: the clauses *in order*, both reconstruction stacks, the
+``unsat`` flag and every statistic.  The CDCL solver's search -- and with it
+every model and counterexample the engine reports -- depends on the exact
+clause list it is fed, so a faster preprocessor must return the same list.
+Two internal orders are part of that contract:
+
+* **Occurrence-set iteration order.**  Each literal's occurrences are a
+  ``set`` of clause ids.  Subsumption, strengthening, unit propagation and
+  BCE meet clauses in that set's iteration order, which decides the order
+  clauses are strengthened, units are queued and clauses are re-queued.
+  The iteration order of an ``int`` set is a deterministic function of its
+  add/discard history, so every set must see the same operations in the
+  same order; the containers stay sets for that reason.
+* **Probe visit order.**  Probing stops after ``probe_visit_budget``
+  clause-literal visits per call, and the large BMC slabs exhaust that
+  budget.  The order in which probes visit clauses therefore decides where
+  the budget runs out, and so which failed literals are found.
+
+Data layout
+-----------
+Variables are renumbered slab-locally and monotonically: the slab's sorted
+variables become ``1..n`` (nothing to do when they already are).  Arrays
+are then sized by the slab, not by its largest variable index -- a late
+bound's slab references variables up to the whole formula's count -- while
+every sort and tie-break over variables or signed literals is unchanged.
+Every per-literal array (occurrence sets, fixed values, scratch stamps,
+dirty flags) is a list indexed directly by the signed literal: ``lit`` in
+``1..n`` indexes the lower half and ``-lit`` the upper half, through
+Python's negative indexing.  Results are translated back to the original
+numbering once, at the end.
+
+Dirty variables
+---------------
+Adding, removing or strengthening a clause marks every variable in it
+dirty; a failed elimination attempt marks its variable clean.  A clean
+variable's clauses are unchanged since its last failed attempt, so another
+attempt would fail the same way.  Each BVE pass therefore still builds the
+full candidate list, ordered by (occurrences, variable), and skips a
+variable that is clean *when its turn comes*.  Filtering while collecting
+candidates would be wrong: an elimination earlier in the same pass can add
+resolvents over a later candidate and so make it dirty again.
 """
 
 from __future__ import annotations
@@ -43,6 +88,8 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import neg
 from typing import (
     AbstractSet,
     Dict,
@@ -54,7 +101,7 @@ from typing import (
     Tuple,
 )
 
-from repro.sat.cnf import CNF, Literal, var_of
+from repro.sat.cnf import CNF, Literal
 
 #: Reconstruction stack entry: the variable and the clauses its elimination
 #: removed (recorded *before* removal, in the original variable space).
@@ -129,16 +176,12 @@ class PreprocessResult:
         return extend_model(model, self.eliminated, skip)
 
 
-def _signature(clause: Sequence[Literal]) -> int:
-    """Bloom-filter signature over variables (for fast subset rejection)."""
-    sig = 0
-    for lit in clause:
-        sig |= 1 << ((lit if lit > 0 else -lit) % 61)
-    return sig
-
-
 class _Preprocessor:
-    """Mutable working state of one preprocessing run."""
+    """Mutable working state of one preprocessing run.
+
+    All state is in slab-local numbering, in literal-indexed lists of
+    ``2n + 1`` entries (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -149,52 +192,80 @@ class _Preprocessor:
         bve_occurrence_limit: int,
         bce_occurrence_limit: int = 24,
     ) -> None:
-        self.frozen = frozen
-        self.frozen_cutoff = frozen_cutoff
+        slab: List[Sequence[Literal]] = list(clauses)
+        order = sorted(set(map(abs, chain.from_iterable(slab))))
+        n = len(order)
+        #: Local literal -> original literal; ``None`` when the slab's
+        #: variables already are ``1..n``.
+        self.back: Optional[List[Literal]] = None
+        if n and order[-1] != n:
+            local = dict(zip(order, range(1, n + 1)))
+            local.update(zip(map(neg, order), range(-1, -n - 1, -1)))
+            slab = [[local[lit] for lit in clause] for clause in slab]
+            self.back = [0, *order]
+            self.back.extend(map(neg, reversed(order)))
+        self.is_frozen: List[bool] = [True]
+        self.is_frozen.extend(
+            variable <= frozen_cutoff or variable in frozen
+            for variable in order
+        )
+        self.num_vars = n
         self.bve_clause_limit = bve_clause_limit
         self.bve_occurrence_limit = bve_occurrence_limit
         self.bce_occurrence_limit = bce_occurrence_limit
         self.blocked: List[BlockedRecord] = []
         self.unsat = False
-        self.fixed: Dict[int, bool] = {}
+        size = 2 * n + 1
+        #: ``true[lit]``: *lit* is fixed true at top level.
+        self.true: List[bool] = [False] * size
+        #: Fixed literals in fixing order.
+        self.trail: List[Literal] = []
         self.clauses: List[Optional[List[Literal]]] = []
-        self.sigs: List[int] = []
-        self.occs: Dict[Literal, Set[int]] = defaultdict(set)
+        #: ``occ[lit]``: ids of the live clauses containing *lit*.
+        self.occ: List[Set[int]] = [set() for _ in range(size)]
+        #: Scratch stamps (clause intake, probing): ``mark[lit] == stamp``
+        #: means *lit* is marked in the current use.
+        self.mark: List[int] = [0] * size
+        #: ``dirty[lit]``: a clause containing *lit* was added, removed or
+        #: strengthened since the variable's last failed BVE attempt.
+        self.dirty: List[bool] = [True] * size
         self.unit_queue: List[Literal] = []
         self.touched: List[int] = []
         self.eliminated: List[EliminationRecord] = []
-        self.stats = PreprocessStats()
-        for clause in clauses:
-            self.stats.clauses_in += 1
-            self._add_clause(clause)
+        self.stats = PreprocessStats(clauses_in=len(slab))
+        # Intake: drop duplicate literals and tautologies.
+        mark = self.mark
+        stamp = 0
+        for clause in slab:
+            stamp += 1
+            out: List[Literal] = []
+            for lit in clause:
+                if mark[-lit] == stamp:
+                    break  # tautology
+                if mark[lit] != stamp:
+                    mark[lit] = stamp
+                    out.append(lit)
+            else:
+                self._add_clause(out)
+        self.stamp = stamp
         self._propagate_units()
 
     # ------------------------------------------------------------------
     # Clause database
     # ------------------------------------------------------------------
-    def _add_clause(self, literals: Sequence[Literal]) -> None:
-        seen: Set[Literal] = set()
-        out: List[Literal] = []
-        for lit in literals:
-            if -lit in seen:
-                return  # tautology
-            if lit in seen:
-                continue
-            value = self.fixed.get(lit if lit > 0 else -lit)
-            if value is not None:
-                if (lit > 0) == value:
-                    return  # satisfied by a fixed variable
-                continue  # falsified literal dropped
-            seen.add(lit)
-            out.append(lit)
+    def _add_clause(self, out: List[Literal]) -> None:
+        """Add a duplicate-free, non-tautological clause over unfixed
+        variables (an input clause after intake, or a resolvent)."""
         if not out:
             self.unsat = True
             return
         cid = len(self.clauses)
         self.clauses.append(out)
-        self.sigs.append(_signature(out))
+        occ = self.occ
+        dirty = self.dirty
         for lit in out:
-            self.occs[lit].add(cid)
+            occ[lit].add(cid)
+            dirty[lit] = True
         if len(out) == 1:
             self.unit_queue.append(out[0])
         else:
@@ -205,25 +276,25 @@ class _Preprocessor:
         if clause is None:
             return
         self.clauses[cid] = None
-        occs = self.occs
+        occ = self.occ
+        dirty = self.dirty
         for lit in clause:
-            entry = occs.get(lit)
-            if entry is not None:
-                entry.discard(cid)
+            occ[lit].discard(cid)
+            dirty[lit] = True
 
     def _strengthen(self, cid: int, lit: Literal) -> None:
         """Remove *lit* from clause *cid* (it is known not to help)."""
         clause = self.clauses[cid]
         if clause is None:
             return
+        dirty = self.dirty
+        for other in clause:
+            dirty[other] = True
         clause.remove(lit)
-        entry = self.occs.get(lit)
-        if entry is not None:
-            entry.discard(cid)
+        self.occ[lit].discard(cid)
         if not clause:
             self.unsat = True
             return
-        self.sigs[cid] = _signature(clause)
         if len(clause) == 1:
             self.unit_queue.append(clause[0])
         else:
@@ -233,58 +304,43 @@ class _Preprocessor:
     # Unit propagation
     # ------------------------------------------------------------------
     def _propagate_units(self) -> None:
+        true = self.true
+        occ = self.occ
         while self.unit_queue and not self.unsat:
             lit = self.unit_queue.pop()
-            variable = lit if lit > 0 else -lit
-            value = lit > 0
-            existing = self.fixed.get(variable)
-            if existing is not None:
-                if existing != value:
-                    self.unsat = True
+            if true[lit]:
                 continue
-            self.fixed[variable] = value
+            if true[-lit]:
+                self.unsat = True
+                continue
+            true[lit] = True
+            self.trail.append(lit)
             self.stats.units_derived += 1
-            for cid in list(self.occs.get(lit, ())):
+            for cid in list(occ[lit]):
                 self._remove_clause(cid)
-            self.occs.pop(lit, None)
-            for cid in list(self.occs.get(-lit, ())):
+            for cid in list(occ[-lit]):
                 self._strengthen(cid, -lit)
-            self.occs.pop(-lit, None)
 
     # ------------------------------------------------------------------
     # Subsumption / self-subsuming resolution
     # ------------------------------------------------------------------
-    def _find_subsumed(
-        self, lits: Sequence[Literal], sig: int, skip_cid: int
+    @staticmethod
+    def _in_visit_order(
+        lit_occs: List[Set[int]], found: Set[int]
     ) -> List[int]:
-        """Alive clauses (other than *skip_cid*) that contain all of *lits*."""
-        best: Optional[Literal] = None
-        best_count = -1
-        for lit in lits:
-            entry = self.occs.get(lit)
-            count = len(entry) if entry else 0
-            if count == 0:
-                return []
-            if best is None or count < best_count:
-                best, best_count = lit, count
-        lits_set = set(lits)
-        size = len(lits)
-        sigs = self.sigs
-        clauses = self.clauses
-        found: List[int] = []
-        for cid in self.occs.get(best, ()):
-            if cid == skip_cid:
-                continue
-            clause = clauses[cid]
-            if clause is None or len(clause) < size:
-                continue
-            if sig & ~sigs[cid]:
-                continue
-            if lits_set.issubset(clause):
-                found.append(cid)
-        return found
+        """*found* in the iteration order of the smallest of *lit_occs*
+        (the first one on ties) -- the order a scan of that occurrence set
+        would have met them in."""
+        if len(found) == 1:
+            return [next(iter(found))]
+        best = min(lit_occs, key=len)
+        return [cid for cid in best if cid in found]
 
     def _subsumption_pass(self, max_clause_len: int = 20) -> None:
+        clauses = self.clauses
+        occ = self.occ
+        stats = self.stats
+        intersection = set.intersection
         while self.touched and not self.unsat:
             queue, self.touched = self.touched, []
             for did in queue:
@@ -292,89 +348,96 @@ class _Preprocessor:
                     self._propagate_units()
                 if self.unsat:
                     return
-                clause = self.clauses[did]
+                clause = clauses[did]
                 if clause is None or len(clause) > max_clause_len:
                     continue
-                sig = self.sigs[did]
-                for cid in self._find_subsumed(clause, sig, did):
-                    self._remove_clause(cid)
-                    self.stats.clauses_subsumed += 1
+                # The live clauses containing every literal of the clause;
+                # it is one of them itself.
+                lit_occs = [occ[lit] for lit in clause]
+                found = intersection(*lit_occs)
+                if len(found) > 1:
+                    found.discard(did)
+                    for cid in self._in_visit_order(lit_occs, found):
+                        self._remove_clause(cid)
+                        stats.clauses_subsumed += 1
                 # Self-subsuming resolution: flip one literal of the clause;
                 # any superset of the flipped clause can drop the flipped
-                # literal (the resolvent on it subsumes the superset).  The
-                # signature is sign-insensitive, so it carries over.
+                # literal (the resolvent on it subsumes the superset).
                 for index in range(len(clause)):
                     lit = clause[index]
-                    flipped = list(clause)
-                    flipped[index] = -lit
-                    for cid in self._find_subsumed(flipped, sig, did):
-                        self._strengthen(cid, -lit)
-                        self.stats.literals_strengthened += 1
-                    if self.clauses[did] is not clause:
+                    kept = lit_occs[index]
+                    lit_occs[index] = occ[-lit]
+                    found = intersection(*lit_occs)
+                    if found:
+                        for cid in self._in_visit_order(lit_occs, found):
+                            self._strengthen(cid, -lit)
+                            stats.literals_strengthened += 1
+                    lit_occs[index] = kept
+                    if clauses[did] is not clause:
                         break  # the clause itself changed; re-queued already
 
     # ------------------------------------------------------------------
     # Bounded variable elimination
     # ------------------------------------------------------------------
     def _eliminate_pass(self) -> bool:
-        occs = self.occs
+        occ = self.occ
+        clauses = self.clauses
+        dirty = self.dirty
+        is_frozen = self.is_frozen
         candidates: List[Tuple[int, int]] = []
-        seen_vars: Set[int] = set()
-        for lit, entry in occs.items():
-            if not entry:
+        for variable in range(1, self.num_vars + 1):
+            if is_frozen[variable]:
                 continue
-            variable = lit if lit > 0 else -lit
-            if (
-                variable in seen_vars
-                or variable <= self.frozen_cutoff
-                or variable in self.frozen
-            ):
-                continue
-            seen_vars.add(variable)
-            total = len(occs.get(variable, ())) + len(occs.get(-variable, ()))
-            candidates.append((total, variable))
+            total = len(occ[variable]) + len(occ[-variable])
+            if total:
+                candidates.append((total, variable))
         candidates.sort()
+        occurrence_limit = self.bve_occurrence_limit
+        clause_limit = self.bve_clause_limit
         changed = False
         for _, variable in candidates:
             if self.unsat:
                 break
-            if variable in self.fixed:
+            # A clean variable's clauses are unchanged since its last
+            # failed attempt, so it would fail again.
+            if not (dirty[variable] or dirty[-variable]):
                 continue
-            pos = sorted(occs.get(variable, ()))
-            neg = sorted(occs.get(-variable, ()))
-            if not pos and not neg:
+            pos_occ = occ[variable]
+            neg_occ = occ[-variable]
+            if not pos_occ and not neg_occ:
                 continue
+            dirty[variable] = dirty[-variable] = False
             if (
-                len(pos) > self.bve_occurrence_limit
-                and len(neg) > self.bve_occurrence_limit
+                len(pos_occ) > occurrence_limit
+                and len(neg_occ) > occurrence_limit
             ):
                 continue
-            limit = len(pos) + len(neg)
-            resolvents: List[List[Literal]] = []
+            pos = sorted(pos_occ)
+            negs = sorted(neg_occ)
+            limit = len(pos) + len(negs)
+            neg_rests: List[Set[Literal]] = []
+            for neg_cid in negs:
+                neg_clause = clauses[neg_cid]
+                assert neg_clause is not None
+                neg_rest = set(neg_clause)
+                neg_rest.discard(-variable)
+                neg_rests.append(neg_rest)
+            resolvents: List[Set[Literal]] = []
             within_bounds = True
             for pos_cid in pos:
-                pos_clause = self.clauses[pos_cid]
+                pos_clause = clauses[pos_cid]
                 assert pos_clause is not None
-                rest = [l for l in pos_clause if l != variable]
-                rest_set = set(rest)
-                for neg_cid in neg:
-                    neg_clause = self.clauses[neg_cid]
-                    assert neg_clause is not None
-                    merged_set = set(rest_set)
-                    tautology = False
-                    for lit in neg_clause:
-                        if lit == -variable:
-                            continue
-                        if -lit in merged_set:
-                            tautology = True
-                            break
-                        merged_set.add(lit)
-                    if tautology:
-                        continue
-                    if len(merged_set) > self.bve_clause_limit:
+                rest = set(pos_clause)
+                rest.discard(variable)
+                complements = set(map(neg, rest))
+                for neg_rest in neg_rests:
+                    if not complements.isdisjoint(neg_rest):
+                        continue  # tautology
+                    merged = rest | neg_rest
+                    if len(merged) > clause_limit:
                         within_bounds = False
                         break
-                    resolvents.append(sorted(merged_set))
+                    resolvents.append(merged)
                     if len(resolvents) > limit:
                         within_bounds = False
                         break
@@ -382,16 +445,17 @@ class _Preprocessor:
                     break
             if not within_bounds:
                 continue
-            removed = [list(self.clauses[cid]) for cid in pos + neg]
-            for cid in pos + neg:
+            removed: List[List[Literal]] = []
+            for cid in pos + negs:
+                clause = clauses[cid]
+                assert clause is not None
+                removed.append(clause)
                 self._remove_clause(cid)
-            occs.pop(variable, None)
-            occs.pop(-variable, None)
             self.eliminated.append((variable, removed))
             self.stats.variables_eliminated += 1
+            self.stats.resolvents_added += len(resolvents)
             for resolvent in resolvents:
-                self._add_clause(resolvent)
-                self.stats.resolvents_added += 1
+                self._add_clause(sorted(resolvent))
             if self.unit_queue:
                 self._propagate_units()
             changed = True
@@ -408,15 +472,27 @@ class _Preprocessor:
             if clause is not None and len(clause) == 2:
                 for lit in clause:
                     score[-lit] += 1
-        ranked = sorted(score.items(), key=lambda item: (-item[1], item[0]))
+        # Strongest first, ties by literal; a literal scoring below 2 is
+        # never probed.
+        ranked = sorted(
+            (-strength, lit)
+            for lit, strength in score.items()
+            if strength >= 2
+        )
+        true = self.true
+        # Per-clause false-literal counts of one probe, valid where
+        # ``counted[cid]`` holds that probe's stamp.  Probing adds no clause.
+        counted = [0] * len(self.clauses)
+        false_count = [0] * len(self.clauses)
         visits = 0
-        for lit, strength in ranked[:max_probes]:
-            if self.unsat or visits > visit_budget or strength < 2:
+        for _, lit in ranked[:max_probes]:
+            if self.unsat or visits > visit_budget:
                 break
-            variable = lit if lit > 0 else -lit
-            if variable in self.fixed:
+            if true[lit] or true[-lit]:
                 continue
-            failed, visits = self._probe_one(lit, visits, visit_budget)
+            failed, visits = self._probe_one(
+                lit, visits, visit_budget, counted, false_count
+            )
             self.stats.probes += 1
             if failed:
                 self.stats.failed_literals += 1
@@ -424,51 +500,67 @@ class _Preprocessor:
                 self._propagate_units()
 
     def _probe_one(
-        self, root: Literal, visits: int, budget: int
+        self,
+        root: Literal,
+        visits: int,
+        budget: int,
+        counted: List[int],
+        false_count: List[int],
     ) -> Tuple[bool, int]:
-        """Assume *root* and unit-propagate; ``True`` means it failed."""
-        assign: Dict[int, bool] = {}
+        """Assume *root* and unit-propagate; ``True`` means it failed.
+
+        A visited clause costs its length in *visits*.  Every clause
+        containing the complement of a newly true literal is visited, and
+        one literal's visits all happen before the next literal's, so a
+        clause's count at a visit is its number of false literals.  That
+        count alone decides whether the clause conflicts (all false), is
+        unit or satisfied (one literal left to inspect) or does nothing.
+        """
+        self.stamp += 1
+        stamp = self.stamp
+        mark = self.mark
         queue = [root]
         head = 0
         clauses = self.clauses
-        occs = self.occs
+        occ = self.occ
+        # hot-loop
         while head < len(queue):
             lit = queue[head]
             head += 1
-            variable = lit if lit > 0 else -lit
-            value = lit > 0
-            current = assign.get(variable)
-            if current is not None:
-                if current != value:
-                    return True, visits
+            if mark[lit] == stamp:
                 continue
-            assign[variable] = value
-            for cid in occs.get(-lit, ()):
+            if mark[-lit] == stamp:
+                return True, visits
+            mark[lit] = stamp
+            false_lit = -lit
+            for cid in occ[false_lit]:
                 clause = clauses[cid]
-                if clause is None:
+                assert clause is not None
+                size = len(clause)
+                visits += size
+                if size == 2:
+                    other = clause[0] if clause[1] == false_lit else clause[1]
+                    if mark[other] == stamp:
+                        continue  # satisfied
+                    if mark[-other] == stamp:
+                        return True, visits
+                    queue.append(other)
                     continue
-                visits += len(clause)
-                unassigned: Optional[Literal] = None
-                unassigned_count = 0
-                satisfied = False
-                for other in clause:
-                    if other == -lit:
-                        continue
-                    other_var = other if other > 0 else -other
-                    other_value = assign.get(other_var)
-                    if other_value is None:
-                        unassigned_count += 1
-                        unassigned = other
-                        if unassigned_count > 1:
-                            break
-                    elif (other > 0) == other_value:
-                        satisfied = True
-                        break
-                if satisfied or unassigned_count > 1:
+                if counted[cid] == stamp:
+                    false_now = false_count[cid] + 1
+                else:
+                    counted[cid] = stamp
+                    false_now = 1
+                false_count[cid] = false_now
+                if false_now < size - 1:
                     continue
-                if unassigned_count == 0:
+                if false_now == size:
                     return True, visits
-                queue.append(unassigned)
+                for other in clause:
+                    if mark[-other] != stamp:
+                        break
+                if mark[other] != stamp:
+                    queue.append(other)  # unit, unless satisfied
             if visits > budget:
                 break
         return False, visits
@@ -478,13 +570,12 @@ class _Preprocessor:
     # ------------------------------------------------------------------
     def _clause_blocked_on(self, clause: List[Literal], lit: Literal) -> bool:
         """Whether every resolvent of *clause* on *lit* is tautological."""
-        rest = {l for l in clause if l != lit}
-        for cid in self.occs.get(-lit, ()):
-            other = self.clauses[cid]
-            if other is None:
-                continue
-            other_set = set(other)
-            if not any(-l in other_set for l in rest):
+        complements = {-other for other in clause if other != lit}
+        clauses = self.clauses
+        for cid in self.occ[-lit]:
+            other_clause = clauses[cid]
+            assert other_clause is not None
+            if complements.isdisjoint(other_clause):
                 return False
         return True
 
@@ -507,46 +598,72 @@ class _Preprocessor:
         non-tautological resolvent), so the caller must only enable it on a
         complete formula.
         """
+        clauses = self.clauses
+        occ = self.occ
+        is_frozen = self.is_frozen
         queue: List[int] = [
-            cid for cid, clause in enumerate(self.clauses) if clause is not None
+            cid for cid, clause in enumerate(clauses) if clause is not None
         ]
-        in_queue = set(queue)
+        in_queue = [clause is not None for clause in clauses]
         while queue and not self.unsat:
             cid = queue.pop()
-            in_queue.discard(cid)
-            clause = self.clauses[cid]
+            in_queue[cid] = False
+            clause = clauses[cid]
             if clause is None:
                 continue
             for lit in clause:
-                variable = lit if lit > 0 else -lit
-                if variable <= self.frozen_cutoff or variable in self.frozen:
+                if is_frozen[lit if lit > 0 else -lit]:
                     continue
-                if len(self.occs.get(-lit, ())) > self.bce_occurrence_limit:
+                if len(occ[-lit]) > self.bce_occurrence_limit:
                     continue
                 if self._clause_blocked_on(clause, lit):
-                    self.blocked.append((lit, list(clause)))
+                    self.blocked.append((lit, clause))
                     self._remove_clause(cid)
                     self.stats.clauses_blocked += 1
                     # Removing a clause can newly block clauses that used to
                     # resolve against it: re-examine the resolution partners.
                     for other_lit in clause:
-                        for ocid in self.occs.get(-other_lit, ()):
-                            if ocid not in in_queue:
-                                in_queue.add(ocid)
+                        for ocid in occ[-other_lit]:
+                            if not in_queue[ocid]:
+                                in_queue[ocid] = True
                                 queue.append(ocid)
                     break
 
     # ------------------------------------------------------------------
-    def output_clauses(self) -> List[List[Literal]]:
+    def fixed_values(self) -> Dict[int, bool]:
+        """Original variable -> fixed value, in fixing order."""
+        back = self.back
+        return {
+            abs(lit if back is None else back[lit]): lit > 0
+            for lit in self.trail
+        }
+
+    def output(
+        self,
+    ) -> Tuple[
+        List[List[Literal]], List[EliminationRecord], List[BlockedRecord]
+    ]:
+        """The reduced clauses (fixed units first, by variable) and the
+        reconstruction stacks, in the original numbering."""
         if self.unsat:
-            return [[]]
-        out: List[List[Literal]] = []
-        for variable in sorted(self.fixed):
-            out.append([variable if self.fixed[variable] else -variable])
-        for clause in self.clauses:
-            if clause is not None:
-                out.append(list(clause))
-        return out
+            clauses: List[List[Literal]] = [[]]
+        else:
+            clauses = [[lit] for lit in sorted(self.trail, key=abs)]
+            clauses.extend(c for c in self.clauses if c is not None)
+        back = self.back
+        if back is None:
+            return clauses, self.eliminated, self.blocked
+        return (
+            [[back[lit] for lit in clause] for clause in clauses],
+            [
+                (back[variable], [[back[lit] for lit in c] for c in removed])
+                for variable, removed in self.eliminated
+            ],
+            [
+                (back[lit], [back[other] for other in clause])
+                for lit, clause in self.blocked
+            ],
+        )
 
 
 def preprocess(
@@ -627,14 +744,14 @@ def preprocess(
             break
     if enable_blocked and not state.unsat:
         state._bce_pass()
-    result_clauses = state.output_clauses()
+    result_clauses, eliminated, blocked = state.output()
     state.stats.clauses_out = len(result_clauses)
     state.stats.time_seconds = time.perf_counter() - start
     return PreprocessResult(
         clauses=result_clauses,
         stats=state.stats,
-        eliminated=state.eliminated,
-        blocked=state.blocked,
+        eliminated=eliminated,
+        blocked=blocked,
         unsat=state.unsat,
     )
 
@@ -764,32 +881,29 @@ def simplify_cnf(cnf: CNF) -> SimplificationResult:
         bve_clause_limit=0,
         bve_occurrence_limit=0,
     )
+    fixed = state.fixed_values()
     if state.unsat:
         return SimplificationResult(
-            cnf=cnf.copy(), fixed=dict(state.fixed), unsatisfiable=True
+            cnf=cnf.copy(), fixed=fixed, unsatisfiable=True
         )
-    fixed: Dict[int, bool] = dict(state.fixed)
 
     # Pure-literal elimination (single scan, matching the legacy entry
     # point): a variable occurring in one polarity only is fixed to it and
     # its clauses dropped.
-    pure: Dict[int, bool] = {}
-    for literal, occurrences in state.occs.items():
-        if not occurrences:
-            continue
-        variable = var_of(literal)
-        if variable in fixed or variable in pure:
-            continue
-        if not state.occs.get(-literal):
-            pure[variable] = literal > 0
-    for variable, value in pure.items():
-        fixed.setdefault(variable, value)
+    occ = state.occ
+    back = state.back
+    pure = [False] * (state.num_vars + 1)
+    for variable in range(1, state.num_vars + 1):
+        positive = bool(occ[variable])
+        if positive != bool(occ[-variable]):
+            pure[variable] = True
+            fixed[variable if back is None else back[variable]] = positive
 
     simplified = CNF(cnf.num_vars)
     for clause in state.clauses:
-        if clause is None:
+        if clause is None or any(pure[abs(lit)] for lit in clause):
             continue
-        if any(var_of(literal) in pure for literal in clause):
-            continue
-        simplified.add_clause(list(clause))
+        simplified.add_clause(
+            clause if back is None else [back[lit] for lit in clause]
+        )
     return SimplificationResult(cnf=simplified, fixed=fixed)
