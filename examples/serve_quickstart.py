@@ -26,7 +26,7 @@ def main() -> None:
     )
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as cache_dir:
         # use_processes=False runs the solve on a worker thread -- handy for
-        # a demo; a real deployment keeps the default process pool.
+        # a demo; a real deployment keeps each worker's solver process.
         with LocalServer(cache_dir=cache_dir, use_processes=False) as url:
             client = ServeClient(url)
             print(f"verification service up on {url}")

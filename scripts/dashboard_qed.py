@@ -257,12 +257,12 @@ def render_frame(
     submitted = int(stats.get("jobs_submitted", 0))
     hits = int(stats.get("cache_hits", 0))
     hit_rate = (100.0 * hits / submitted) if submitted else 0.0
-    pool = "processes" if stats.get("use_processes") else "threads"
+    solver = "solver process" if stats.get("use_processes") else "thread"
     lines.append(
         f"queue     : {stats.get('queued', 0)} queued / "
         f"{stats.get('running', 0)} running / "
         f"{stats.get('jobs_tracked', 0)} tracked   "
-        f"workers {stats.get('workers')} ({pool})"
+        f"{stats.get('workers')} local workers (one {solver} each)"
         + ("   DRAINING" if stats.get("draining") else "")
     )
     lines.append(

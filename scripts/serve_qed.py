@@ -238,7 +238,6 @@ def cmd_worker(args) -> int:
         args.server,
         worker_id=args.id,
         use_processes=not args.use_threads,
-        poll_seconds=args.poll,
         max_jobs=args.max_jobs,
         stop_event=stop,
     )
@@ -393,7 +392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         sub.add_argument(
             "--workers", type=int, default=1,
-            help="worker processes for a spawned server (default 1)",
+            help="local workers for a spawned server (default 1)",
         )
         sub.add_argument(
             "--cache-dir", default=None,
@@ -418,8 +417,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--port", type=int, default=8123)
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="local solver processes; 0 = fleet-only (remote workers "
-        "do all solving)",
+        help="local workers, each with one solver process; 0 = fleet-only "
+        "(remote workers do all solving)",
     )
     serve.add_argument("--cache-dir", default=".repro_cache")
     serve.add_argument(
@@ -429,12 +428,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     serve.add_argument(
         "--lease-seconds", type=float, default=15.0,
-        help="remote job lease TTL; heartbeats renew it (default 15)",
+        help="job lease TTL, local and remote workers alike; heartbeats "
+        "renew it (default 15)",
     )
     serve.add_argument(
         "--heartbeat-seconds", type=float, default=2.0,
-        help="worker heartbeat interval; suspect after 2 missed beats, "
-        "dead after 4 (default 2)",
+        help="worker heartbeat interval (also the longest an idle lease "
+        "request waits); suspect after 2 missed beats, dead after 4 "
+        "(default 2)",
     )
     serve.add_argument(
         "--max-queue-depth", type=int, default=None,
@@ -461,10 +462,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     worker.add_argument(
         "--id", default=None,
         help="worker id (default: w-<hostname>-<pid>)",
-    )
-    worker.add_argument(
-        "--poll", type=float, default=0.5,
-        help="idle poll interval when the queue is empty (default 0.5s)",
     )
     worker.add_argument(
         "--max-jobs", type=int, default=None,

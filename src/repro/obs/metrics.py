@@ -222,7 +222,7 @@ class MetricsRegistry:
 def diff_snapshots(now: Snapshot, then: Snapshot) -> Snapshot:
     """Counter/histogram delta ``now - then``; gauges pass through as-is.
 
-    This is how a long-lived pool worker ships per-job metrics without
+    This is how a long-lived solver process ships per-job metrics without
     double counting: mark at job start, diff at job end, ship the delta.
     """
 

@@ -115,8 +115,11 @@ class TelemetrySink:
         self._total = 0
         self._flushed_total = 0
         self._seq = 0
-        self._last_sample = 0.0
-        self._last_flush = 0.0
+        # -inf, not 0.0: ``time.monotonic()`` counts from boot, so a zero
+        # start would refuse every sample on a host up for less than the
+        # throttle interval.
+        self._last_sample = float("-inf")
+        self._last_flush = float("-inf")
         self._window: List[Tuple[float, int]] = []
         self._context: Dict[str, object] = {}
         self._on_flush = on_flush

@@ -16,17 +16,18 @@ a ``dist.solve`` span is open inherits the collector *with that span on
 the stack*, so the worker's first span parents under it and carries the
 parent's trace id.  The worker then ships its completed spans back over
 whatever pipe it already reports results on (the scheduler's results
-queue, the campaign pool's return value, the serve progress queue) and the
-parent absorbs them with :meth:`ObsCollector.absorb` -- span ids are
-prefixed with the recording pid, so batches from any number of children
-merge without collisions.
+queue, the campaign pool's return value, a serve worker's solver-child
+pipe) and the parent absorbs them with :meth:`ObsCollector.absorb` --
+span ids are prefixed with the recording pid, so batches from any number
+of children merge without collisions.
 
 No locks anywhere: collectors are single-writer by construction (one
 process, one logical job at a time), which is what lets this module sit
-inside the fork-safety lint scope.  The one caveat is the thread-backed
-serve queue (``use_processes=False``) with more than one worker, where
-concurrent jobs share the module global; spans still render, but may
-attribute to the wrong job's batch.  The process-backed default is exact.
+inside the fork-safety lint scope.  The one caveat is serve workers that
+solve on threads (``use_processes=False``) when more than one runs in a
+process: concurrent jobs share the module global, so spans still render
+but may attribute to the wrong job's batch.  The default, one solver
+child per worker, is exact.
 """
 
 from __future__ import annotations

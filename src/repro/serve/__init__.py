@@ -22,53 +22,55 @@ Architecture
     |  that connection only, the accept loop never dies                  |
     |  admission control: bounded queue depth + per-client token bucket  |
     |  (X-Client-Id) => 429 + Retry-After instead of unbounded backlog   |
-    |  GET /healthz: readiness (pool liveness, cache writability, queue  |
-    |  depth, fleet liveness) -- 503 while pool rebuilds / cache         |
-    |  read-only / draining / fleet-only with no live remote worker      |
-    |  SIGTERM -> drain(): running solves finish (local AND leased       |
-    |  remote), queued specs persist to queue_state.json, restored on    |
-    |  the next start                                                    |
-    +------+--------------------------------+-----------------------------+
-           v                                | POST /fleet/* (remote pull)
-    (local fork pool)                       v
-    +----------- FleetCoordinator + FleetWorker (repro.serve.fleet) ------+
-    |  worker protocol: register -> lease(job, fence epoch, TTL) ->       |
-    |  heartbeat (renews lease, ships telemetry/progress batches) ->      |
-    |  complete {lease_id, fence, result | crashed | error}               |
-    |                                                                     |
-    |  lease / fence state machine (per job):                             |
-    |      grant: fence += 1, lease ACTIVE, expires = now + TTL           |
-    |      heartbeat: expires = now + TTL (healthy slow solves never      |
-    |          expire); revoked lease answered "revoked" -> worker kills  |
-    |          its child solve                                            |
-    |      expiry (missed beats / dead worker): lease removed => token    |
-    |          invalid, job requeued into the capped-backoff/quarantine   |
-    |          machinery, reassignment counted                            |
-    |      commit: accepted iff lease still ACTIVE and body.fence ==      |
-    |          current epoch -- a paused-then-resumed zombie's late       |
-    |          commit is fence-rejected, never double-applied             |
-    |  failure detection: live -> suspect (2 missed beats) -> dead (4);   |
-    |  any request from the worker revives it                            |
-    +---------------------------+-----------------------------------------+
-                                v  (remote commits join the SAME
-                                    completion path as local solves)
+    |  GET /healthz: ready iff >= 1 live worker (local or remote), cache |
+    |  log writable and not draining -- 503 + the signals otherwise      |
+    |  SIGTERM -> drain(): leased solves finish, queued specs persist    |
+    |  to queue_state.json, restored on the next start                   |
+    +---------------------------+----------------------------------------+
+                                v
     +------------------ JobQueue (repro.serve.queue) ---------------------+
     |  JobSpec.resolved().cache_key()   (repro.serve.keys: canonical      |
     |      version+fingerprint+mode+focus+bound+knobs -> SHA-256;         |
     |      deadlines/retries are NOT keyed -- submission, not semantics)  |
-    |    |                                                                |
     |    |-- cache hit  -> DONE immediately (served_from_cache=True)      |
     |    |-- identical in-flight spec -> coalesce (N waiters, one solve)  |
-    |    |-- quarantined spec (kept killing workers) -> fail fast,        |
+    |    |-- quarantined spec (kept killing its solver) -> fail fast,     |
     |    |       force=True clears                                        |
-    |    '-- else: priority heap -> scheduler -> fork process pool        |
-    |              detect_bug(...) with remaining deadline budget and     |
-    |              on_bound streaming BoundStats back through a shared    |
-    |              mp queue; worker crash => pool replaced + retry with   |
-    |              capped backoff, then quarantine (never a hung job);    |
-    |              deadline expiry => honest non-definitive UNKNOWN       |
+    |    '-- else: priority heap; wakes idle workers' lease requests      |
+    |  one pop (fleet_lease_pop), one success path (_finish_success ->    |
+    |  cache put), one requeue path (fleet_requeue: retry w/ capped       |
+    |  backoff, then quarantine; drain-safe), one fail path; deadline     |
+    |  expiry => honest non-definitive UNKNOWN                            |
     +---------------------------+-----------------------------------------+
-                                v
+                                v  every solve is a lease
+    +--- dispatch: FleetCoordinator + FleetWorker (repro.serve.fleet) ----+
+    |  verbs: register -> lease (waits <= 1 heartbeat for work) ->        |
+    |  heartbeat (renews the lease, ships progress/telemetry/obs) ->      |
+    |  complete {lease_id, fence, events, result | crashed | error}       |
+    |    local workers (workers=N): threads of the server calling the     |
+    |        verbs in-process on the loop (no HTTP, no JSON)              |
+    |    remote workers (serve_qed.py worker): the same verbs over        |
+    |        POST /fleet/* (servers started with --fleet)                 |
+    |    each worker: one persistent solver child (forked at its first    |
+    |        lease, reused; killed on revocation/stop, re-forked after    |
+    |        it dies) runs detect_bug(...) with the remaining deadline    |
+    |        budget; events, then the outcome, come back over a pipe      |
+    |  lease / fence state machine (per job):                             |
+    |    grant: fence += 1, lease ACTIVE, expires = now + TTL             |
+    |    heartbeat: expires = now + TTL (healthy slow solves never        |
+    |        expire); a revoked lease answers "revoked" -> the worker     |
+    |        kills its solver                                             |
+    |    expiry / crash report / dead worker: lease removed => token      |
+    |        invalid, job back through fleet_requeue (reassignment        |
+    |        counted)                                                     |
+    |    commit: accepted iff lease still ACTIVE and body.fence ==        |
+    |        current epoch -- a paused-then-resumed zombie's late         |
+    |        commit is fence-rejected, never double-applied; a commit's   |
+    |        events land before its outcome                               |
+    |  failure detection: live -> suspect (2 missed beats) -> dead (4);   |
+    |  any request from the worker (a waiting lease too) revives it       |
+    +---------------------------+-----------------------------------------+
+                                v  (commits: the queue's one success path)
     +------------------ ResultCache (repro.serve.cache) ------------------+
     |  tier 1: in-memory LRU     tier 2: append-only JSON-lines log       |
     |  keys embed the design fingerprint (content, not version name)      |
@@ -87,12 +89,12 @@ stack on a background thread in-process (tests, quickstart, CLI spawn
 mode); ``scripts/serve_qed.py serve`` runs it standalone, and
 ``scripts/serve_qed.py worker --server URL`` joins its fleet from another
 host.  The invariant that matters: a definitive verdict is byte-identical
-whether the solve ran locally, remotely, or survived any schedule of
-worker kills, partitions and zombie commits -- fault tolerance changes
-*when* the answer arrives, never *what* it is.  Exercised by the seeded
-chaos harness (:mod:`repro.faults` driving ``tests/chaos``, including the
-network-boundary sites) and ``scripts/loadgen_qed.py`` for the admission
-path.
+whether the solve ran on a local or a remote worker, or survived any
+schedule of solver kills, partitions and zombie commits -- fault
+tolerance changes *when* the answer arrives, never *what* it is.
+Exercised by the seeded chaos harness (:mod:`repro.faults` driving
+``tests/chaos``, including the network-boundary sites) and
+``scripts/loadgen_qed.py`` for the admission path.
 """
 
 from repro.serve.cache import CacheEntry, ResultCache

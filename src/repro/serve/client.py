@@ -53,8 +53,6 @@ class QueueStats(TypedDict, total=False):
     failed: int
     cancelled: int
     retried: int
-    pool_rebuilds: int
-    pool_broken: bool
     deadline_expired: int
     quarantined: int
     quarantine_rejections: int
@@ -197,14 +195,21 @@ class ServeClient:
 
     # ------------------------------------------------------------------
     def _request(
-        self, method: str, path: str, body: Optional[dict] = None
+        self,
+        method: str,
+        path: str,
+        body: Optional[dict] = None,
+        *,
+        text: bool = False,
     ) -> Dict[str, object]:
+        """One call, transport errors retried; ``text=True`` returns a
+        successful body as text instead of decoded JSON."""
         last_error: Optional[ServeError] = None
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self._backoff_delay(attempt))
             try:
-                return self._request_once(method, path, body)
+                return self._request_once(method, path, body, text=text)
             except ServeError as exc:
                 if exc.status is not None:
                     raise  # an HTTP answer is authoritative; don't retry
@@ -213,7 +218,12 @@ class ServeClient:
         raise last_error
 
     def _request_once(
-        self, method: str, path: str, body: Optional[dict] = None
+        self,
+        method: str,
+        path: str,
+        body: Optional[dict] = None,
+        *,
+        text: bool = False,
     ) -> Dict[str, object]:
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
@@ -235,6 +245,8 @@ class ServeClient:
                 raise ServeError(
                     f"{method} {path} failed: {type(exc).__name__}: {exc}"
                 )
+            if text and response.status < 400:
+                return raw.decode("utf-8")
             try:
                 data = json.loads(raw) if raw else {}
             except json.JSONDecodeError:
@@ -407,66 +419,17 @@ class ServeClient:
         Parse with :func:`repro.obs.parse_prometheus` when counters are
         needed as numbers.
         """
-        last_error: Optional[ServeError] = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self._backoff_delay(attempt))
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            try:
-                try:
-                    faults.crash_point("serve.client.request")
-                    connection.request("GET", "/metrics")
-                    response = connection.getresponse()
-                    raw = response.read()
-                except (OSError, http.client.HTTPException) as exc:
-                    last_error = ServeError(
-                        f"GET /metrics failed: {type(exc).__name__}: {exc}"
-                    )
-                    continue
-                if response.status >= 400:
-                    raise ServeError(
-                        f"GET /metrics -> {response.status}: {raw[:200]!r}",
-                        status=response.status,
-                    )
-                return raw.decode("utf-8")
-            finally:
-                connection.close()
-        assert last_error is not None
-        raise last_error
+        return cast(str, self._request("GET", "/metrics", text=True))
 
     def stats(self) -> StatsPayload:
         return cast(StatsPayload, self._request("GET", "/stats"))
 
     # -- fleet worker protocol -----------------------------------------
-    def fleet_register(
-        self, *, worker_id: str, pid: int = 0, host: str = ""
-    ) -> Dict[str, object]:
-        """``POST /fleet/register``: join the fleet; returns the pacing."""
-        return self._request(
-            "POST",
-            "/fleet/register",
-            {"worker_id": worker_id, "pid": pid, "host": host},
-        )
-
-    def fleet_lease(self, *, worker_id: str) -> Dict[str, object]:
-        """``POST /fleet/lease``: pull one job (``{"lease": None}`` = idle)."""
-        return self._request("POST", "/fleet/lease", {"worker_id": worker_id})
-
-    def fleet_heartbeat(self, body: Dict[str, object]) -> Dict[str, object]:
-        """``POST /fleet/heartbeat``: renew a lease + ship buffered events."""
-        return self._request("POST", "/fleet/heartbeat", body)
-
-    def fleet_complete(self, body: Dict[str, object]) -> Dict[str, object]:
-        """``POST /fleet/complete``: fenced commit of a lease's outcome."""
-        return self._request("POST", "/fleet/complete", body)
-
-    def fleet_deregister(self, *, worker_id: str) -> Dict[str, object]:
-        """``POST /fleet/deregister``: graceful exit from the fleet."""
-        return self._request(
-            "POST", "/fleet/deregister", {"worker_id": worker_id}
-        )
+    def fleet_call(self, verb: str, body: Dict[str, object]) -> Dict[str, object]:
+        """``POST /fleet/<verb>``: one worker-protocol call (register,
+        lease, heartbeat, complete or deregister; see
+        :class:`repro.serve.fleet.FleetCoordinator`)."""
+        return self._request("POST", f"/fleet/{verb}", body)
 
     def fleet(self) -> Dict[str, object]:
         """``GET /fleet``: the coordinator's worker/lease table."""

@@ -1,12 +1,15 @@
-"""Multi-host solve fabric: lease-based remote workers over HTTP.
+"""The solve fabric: every solve is a lease, local or remote.
 
-The serving stack of :mod:`repro.serve` is single-process: one
-:class:`~repro.serve.queue.JobQueue` dispatching to a local executor pool.
-This module adds the multi-host tier on top of the same queue, with the
-same invariant PR 7 established in-process -- **a fault may cost time or
-degrade a verdict to a non-definitive UNKNOWN, but a definitive verdict
-produced under any failure schedule is byte-identical to a fault-free
-direct run** -- now holding across worker processes on other hosts.
+A :class:`~repro.serve.queue.JobQueue` runs no solve itself.  Its
+``workers=N`` local workers are :class:`FleetWorker` pull loops on threads
+of the server that call the coordinator in-process on the event loop (no
+HTTP, no JSON); ``serve_qed.py worker`` runs the same loop on another host
+over ``POST /fleet/*``.  Both hold the same leases under the same fence
+epochs, so retry, quarantine and the flight dump live in one place
+(:meth:`JobQueue.fleet_requeue`) and one invariant covers every solve --
+**a fault may cost time or degrade a verdict to a non-definitive UNKNOWN,
+but a definitive verdict produced under any failure schedule is
+byte-identical to a fault-free direct run**.
 
 Four pieces, all stdlib-only:
 
@@ -15,24 +18,28 @@ Four pieces, all stdlib-only:
     per-job **fence epochs**.  Workers pull queued jobs under
     time-bounded leases; each grant bumps the job's fence epoch, and a
     commit is accepted only when it carries the fence of the currently
-    active lease.  A worker that goes silent (partition, SIGKILL) stops
-    renewing; its lease expires and the job is requeued through the
-    queue's existing capped-backoff/quarantine machinery.  When the
-    zombie comes back and commits, the fence comparison rejects it -- a
-    job is never double-recorded.  Heartbeat-driven failure detection
-    runs alongside: ``live -> suspect -> dead`` with grace derived from
-    the heartbeat interval (suspect after 2 missed beats, dead after 4);
-    a dead worker's leases are expired immediately instead of waiting
-    out the lease clock.
+    active lease.  An idle worker's lease request waits on the queue's
+    wake-up for up to one heartbeat interval (10 s at most), so new work
+    starts at once.
+    A worker that goes silent (partition, SIGKILL) stops renewing; its
+    lease expires and the job is requeued.  When the zombie comes back
+    and commits, the fence comparison rejects it -- a job is never
+    double-recorded.  Heartbeat-driven failure detection runs alongside:
+    ``live -> suspect -> dead`` with grace derived from the heartbeat
+    interval (suspect after 2 missed beats, dead after 4); a dead worker's
+    leases are expired immediately instead of waiting out the lease clock.
 
 :class:`FleetWorker`
-    Worker-side pull loop: register, lease, solve (in a child process it
-    can SIGKILL on revocation, or a thread for tests), heartbeat while
+    Worker-side pull loop: register, lease, solve, heartbeat while
     solving (each beat renews the lease and ships buffered progress /
-    telemetry / obs events upstream), then commit with the fence token.
+    telemetry / obs events upstream), then commit with the fence token
+    and the remaining events.  Each worker owns one persistent solver
+    child, forked at its first lease and reused (killed on revocation or
+    stop, forked again after it dies); events and the outcome come back
+    over a pipe, in order.  ``use_processes=False`` solves on a thread.
     Chaos sites ``fleet.worker.heartbeat`` (drop a beat) and
-    ``fleet.worker.commit`` (delay into zombiehood, drop, duplicate)
-    make the failure schedules of :mod:`tests.chaos` reproducible.
+    ``fleet.worker.commit`` (delay into zombiehood, drop, duplicate) make
+    the failure schedules of :mod:`tests.chaos` reproducible.
 
 :class:`AdmissionController`
     Front-end admission: per-client token buckets (client identity from
@@ -51,23 +58,24 @@ Four pieces, all stdlib-only:
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import itertools
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_mod
 import random
 import socket
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import faults
 from repro.serve.cache import _LOG_NAME, ResultCache
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.queue import Job, JobState, _init_worker, execute_job_spec
+from repro.serve.queue import Job, JobState, execute_job_spec
 
 __all__ = [
     "AdmissionController",
@@ -96,7 +104,6 @@ class WorkerInfo:
     pid: int = 0
     host: str = ""
     state: WorkerState = WorkerState.LIVE
-    registered_at: float = 0.0
     last_seen_mono: float = 0.0
     lease_ids: Set[str] = field(default_factory=set)
     jobs_done: int = 0
@@ -129,25 +136,32 @@ class Lease:
 
     lease_id: str
     job_id: str
-    cache_key: str
     worker_id: str
     fence: int
-    granted_mono: float
     expires_mono: float
 
 
 #: Completed/rejected lease ids remembered for duplicate-commit detection.
 _COMPLETED_LEASES_KEPT = 1024
 
+#: Longest an idle lease request waits, whatever the heartbeat interval:
+#: well inside the 30 s a worker gives one request (``FleetWorker``'s
+#: ``request_timeout``, :meth:`FleetCoordinator.fleet_call`).
+_LEASE_WAIT_MAX = 10.0
+
 
 class FleetCoordinator:
-    """Lease/fence bookkeeping between the job queue and remote workers.
+    """Lease/fence bookkeeping between the job queue and its workers.
 
-    Lives on the queue's event loop (all handlers are called from server
-    coroutines; the reaper is an asyncio task on the same loop), so no
-    locking is needed -- same threading contract as :class:`JobQueue`.
-    Attaches itself as ``queue.fleet``.
+    Lives on the queue's event loop (every verb runs there, whether it
+    arrived over HTTP or from a local worker thread; the reaper is an
+    asyncio task on the same loop), so no locking is needed -- same
+    threading contract as :class:`JobQueue`.  Attaches itself as
+    ``queue.fleet``.
     """
+
+    #: The worker protocol, one method per verb.
+    VERBS = ("register", "lease", "heartbeat", "complete", "deregister")
 
     def __init__(
         self,
@@ -171,9 +185,13 @@ class FleetCoordinator:
         #: once the job is terminal, never while it can still be granted.
         self._fences: Dict[str, int] = {}
         self._lease_seq = itertools.count()
-        self._completed: Set[str] = set()
-        self._completed_order: "deque[str]" = deque()
+        self._completed: "OrderedDict[str, None]" = OrderedDict()
         self._reaper_task: Optional[asyncio.Task] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: The server's own workers and the threads running their loops.
+        self._local: List[Tuple["FleetWorker", threading.Thread]] = []
+        #: Set by :meth:`stop`: no lease is granted or waited for any more.
+        self._stopping = False
         # Counters for /stats and /metrics.
         self.workers_registered = 0
         self.workers_died = 0
@@ -191,13 +209,40 @@ class FleetCoordinator:
 
     # -- lifecycle ---------------------------------------------------
     def start(self) -> None:
-        """Start the reaper task (requires a running event loop)."""
+        """Start the reaper and the queue's ``workers`` local pull loops.
+
+        Requires the running event loop.  Local workers are registered
+        before this returns, so the server is ready at once.
+        """
+        self._loop = asyncio.get_running_loop()
+        self._stopping = False
         if self._reaper_task is None:
-            self._reaper_task = asyncio.get_running_loop().create_task(
-                self._reaper()
+            self._reaper_task = self._loop.create_task(self._reaper())
+        for index in range(len(self._local), self.queue.workers):
+            worker = FleetWorker(
+                worker_id=f"local-{index}",
+                entry=self.queue.entry,
+                use_processes=self.queue.use_processes,
+                client=self,
             )
+            self.register({"worker_id": worker.worker_id, "pid": os.getpid()})
+            thread = threading.Thread(
+                target=worker.run, name=f"serve-{worker.worker_id}", daemon=True
+            )
+            thread.start()
+            self._local.append((worker, thread))
 
     async def stop(self) -> None:
+        """Abort the local workers (solves in flight are killed, children
+        reaped, leases handed back), wait for them, stop the reaper."""
+        self._stopping = True
+        for worker, _ in self._local:
+            worker.abort()
+        self.queue._notify()  # end the lease waits in progress
+        for _, thread in self._local:
+            # Joined off the loop: an exiting worker still deregisters on it.
+            await asyncio.to_thread(thread.join, 10.0)
+        self._local = []
         if self._reaper_task is not None:
             self._reaper_task.cancel()
             try:
@@ -213,7 +258,48 @@ class FleetCoordinator:
             await asyncio.sleep(interval)
             self.sweep(time.monotonic())
 
-    # -- handlers (one per POST /fleet/<verb>) -----------------------
+    # -- verbs (one per POST /fleet/<verb>) --------------------------
+    async def call(self, verb: str, body: Dict[str, object]) -> Dict[str, object]:
+        """Serve one worker verb, from HTTP or from a local worker thread.
+
+        ``lease`` is the one verb that waits: with nothing runnable, it
+        waits on the queue's wake-up for at most ``heartbeat_seconds``
+        (capped at ``_LEASE_WAIT_MAX``) and tries once more, so an idle
+        worker neither polls nor misses newly submitted work.
+        """
+        if verb not in self.VERBS:
+            raise KeyError(verb)
+        if verb != "lease":
+            return getattr(self, verb)(body)
+        wake = self.queue._wake  # captured before the pop: no lost wake-up
+        answer = self.lease(body)
+        if answer["lease"] is not None or answer.get("reregister") or self._stopping:
+            return answer
+        try:
+            await asyncio.wait_for(
+                wake.wait(), min(self.heartbeat_seconds, _LEASE_WAIT_MAX)
+            )
+        except asyncio.TimeoutError:
+            pass
+        return self.lease(body)
+
+    def fleet_call(self, verb: str, body: Dict[str, object]) -> Dict[str, object]:
+        """(Local worker threads) :meth:`call` on the loop: the in-process
+        twin of :meth:`ServeClient.fleet_call`.  A loop that is gone or
+        stuck, and an error raised by the verb itself (the twin of an
+        HTTP 500), surface as a transport-level :class:`ServeError`, so
+        the worker carries on."""
+        try:
+            future = asyncio.run_coroutine_threadsafe(
+                self.call(verb, body), self._loop
+            )
+            return future.result(30.0)
+        except concurrent.futures.TimeoutError:
+            future.cancel()
+            raise ServeError(f"fleet {verb} timed out")
+        except Exception as exc:  # a closed loop, or the verb's own error
+            raise ServeError(f"fleet {verb} failed: {type(exc).__name__}: {exc}")
+
     def register(self, body: Dict[str, object]) -> Dict[str, object]:
         """``POST /fleet/register``: join (or rejoin) the fleet.
 
@@ -225,9 +311,7 @@ class FleetCoordinator:
         info = self._workers.get(worker_id)
         if info is None:
             self._prune_workers()
-            info = WorkerInfo(
-                worker_id=worker_id, registered_at=time.time()
-            )
+            info = WorkerInfo(worker_id=worker_id)
             self._workers[worker_id] = info
             self.workers_registered += 1
             self.queue.metrics.inc("qed_fleet_workers_registered_total")
@@ -243,11 +327,13 @@ class FleetCoordinator:
         }
 
     def lease(self, body: Dict[str, object]) -> Dict[str, object]:
-        """``POST /fleet/lease``: pull one queued job under a fresh lease.
+        """Grant one queued job under a fresh lease (``None``: nothing runnable).
 
-        Every poll doubles as a liveness signal.  An unregistered worker
-        (e.g. after a coordinator restart) gets ``reregister`` instead of
-        work so it can rejoin before pulling.
+        Never waits (:meth:`call` adds the wait of ``POST /fleet/lease``).
+        Every request doubles as a liveness signal.  An unregistered
+        worker (e.g. after a coordinator restart) gets ``reregister``
+        instead of work so it can rejoin before pulling.  A stopping
+        coordinator grants nothing.
         """
         worker_id = self._worker_id(body)
         now = time.monotonic()
@@ -255,7 +341,7 @@ class FleetCoordinator:
         if info is None:
             return {"lease": None, "reregister": True}
         self._touch(info, now)
-        job = self.queue.fleet_lease_pop()
+        job = None if self._stopping else self.queue.fleet_lease_pop()
         if job is None:
             return {"lease": None}
         fence = self._fences.get(job.job_id, 0) + 1
@@ -263,10 +349,8 @@ class FleetCoordinator:
         lease = Lease(
             lease_id=f"lease-{next(self._lease_seq):06d}",
             job_id=job.job_id,
-            cache_key=job.cache_key,
             worker_id=worker_id,
             fence=fence,
-            granted_mono=now,
             expires_mono=now + self.lease_seconds,
         )
         self._leases[lease.lease_id] = lease
@@ -283,11 +367,8 @@ class FleetCoordinator:
         payload: Dict[str, object] = {
             "lease_id": lease.lease_id,
             "job_id": job.job_id,
-            "cache_key": job.cache_key,
             "fence": fence,
             "spec": job.spec.canonical_dict(),
-            "lease_seconds": self.lease_seconds,
-            "heartbeat_seconds": self.heartbeat_seconds,
         }
         if job.deadline is not None:
             payload["deadline_seconds"] = job.deadline.remaining()
@@ -330,10 +411,11 @@ class FleetCoordinator:
         """``POST /fleet/complete``: fenced commit of one lease's outcome.
 
         Accepted only for the currently active lease carrying the job's
-        current fence epoch; the completion then runs through the exact
-        code path a local dispatch uses (:meth:`JobQueue.fleet_complete`),
-        which is what makes a remote definitive verdict byte-identical to
-        a direct run.  Everything else is rejected with a reason --
+        current fence epoch; the body's remaining events are applied
+        first, then the outcome runs through the queue's one success path
+        (:meth:`JobQueue._finish_success`), which is what makes a definitive
+        verdict byte-identical to a direct run whichever worker solved
+        it.  Everything else is rejected with a reason --
         ``stale_fence`` (the zombie case: the lease expired, and possibly
         another worker now owns a newer epoch), ``duplicate_commit`` (this
         lease already committed), or ``unknown_job``.
@@ -363,8 +445,8 @@ class FleetCoordinator:
             and job is not None
             and job.state is JobState.RUNNING
         ):
-            self._release(lease, completed=True)
             self._forward_events(job_id, body.get("events"))
+            self._release(lease, completed=True)
             return self._apply_outcome(job, info, body)
         # -- rejection taxonomy (only stale fences count as fenced) --
         if lease_id in self._completed:
@@ -430,10 +512,10 @@ class FleetCoordinator:
     def _forward_events(self, job_id: str, events: object) -> None:
         """Feed worker-shipped events through the queue's progress path.
 
-        Each event is exactly what the local progress pipe would carry: a
+        Each event is what the entry handed its ``progress`` callable: a
         per-bound stats dict, a ``{"__telemetry__": [...]}`` batch, or a
-        ``{"__obs__": {...}}`` batch -- so telemetry rings, trace
-        re-rooting and metrics merging all work unchanged for remote jobs.
+        ``{"__obs__": {...}}`` batch -- telemetry rings, trace re-rooting
+        and metrics merging all happen in :meth:`JobQueue._on_progress`.
         """
         if not isinstance(events, list):
             return
@@ -447,30 +529,37 @@ class FleetCoordinator:
         info: Optional[WorkerInfo],
         body: Dict[str, object],
     ) -> Dict[str, object]:
-        """Commit an accepted lease's outcome to the queue."""
-        result = body.get("result")
-        if isinstance(result, dict) and isinstance(result.get("record"), dict):
-            self.queue.fleet_complete(job, result)
-            self.commits_accepted += 1
-            if info is not None:
-                info.jobs_done += 1
-            self._fences.pop(job.job_id, None)
-            return {"accepted": True, "reason": "accepted"}
+        """Commit an accepted lease's outcome to the queue.
+
+        The lease is already released, so nothing here may leave the job
+        RUNNING: a result that cannot be applied on this side (say, the
+        cache log is no longer writable) fails the job as an entry error
+        does.  The sweep prunes the job's fence once it is terminal.
+        """
         if body.get("crashed"):
-            # The remote *solver process* died under the worker -- the
-            # same retryable class as a local pool crash, so it goes back
-            # through the capped-backoff/quarantine machinery instead of
-            # failing the job on a deterministic-error path.
+            # The *solver* died under the worker: retryable, so it goes
+            # back through the capped-backoff/quarantine machinery instead
+            # of failing the job on a deterministic-error path.
             self.crash_reports += 1
             self.queue.metrics.inc("qed_fleet_crash_reports_total")
-            requeued = self.queue.fleet_requeue(job, reason="worker_crash")
-            if not requeued:
-                self._fences.pop(job.job_id, None)
+            requeued = self.queue.fleet_requeue(
+                job,
+                reason="worker_crash",
+                error=str(body.get("error") or "") or None,
+            )
             return {"accepted": True, "reason": "crash_reported", "requeued": requeued}
-        error = str(body.get("error") or "remote worker reported no result")
-        self.queue.fleet_fail(job, error)
         self.commits_accepted += 1
-        self._fences.pop(job.job_id, None)
+        error = str(body.get("error") or "worker reported no result")
+        result = body.get("result")
+        if isinstance(result, dict) and isinstance(result.get("record"), dict):
+            try:
+                self.queue._finish_success(job, result)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        if job.state is JobState.RUNNING:
+            self.queue.fleet_fail(job, error)
+        elif info is not None:
+            info.jobs_done += 1
         return {"accepted": True, "reason": "accepted"}
 
     def _release(self, lease: Lease, *, completed: bool) -> None:
@@ -479,10 +568,9 @@ class FleetCoordinator:
         if info is not None:
             info.lease_ids.discard(lease.lease_id)
         if completed:
-            self._completed.add(lease.lease_id)
-            self._completed_order.append(lease.lease_id)
-            while len(self._completed_order) > _COMPLETED_LEASES_KEPT:
-                self._completed.discard(self._completed_order.popleft())
+            self._completed[lease.lease_id] = None
+            if len(self._completed) > _COMPLETED_LEASES_KEPT:
+                self._completed.popitem(last=False)
 
     def _expire(self, lease: Lease, *, reason: str) -> None:
         """Invalidate a lease and hand its job back to the queue."""
@@ -535,9 +623,6 @@ class FleetCoordinator:
             counts[info.state.value] += 1
         return counts
 
-    def live_workers(self) -> int:
-        return self.worker_counts()["live"]
-
     def has_active_leases(self) -> bool:
         return bool(self._leases)
 
@@ -572,11 +657,9 @@ class FleetCoordinator:
 
     def refresh_gauges(self) -> None:
         """Point-in-time fleet gauges for ``GET /metrics`` scrape time."""
-        counts = self.worker_counts()
         metrics = self.queue.metrics
-        metrics.set_gauge("qed_fleet_workers_live", float(counts["live"]))
-        metrics.set_gauge("qed_fleet_workers_suspect", float(counts["suspect"]))
-        metrics.set_gauge("qed_fleet_workers_dead", float(counts["dead"]))
+        for state, count in self.worker_counts().items():
+            metrics.set_gauge(f"qed_fleet_workers_{state}", float(count))
         metrics.set_gauge(
             "qed_fleet_leases_outstanding", float(len(self._leases))
         )
@@ -584,197 +667,271 @@ class FleetCoordinator:
 
 # ----------------------------------------------------------------------
 # Worker side.
-def _remote_child(  # fork-entry: dispatched via multiprocessing.Process
+def _run_entry(
     entry: Callable,
     spec_dict: Dict[str, object],
     job_id: str,
+    progress: Callable[[Dict[str, object]], None],
     deadline_seconds: Optional[float],
-    progress_queue,
-    result_queue,
+) -> Dict[str, object]:
+    """One entry call as an outcome: ``{"result": ...}`` or ``{"error": ...}``
+    (``deadline_seconds`` is passed only when set: old 3-argument entries)."""
+    kwargs: Dict[str, object] = {}
+    if deadline_seconds is not None:
+        kwargs["deadline_seconds"] = deadline_seconds
+    try:
+        return {"result": entry(spec_dict, job_id, progress, **kwargs)}
+    except Exception as exc:  # entry exceptions are deterministic
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _solver_loop(  # fork-entry: a worker's persistent solver child
+    conn, parent_end, entry: Callable
 ) -> None:
-    """Child-process body of one remote solve.
+    """Body of a worker's solver child: one job per request, until EOF.
 
-    Installs the progress queue exactly like the local pool initializer
-    does, so ``execute_job_spec`` ships per-bound progress, telemetry
-    batches and obs batches through the same ``(job_id, payload)`` tuples
-    -- the worker relays them upstream in heartbeat/commit bodies.
+    A request is ``(spec_dict, job_id, deadline_seconds)``.  Every event
+    the entry emits goes back as ``("event", payload)`` and the outcome
+    last as ``("outcome", {...})``, so the pipe's order delivers a job's
+    events before its outcome.  An idle child also exits once its worker
+    is gone (re-parented), even if a sibling still holds the pipe.
     """
-    _init_worker(progress_queue)
-    try:
-        kwargs: Dict[str, object] = {}
-        if deadline_seconds is not None:
-            kwargs["deadline_seconds"] = deadline_seconds
-        outcome: Dict[str, object] = {
-            "result": entry(spec_dict, job_id, **kwargs)
-        }
-    except BaseException as exc:  # entry exceptions are deterministic
-        outcome = {"error": f"{type(exc).__name__}: {exc}"}
-    try:
-        result_queue.put(outcome)
-        result_queue.close()
-        result_queue.join_thread()  # flush before exit; the put is the point
-    except Exception:
-        pass
+    parent_end.close()
+    parent = os.getppid()
+    # Started daemonic, so the server's exit never waits on it; but a solve
+    # may fork a pool of its own (a spec with ``split`` does).
+    multiprocessing.current_process().daemon = False
+
+    def progress(payload: Dict[str, object]) -> None:
+        conn.send(("event", payload))
+
+    while True:
+        try:
+            while not conn.poll(1.0):
+                if os.getppid() != parent:
+                    return
+            spec_dict, job_id, deadline_seconds = conn.recv()
+        except (EOFError, OSError):
+            return
+        outcome = _run_entry(entry, spec_dict, job_id, progress, deadline_seconds)
+        try:
+            conn.send(("outcome", outcome))
+        except OSError:
+            return
 
 
-class _ProcessRunner:
-    """One solve in a child process (killable on lease revocation)."""
+#: Serializes solver-child forks: a fork racing another thread's fork could
+#: inherit that child's pipe and sentinel ends and hide its death.
+_FORK_LOCK = threading.Lock()
 
-    def __init__(
+
+class _SolverChild:
+    """A worker's persistent solver process (``use_processes=True``).
+
+    Forked lazily at the first :meth:`start` -- so it inherits whatever
+    fingerprint and lint memos the process has warmed by then -- and
+    reused across leases; forked again after it dies or is killed.
+    """
+
+    def __init__(self, entry: Callable) -> None:
+        self.entry = entry
+        self._proc = None
+        self._conn = None
+        self._events: List[Dict[str, object]] = []
+        self._outcome: Optional[Dict[str, object]] = None
+
+    def start(
         self,
-        entry: Callable,
         spec_dict: Dict[str, object],
         job_id: str,
         deadline_seconds: Optional[float],
     ) -> None:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        self._progress = ctx.Queue()
-        self._result = ctx.Queue()
-        self._proc = ctx.Process(
-            target=_remote_child,
-            args=(
-                entry,
-                spec_dict,
-                job_id,
-                deadline_seconds,
-                self._progress,
-                self._result,
-            ),
-            daemon=True,
-        )
-        self._proc.start()
+        if self._proc is None or not self._proc.is_alive():
+            self._spawn()
+        self._events, self._outcome = [], None
+        try:
+            self._conn.send((spec_dict, job_id, deadline_seconds))
+        except OSError:
+            self._died()
+
+    def _spawn(self) -> None:
+        self.close()
+        ctx = multiprocessing.get_context("fork")
+        parent_end, child_end = ctx.Pipe()
+        with _FORK_LOCK:
+            proc = ctx.Process(
+                target=_solver_loop,
+                args=(child_end, parent_end, self.entry),
+                name="serve-solver",
+                daemon=True,
+            )
+            proc.start()
+            child_end.close()
+        self._proc, self._conn = proc, parent_end
 
     def wait(self, timeout: float) -> bool:
-        self._proc.join(timeout)
-        return self._proc.exitcode is not None
+        """Collect events until the outcome is in (True) or *timeout*."""
+        deadline = time.monotonic() + timeout
+        while self._outcome is None:
+            remaining = deadline - time.monotonic()
+            ready = multiprocessing.connection.wait(
+                [self._conn, self._proc.sentinel], max(0.0, remaining)
+            )
+            if self._conn in ready:
+                try:
+                    kind, payload = self._conn.recv()
+                except (EOFError, OSError):
+                    self._died()
+                    break
+                if kind == "event":
+                    self._events.append(payload)
+                else:
+                    self._outcome = payload
+            elif ready:
+                self._died()  # the sentinel alone: nothing left to read
+            elif remaining <= 0:
+                return False
+        return True
+
+    def _died(self) -> None:
+        proc = self._proc
+        proc.join(1.0)
+        self._outcome = {
+            "crashed": True,
+            "error": f"solver process exited with code {proc.exitcode}",
+        }
+        self.close()
 
     def drain_events(self) -> List[Dict[str, object]]:
-        events: List[Dict[str, object]] = []
-        while True:
-            try:
-                item = self._progress.get_nowait()
-            except (queue_mod.Empty, EOFError, OSError):
-                break
-            if (
-                isinstance(item, tuple)
-                and len(item) == 2
-                and isinstance(item[1], dict)
-            ):
-                events.append(item[1])
+        events, self._events = self._events, []
         return events
 
-    def kill(self) -> None:
-        if self._proc.exitcode is None:
-            self._proc.kill()
-        self._proc.join(1.0)
-
     def outcome(self) -> Dict[str, object]:
-        try:
-            out = self._result.get(timeout=1.0)
-        except (queue_mod.Empty, EOFError, OSError):
-            out = None
-        if isinstance(out, dict):
-            return out
-        return {"crashed": True, "exitcode": self._proc.exitcode}
+        return self._outcome or {"crashed": True}
+
+    def interrupt(self) -> None:
+        """(Any thread) SIGKILL the child so a pending :meth:`wait` returns."""
+        proc = self._proc
+        if proc is not None and proc.exitcode is None:
+            proc.kill()
+
+    def close(self) -> None:
+        """Kill the child (if any) and reap it."""
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            if proc.exitcode is None:
+                proc.kill()
+            proc.join()
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
 
 class _ThreadRunner:
-    """One solve on a thread (test mode; revocation abandons the thread)."""
+    """Each solve on a daemon thread (``use_processes=False``).
 
-    def __init__(
+    A thread cannot be killed: revocation and stop abandon it, and its
+    late events and outcome land in that lease's own buffers, never in
+    the next one's.
+    """
+
+    def __init__(self, entry: Callable) -> None:
+        self.entry = entry
+        self._lock = threading.Lock()
+        self._events: List[Dict[str, object]] = []
+        self._outcome: Dict[str, object] = {}
+        self._finished = threading.Event()
+
+    def start(
         self,
-        entry: Callable,
         spec_dict: Dict[str, object],
         job_id: str,
         deadline_seconds: Optional[float],
     ) -> None:
-        self._events: List[Dict[str, object]] = []
-        self._lock = threading.Lock()
-        self._outcome: Optional[Dict[str, object]] = None
+        events: List[Dict[str, object]] = []
+        outcome: Dict[str, object] = {}
+        finished = threading.Event()
+        self._events, self._outcome, self._finished = events, outcome, finished
+        lock = self._lock
 
-        def progress(stats: Dict[str, object]) -> None:
-            with self._lock:
-                self._events.append(stats)
+        def progress(payload: Dict[str, object]) -> None:
+            with lock:
+                events.append(payload)
 
         def main() -> None:
             try:
-                kwargs: Dict[str, object] = {}
-                if deadline_seconds is not None:
-                    kwargs["deadline_seconds"] = deadline_seconds
-                self._outcome = {
-                    "result": entry(spec_dict, job_id, progress, **kwargs)
-                }
-            except BaseException as exc:
-                self._outcome = {"error": f"{type(exc).__name__}: {exc}"}
+                outcome.update(
+                    _run_entry(
+                        self.entry, spec_dict, job_id, progress, deadline_seconds
+                    )
+                )
+            finally:
+                finished.set()  # no outcome at all reads as a crash
 
-        self._thread = threading.Thread(
-            target=main, name="fleet-solve", daemon=True
-        )
-        self._thread.start()
+        threading.Thread(target=main, name="fleet-solve", daemon=True).start()
 
     def wait(self, timeout: float) -> bool:
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
+        return self._finished.wait(timeout)
 
     def drain_events(self) -> List[Dict[str, object]]:
         with self._lock:
-            events, self._events = self._events, []
+            events = list(self._events)
+            self._events.clear()
         return events
 
-    def kill(self) -> None:
-        pass  # threads cannot be killed; the daemon thread is abandoned
-
     def outcome(self) -> Dict[str, object]:
-        out = self._outcome
-        if isinstance(out, dict):
-            return out
-        return {"crashed": True}
+        return dict(self._outcome) or {"crashed": True}
+
+    def interrupt(self) -> None:
+        self._finished.set()  # wake the wait; the thread itself runs on
+
+    def close(self) -> None:
+        pass
 
 
 class FleetWorker:
     """Pull-loop worker: register -> lease -> solve+heartbeat -> commit.
 
-    ``use_processes=True`` (the deployment mode) runs each solve in a
-    child process that can be SIGKILLed when the coordinator revokes the
-    lease; ``use_processes=False`` runs it on a daemon thread (tests).
-    The worker's client backoff is jittered with a seed derived from the
-    worker id, so a fleet that lost its server retries decorrelated
+    ``use_processes=True`` (the deployment mode) solves in the worker's
+    persistent solver child, which it SIGKILLs when the coordinator
+    revokes the lease; ``use_processes=False`` solves on a daemon thread.
+    *client* defaults to a :class:`ServeClient` for *server_url*; the
+    server's own workers pass the coordinator itself (its in-process
+    :meth:`FleetCoordinator.fleet_call`).  Retries after a transport error
+    are paced on the heartbeat interval, jittered with a seed derived from
+    the worker id, so a fleet that lost its server retries decorrelated
     instead of in lockstep.
     """
 
     def __init__(
         self,
-        server_url: str,
+        server_url: Optional[str] = None,
         *,
         worker_id: Optional[str] = None,
         entry: Callable = execute_job_spec,
         use_processes: bool = True,
-        poll_seconds: float = 0.5,
         max_jobs: Optional[int] = None,
         request_timeout: float = 30.0,
-        client: Optional[ServeClient] = None,
+        client=None,
         stop_event: Optional[threading.Event] = None,
     ) -> None:
         self.worker_id = worker_id or (
             f"w-{socket.gethostname()}-{os.getpid()}"
         )
-        self.client = client or ServeClient(
-            server_url,
-            timeout=request_timeout,
-            jitter_seed=self.worker_id,
-        )
-        self.entry = entry
-        self.use_processes = use_processes
-        self.poll_seconds = poll_seconds
+        if client is None:
+            if server_url is None:
+                raise ValueError("FleetWorker needs a server_url or a client")
+            client = ServeClient(
+                server_url, timeout=request_timeout, jitter_seed=self.worker_id
+            )
+        self.client = client
         self.max_jobs = max_jobs
         self._stop = stop_event or threading.Event()
+        self._abort = threading.Event()
+        self._runner = (_SolverChild if use_processes else _ThreadRunner)(entry)
         self._rng = random.Random(f"fleet:{self.worker_id}")
         # Paced by the coordinator's answer at registration time.
         self.heartbeat_seconds = 2.0
-        self.lease_seconds = 15.0
         # Counters (returned by run(), printed by the worker subcommand).
         self.jobs_leased = 0
         self.commits_accepted = 0
@@ -791,6 +948,13 @@ class FleetWorker:
         """Ask the pull loop to exit after the current lease."""
         self._stop.set()
 
+    def abort(self) -> None:
+        """(Any thread) Exit now: the solve in flight is killed and its
+        lease handed back uncommitted; the loop then deregisters."""
+        self._abort.set()
+        self._stop.set()
+        self._runner.interrupt()
+
     # ------------------------------------------------------------------
     def run(self) -> Dict[str, object]:
         """Run the pull loop until stopped (or ``max_jobs`` served)."""
@@ -802,13 +966,15 @@ class FleetWorker:
                     break
                 lease = self._acquire_lease()
                 if lease is None:
-                    self._stop.wait(self._poll_delay())
                     continue
                 self.jobs_leased += 1
                 self._run_lease(lease)
         finally:
+            self._runner.close()
             try:
-                self.client.fleet_deregister(worker_id=self.worker_id)
+                self.client.fleet_call(
+                    "deregister", {"worker_id": self.worker_id}
+                )
             except ServeError:
                 pass
         return self.stats_dict()
@@ -816,34 +982,37 @@ class FleetWorker:
     def _register(self) -> bool:
         while not self._stop.is_set():
             try:
-                resp = self.client.fleet_register(
-                    worker_id=self.worker_id,
-                    pid=os.getpid(),
-                    host=socket.gethostname(),
+                resp = self.client.fleet_call(
+                    "register",
+                    {
+                        "worker_id": self.worker_id,
+                        "pid": os.getpid(),
+                        "host": socket.gethostname(),
+                    },
                 )
             except ServeError:
-                # Server not up yet (or partitioned): wait and retry with
-                # the same jittered pacing as an empty poll.
-                self.transport_errors += 1
-                self._stop.wait(self._poll_delay())
+                # Server not up yet (or partitioned): wait and retry.
+                self._transport_error()
                 continue
             self.heartbeat_seconds = float(
                 resp.get("heartbeat_seconds", self.heartbeat_seconds)
             )
-            self.lease_seconds = float(
-                resp.get("lease_seconds", self.lease_seconds)
-            )
             return True
         return False
 
-    def _poll_delay(self) -> float:
-        return self.poll_seconds * (0.5 + 0.5 * self._rng.random())
+    def _transport_error(self) -> None:
+        self.transport_errors += 1
+        self._stop.wait(self.heartbeat_seconds * (0.5 + 0.5 * self._rng.random()))
 
     def _acquire_lease(self) -> Optional[Dict[str, object]]:
+        """One lease request; the coordinator waits while nothing is
+        runnable, so an empty answer is retried at once."""
         try:
-            resp = self.client.fleet_lease(worker_id=self.worker_id)
+            resp = self.client.fleet_call(
+                "lease", {"worker_id": self.worker_id}
+            )
         except ServeError:
-            self.transport_errors += 1
+            self._transport_error()
             return None
         if resp.get("reregister"):
             self._register()
@@ -853,20 +1022,29 @@ class FleetWorker:
 
     # ------------------------------------------------------------------
     def _run_lease(self, lease: Dict[str, object]) -> None:
+        if self._abort.is_set():
+            return
         job_id = str(lease["job_id"])
-        lease_id = str(lease["lease_id"])
-        fence = int(lease["fence"])
-        spec_dict = dict(lease["spec"])
+        # Every heartbeat and the commit name the worker, lease and job.
+        ident = {
+            "worker_id": self.worker_id,
+            "lease_id": str(lease["lease_id"]),
+            "job_id": job_id,
+        }
         deadline_seconds = lease.get("deadline_seconds")
-        if deadline_seconds is not None:
-            deadline_seconds = float(deadline_seconds)
-        runner_cls = _ProcessRunner if self.use_processes else _ThreadRunner
-        runner = runner_cls(self.entry, spec_dict, job_id, deadline_seconds)
+        runner = self._runner
+        runner.start(
+            dict(lease["spec"]),
+            job_id,
+            None if deadline_seconds is None else float(deadline_seconds),
+        )
         pending: List[Dict[str, object]] = []
-        revoked = False
         while True:
             done = runner.wait(self.heartbeat_seconds)
             pending.extend(runner.drain_events())
+            if self._abort.is_set():
+                runner.close()  # leave the lease to expire on deregister
+                return
             if done:
                 break
             # Chaos-harness message site: a seeded drop silences this beat
@@ -876,42 +1054,28 @@ class FleetWorker:
             if fate == "drop":
                 self.heartbeats_dropped += 1
                 continue
-            body = {
-                "worker_id": self.worker_id,
-                "lease_id": lease_id,
-                "job_id": job_id,
-                "events": pending,
-            }
+            body = {**ident, "events": pending}
             try:
-                resp = self.client.fleet_heartbeat(body)
+                resp = self.client.fleet_call("heartbeat", body)
                 self.heartbeats_sent += 1
                 pending = []
                 if fate == "duplicate":
-                    self.client.fleet_heartbeat(
-                        {**body, "events": []}
-                    )
+                    self.client.fleet_call("heartbeat", {**body, "events": []})
                 if resp.get("lease") == "revoked":
-                    revoked = True
                     self.leases_revoked += 1
-                    break
+                    runner.close()  # the lease is gone; stop burning CPU on it
+                    return
             except ServeError:
                 # Partitioned mid-solve: keep solving.  If the partition
                 # outlives the lease the coordinator reassigns the job and
                 # our eventual commit is fence-rejected -- correct either
                 # way, so there is nothing to abort here.
                 self.heartbeat_errors += 1
-        if revoked:
-            runner.kill()  # the lease is gone; stop burning CPU on it
-            return
-        outcome = runner.outcome()
-        pending.extend(runner.drain_events())
         body = {
-            "worker_id": self.worker_id,
-            "lease_id": lease_id,
-            "job_id": job_id,
-            "fence": fence,
-            "events": pending,
-            **outcome,
+            **ident,
+            "fence": int(lease["fence"]),
+            "events": pending + runner.drain_events(),
+            **runner.outcome(),
         }
         # Chaos-harness commit site (one hit per commit: message_fate also
         # applies inline actions): a seeded ``delay`` here longer than the
@@ -925,9 +1089,9 @@ class FleetWorker:
             self.commits_dropped += 1
             return
         try:
-            resp = self.client.fleet_complete(body)
+            resp = self.client.fleet_call("complete", body)
             if fate == "duplicate":
-                self.client.fleet_complete(body)
+                self.client.fleet_call("complete", body)
         except ServeError as exc:
             if exc.status is not None:
                 raise

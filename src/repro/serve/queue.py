@@ -1,8 +1,10 @@
-"""Asyncio job queue: priority scheduling, coalescing, process-pool bridge.
+"""Asyncio job queue: priority scheduling, coalescing, lease-based dispatch.
 
 One :class:`JobQueue` owns the serving state: a registry of jobs, a priority
-heap of queued work, the in-flight map used for deduplication, and the
-executor that actually runs :func:`repro.eval.campaign.detect_bug`.
+heap of queued work and the in-flight map used for deduplication.  Every
+solve is a lease granted by its :class:`~repro.serve.fleet.FleetCoordinator`
+-- to one of the queue's own ``workers`` (threads of this process) or to a
+remote ``serve_qed.py worker``.
 
 Lifecycle of a submission
 =========================
@@ -13,16 +15,18 @@ Lifecycle of a submission
    (provenance: ``served_from_cache=True``); no solver runs.
 3. **Coalesce** -- an identical spec already queued or running returns the
    *same* job: N submitters, one solve, everyone long-polls the same id.
-4. Otherwise the job is queued by ``(priority, arrival)`` and picked up by
-   the scheduler when an executor slot frees.  Execution happens in a
-   worker process (``fork`` context, mirroring the campaign pool); per-bound
-   :class:`~repro.bmc.engine.BoundStats` stream back through a shared
-   multiprocessing queue and land in :attr:`Job.progress` as they arrive.
-5. On completion the record is admitted to the result cache under monotone
-   upgrade semantics; on a worker crash the broken pool is replaced and the
-   job is **retried** with capped exponential backoff.  A spec that keeps
-   killing workers is quarantined (``force=True`` clears it); only then
-   does the job end ``FAILED`` (never hung).
+4. Otherwise the job is queued by ``(priority, arrival)``, waking idle
+   workers' lease requests.  The first to pop it (:meth:`fleet_lease_pop`)
+   runs :func:`execute_job_spec` in its solver child; per-bound
+   :class:`~repro.bmc.engine.BoundStats` ride its heartbeats into
+   :attr:`Job.progress`.
+5. The fenced commit applies the solve's last events, then the one success
+   path (:meth:`_finish_success`) admits the record to the result cache
+   under monotone upgrade semantics.  A lease that never commits (crashed
+   solver, expired lease, dead worker) goes back through
+   :meth:`fleet_requeue`: **retried** with capped exponential backoff, and
+   a spec that keeps killing its solver is quarantined (``force=True``
+   clears it); only then does the job end ``FAILED`` (never hung).
 
 Fault tolerance
 ===============
@@ -33,41 +37,40 @@ Fault tolerance
   queued completes ``DONE`` with a synthetic non-definitive UNKNOWN record
   that is **not** cached, and a running job hands its remaining budget to
   the worker, which propagates it down to the solver.
-* :meth:`JobQueue.drain` is the graceful-shutdown path: stop dispatching,
-  let running solves finish, snapshot still-queued specs to a JSON-able
-  dict that :meth:`JobQueue.restore_state` resubmits after a restart.
+* :meth:`JobQueue.drain` is the graceful-shutdown path: stop granting
+  leases, let leased solves finish (a lease lost meanwhile goes back to the
+  queue without spending an attempt), snapshot still-queued specs to a
+  JSON-able dict that :meth:`JobQueue.restore_state` resubmits after a
+  restart.
 
 Observability
 =============
 
 Every job owns a trace (:class:`repro.obs.trace.TraceStore` entry keyed by
 job id): the queue records its own spans (cache read/write, queue-wait,
-each dispatch attempt) and worker processes run under their own
+each lease attempt) and solves run under their own
 :class:`~repro.obs.trace.ObsCollector`, shipping completed spans and a
-process-metrics delta back through the existing progress pipe as a tagged
+process-metrics delta with the solve's events as a tagged
 ``{"__obs__": ...}`` payload that :meth:`JobQueue._on_progress` diverts
 into the store (re-rooted under the attempt span) and the queue's
 :class:`~repro.obs.metrics.MetricsRegistry`.  Jobs that FAIL, are
 quarantined, or expire their deadline dump a flight-recorder JSON artifact
 (:class:`repro.obs.flight.FlightRecorder`) with the trace attached.
 
-``use_processes=False`` swaps the process pool for threads -- same contract,
-no fork -- which in-process demos (``examples/serve_quickstart.py``) use.
+``use_processes=False`` runs each local solve on a thread instead of the
+worker's solver child -- same contract, no fork -- which in-process demos
+(``examples/serve_quickstart.py``) use.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import heapq
 import itertools
-import multiprocessing
 import os
 import random
-import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
@@ -147,7 +150,8 @@ class Job:
     #: Wall-clock budget (absolute monotonic expiry).  NOT part of the
     #: cache key: the deadline describes the submission, not the problem.
     deadline: Optional[Deadline] = None
-    #: Executor dispatches so far; bumped on each worker-crash retry.
+    #: Leases handed back so far (crash, expiry, dead worker); the retry
+    #: budget counts these.
     attempts: int = 0
     #: Per-bound progress events (:meth:`BoundStats.to_json_dict` dicts).
     progress: List[Dict[str, object]] = field(default_factory=list)
@@ -197,29 +201,19 @@ class Job:
         }
 
 
-# ----------------------------------------------------------------------
-# Worker-process side.  ``_PROGRESS_QUEUE`` is installed by the pool
-# initializer; with the fork start method the queue object is inherited.
-_PROGRESS_QUEUE = None
-
-
-def _init_worker(progress_queue) -> None:
-    global _PROGRESS_QUEUE
-    _PROGRESS_QUEUE = progress_queue
-
-
-def execute_job_spec(  # fork-entry: dispatched via functools.partial
+def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
     spec_dict: Dict[str, object],
     job_id: str = "",
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
     *,
     deadline_seconds: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Executor entry point: run one campaign job described by *spec_dict*.
+    """Worker entry point: run one campaign job described by *spec_dict*.
 
     Returns ``{"record": <record json dict>, "definitive": bool}``.  Runs
-    in a worker process (``progress`` is then the inherited multiprocessing
-    queue) or in a thread (``progress`` is a direct callback).  The design
+    in a fleet worker's solver child (``progress`` then writes to the
+    child's pipe) or on a thread (``progress`` buffers for the next
+    heartbeat); either way events ship through ``progress``.  The design
     fingerprint is re-verified against the current content so a stale spec
     fails loudly instead of caching a result under the wrong key.
 
@@ -244,15 +238,6 @@ def execute_job_spec(  # fork-entry: dispatched via functools.partial
                 f"{current[:12]}.."
             )
     send = progress
-    if send is None and _PROGRESS_QUEUE is not None:
-        queue = _PROGRESS_QUEUE
-
-        def send(stats_dict: Dict[str, object]) -> None:
-            try:
-                queue.put((job_id, stats_dict))
-            except Exception:
-                pass  # progress is best-effort; never fail the job for it
-
     on_bound = None
     if send is not None:
         def on_bound(stats) -> None:
@@ -266,7 +251,7 @@ def execute_job_spec(  # fork-entry: dispatched via functools.partial
             if fate == "duplicate":
                 send(stats.to_json_dict())
 
-    # The job runs under its own collector (pool workers are long-lived,
+    # The job runs under its own collector (solver children are long-lived,
     # so a fork-inherited one would mix jobs); the queue re-roots the
     # shipped batch under this dispatch's attempt span.  Metrics ship as
     # a delta against the process registry so a reused worker never
@@ -274,7 +259,7 @@ def execute_job_spec(  # fork-entry: dispatched via functools.partial
     collector = obs_trace.start_trace()
     metrics_mark = obs_metrics.process_metrics().snapshot()
     # Telemetry heartbeats ship *while* the solve runs (tagged
-    # ``__telemetry__``, riding the same progress pipe as ``__obs__``),
+    # ``__telemetry__``, riding the same progress stream as ``__obs__``),
     # which is what makes GET /jobs/<id>/telemetry live rather than a
     # post-mortem.  A fresh per-job sink for the same reason as the
     # collector: a fork-inherited one would mix jobs.
@@ -313,7 +298,7 @@ def execute_job_spec(  # fork-entry: dispatched via functools.partial
     }
 
 
-def _selftest_entry(  # fork-entry: dispatched via functools.partial
+def _selftest_entry(  # fork-entry: runs in a fleet worker's solver child
     spec_dict: Dict[str, object],
     job_id: str = "",
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
@@ -322,9 +307,8 @@ def _selftest_entry(  # fork-entry: dispatched via functools.partial
 ) -> Dict[str, object]:
     """Deterministic test double for :func:`execute_job_spec`.
 
-    Kept importable here so it pickles into worker processes.  Behaviour is
-    keyed on the (synthetic) ``bug_id``: ``__crash__`` kills the worker
-    process outright (the ``FAILED``-not-hung regression hook),
+    Behaviour is keyed on the (synthetic) ``bug_id``: ``__crash__`` kills
+    the solver process outright (the ``FAILED``-not-hung regression hook),
     ``__sleep:S__`` holds the slot for ``S`` seconds (the coalescing hook);
     anything else echoes a canned record.  A received ``deadline_seconds``
     is echoed into the record so tests can assert budget propagation.
@@ -335,12 +319,6 @@ def _selftest_entry(  # fork-entry: dispatched via functools.partial
         os._exit(1)
     if bug_id.startswith("__sleep:"):
         time.sleep(float(bug_id[len("__sleep:"):].rstrip("_")))
-    if progress is None and _PROGRESS_QUEUE is not None:
-        queue = _PROGRESS_QUEUE
-
-        def progress(stats_dict: Dict[str, object]) -> None:
-            queue.put((job_id, stats_dict))
-
     if progress is not None:
         fate = faults.message_fate("serve.queue.progress")
         if fate != "drop":
@@ -360,13 +338,14 @@ def _selftest_entry(  # fork-entry: dispatched via functools.partial
 
 # ----------------------------------------------------------------------
 class JobQueue:
-    """Priority scheduler + dedup/coalescing front over an executor pool.
+    """Priority scheduler + dedup/coalescing front over lease-based workers.
 
     All public methods must be called from the owning event loop's thread
-    (the HTTP server and the in-process helpers guarantee that).  Cache
-    lookups/admissions run synchronously on it by design: they are one
-    seek+readline / one append on a local log, dwarfed by the solves they
-    avoid.  A multi-node cache tier would move them behind an executor.
+    (the HTTP server, the fleet coordinator and the in-process helpers
+    guarantee that).  Cache lookups/admissions run synchronously on it by
+    design: they are one seek+readline / one append on a local log, dwarfed
+    by the solves they avoid.  A multi-node cache tier would move them
+    behind an executor.
     """
 
     def __init__(
@@ -384,7 +363,7 @@ class JobQueue:
         max_queue_depth: Optional[int] = None,
         flight_dir: Optional[str] = None,
     ) -> None:
-        # ``workers=0`` is the fleet-only deployment: no local executor,
+        # ``workers=0`` is the fleet-only deployment: no local workers,
         # every solve pulled by remote workers through the coordinator.
         if workers < 0:
             raise ValueError("workers must be at least 0")
@@ -395,12 +374,14 @@ class JobQueue:
         if max_retries < 0:
             raise ValueError("max_retries must be at least 0")
         self.cache = cache
+        #: Local workers: in-process fleet workers started by :meth:`start`.
         self.workers = workers
         self.entry = entry
         self.use_processes = use_processes
-        #: Worker-crash retry policy: a job whose worker dies is re-queued
-        #: up to ``max_retries`` times with capped exponential backoff
-        #: (``base * 2**(attempt-1)``, never above ``cap`` seconds).
+        #: Retry policy: a job whose lease never commits (crashed solver,
+        #: expired lease) is re-queued up to ``max_retries`` times with
+        #: capped exponential backoff (``base * 2**(attempt-1)``, never
+        #: above ``cap`` seconds).
         self.max_retries = max_retries
         self.retry_backoff_base = retry_backoff_base
         self.retry_backoff_cap = retry_backoff_cap
@@ -412,9 +393,12 @@ class JobQueue:
         #: Admission bound on QUEUED depth; ``None`` means unbounded.
         #: Exceeding it raises :class:`QueueFull` (HTTP 429 + Retry-After).
         self.max_queue_depth = max_queue_depth
-        #: Set by :class:`repro.serve.fleet.FleetCoordinator` when this
-        #: queue also feeds remote lease-based workers.
-        self.fleet = None
+        #: The :class:`repro.serve.fleet.FleetCoordinator` granting every
+        #: lease, with default lease/heartbeat intervals; constructing
+        #: another one over this queue before :meth:`start` replaces it.
+        from repro.serve.fleet import FleetCoordinator  # imports this module
+
+        self.fleet = FleetCoordinator(self)
         #: Terminal jobs beyond this count are evicted oldest-first, so a
         #: long-running server's registry stays bounded (results live on in
         #: the cache; only the per-job views age out).
@@ -424,22 +408,14 @@ class JobQueue:
         self._inflight: Dict[str, Job] = {}
         self._heap: List[Tuple[int, int, str]] = []
         self._sequence = itertools.count()
-        self._running = 0
+        #: Set (and replaced) whenever work may have become leasable; an
+        #: idle lease request captures it before popping, then waits on it.
         self._wake = asyncio.Event()
-        self._scheduler_task: Optional[asyncio.Task] = None
-        self._executor = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._mp_context = None
-        self._progress_queue = None
-        self._drainer: Optional[threading.Thread] = None
         #: Keys whose spec exhausted its crash retries; value is a
         #: structured reason dict.  Resubmissions fail fast until an
         #: operator clears the key with ``force=True``.
         self.quarantined: Dict[str, Dict[str, object]] = {}
         self._draining = False
-        #: True between a worker crash and the replacement pool's first
-        #: construction -- surfaced by ``GET /healthz`` as not-ready.
-        self._pool_broken = False
         # Counters for /stats.
         self.submitted = 0
         self.cache_hits = 0
@@ -448,7 +424,6 @@ class JobQueue:
         self.failed = 0
         self.cancelled = 0
         self.retried = 0
-        self.pool_rebuilds = 0
         self.deadline_expired = 0
         self.quarantine_rejections = 0
         self.queue_full_rejections = 0
@@ -466,91 +441,19 @@ class JobQueue:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind to the running loop and start the scheduler."""
-        self._loop = asyncio.get_running_loop()
-        if self.use_processes:
-            methods = multiprocessing.get_all_start_methods()
-            self._mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else methods[0]
-            )
-            self._progress_queue = self._mp_context.Queue()
-            self._drainer = threading.Thread(
-                target=self._drain_progress, name="serve-progress", daemon=True
-            )
-            self._drainer.start()
-        self._scheduler_task = asyncio.create_task(self._scheduler())
+        """Start the coordinator's reaper and the ``workers`` local pull
+        loops on the running loop (idempotent)."""
+        self.fleet.start()
 
     async def stop(self) -> None:
-        """Stop scheduling; running workers are abandoned, not awaited."""
-        if self._scheduler_task is not None:
-            self._scheduler_task.cancel()
-            try:
-                await self._scheduler_task
-            except asyncio.CancelledError:
-                pass
-            self._scheduler_task = None
-        self._discard_executor()
-        if self._progress_queue is not None:
-            try:
-                self._progress_queue.put(None)  # drainer shutdown sentinel
-            except Exception:
-                pass
-        if self._drainer is not None:
-            self._drainer.join(timeout=2.0)
-            if self._drainer.is_alive() and self._progress_queue is not None:
-                # Escalate: the sentinel can be lost if a worker wedged the
-                # queue's pipe.  Closing our read end makes the blocked
-                # ``get`` raise (EOFError/OSError), which the drainer
-                # treats as shutdown -- so rejoin once more.
-                try:
-                    self._progress_queue.close()
-                except Exception:
-                    pass
-                self._drainer.join(timeout=1.0)
-            self._drainer = None
+        """Stop the local workers (solves in flight are killed, their
+        children reaped) and the coordinator's reaper."""
+        await self.fleet.stop()
 
-    # ------------------------------------------------------------------
-    def _ensure_executor(self):
-        if self._executor is None:
-            self._pool_broken = False
-            if self.use_processes:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=self._mp_context,
-                    initializer=_init_worker,
-                    initargs=(self._progress_queue,),
-                )
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="serve-worker",
-                )
-        return self._executor
-
-    def _discard_executor(self) -> None:
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _drain_progress(self) -> None:
-        """(thread) Pump per-bound events from workers into the loop."""
-        queue = self._progress_queue
-        while True:
-            try:
-                item = queue.get()
-            except (EOFError, OSError):
-                break
-            if item is None:
-                break
-            job_id, stats = item
-            loop = self._loop
-            if loop is None:
-                continue
-            try:
-                loop.call_soon_threadsafe(self._on_progress, job_id, stats)
-            except RuntimeError:
-                break  # loop closed; server is shutting down
+    def _notify(self) -> None:
+        """Wake every waiting lease request (work queued, drain, stop)."""
+        wake, self._wake = self._wake, asyncio.Event()
+        wake.set()
 
     def _on_progress(self, job_id: str, stats: Dict[str, object]) -> None:
         if isinstance(stats, dict) and "__telemetry__" in stats:
@@ -609,15 +512,22 @@ class JobQueue:
             if old is not None and old.state.terminal:
                 del self.jobs[old_id]
 
-    def _new_job_id(self) -> str:
-        return f"job-{next(self._sequence):06d}"
-
-    def _trace_begin(self, job: Job) -> None:
-        """Mint the job's trace id and open its trace-store entry."""
-        if not obs_trace.enabled():
-            return
-        job.trace_id = obs_trace.new_trace_id()
-        self.traces.ensure(job.job_id, job.trace_id)
+    def _new_job(
+        self, spec: JobSpec, key: str, priority: int, **fields: object
+    ) -> Job:
+        """Register a new job view and open its trace-store entry."""
+        job = Job(
+            job_id=f"job-{next(self._sequence):06d}",
+            spec=spec,
+            cache_key=key,
+            priority=priority,
+            **fields,
+        )
+        self.jobs[job.job_id] = job
+        if obs_trace.enabled():
+            job.trace_id = obs_trace.new_trace_id()
+            self.traces.ensure(job.job_id, job.trace_id)
+        return job
 
     # ------------------------------------------------------------------
     def submit(
@@ -666,11 +576,10 @@ class JobQueue:
                 record["served_from_cache"] = True
                 record["cache_key"] = key
                 now = time.time()
-                job = Job(
-                    job_id=self._new_job_id(),
-                    spec=spec,
-                    cache_key=key,
-                    priority=priority,
+                job = self._new_job(
+                    spec,
+                    key,
+                    priority,
                     state=JobState.DONE,
                     cache_hit=True,
                     record=record,
@@ -679,8 +588,6 @@ class JobQueue:
                     finished_at=now,
                     version=1,
                 )
-                self.jobs[job.job_id] = job
-                self._trace_begin(job)
                 self.traces.add_span(
                     job.job_id, "cache.read", *cache_read, hit=True
                 )
@@ -696,11 +603,10 @@ class JobQueue:
                 self.quarantine_rejections += 1
                 self.metrics.inc("qed_quarantine_rejections_total")
                 now = time.time()
-                job = Job(
-                    job_id=self._new_job_id(),
-                    spec=spec,
-                    cache_key=key,
-                    priority=priority,
+                job = self._new_job(
+                    spec,
+                    key,
+                    priority,
                     state=JobState.FAILED,
                     error=(
                         f"quarantined ({quarantine.get('reason')} after "
@@ -712,8 +618,6 @@ class JobQueue:
                     finished_at=now,
                     version=1,
                 )
-                self.jobs[job.job_id] = job
-                self._trace_begin(job)
                 self.traces.add_event(
                     job.job_id, "queue.quarantine_rejected", key=key
                 )
@@ -749,9 +653,7 @@ class JobQueue:
         # count against the depth (cache hits, coalesces and quarantine
         # rejections above never grow the backlog).
         if self.max_queue_depth is not None:
-            depth = sum(
-                1 for j in self.jobs.values() if j.state is JobState.QUEUED
-            )
+            depth = self._count(JobState.QUEUED)
             if depth >= self.max_queue_depth:
                 self.queue_full_rejections += 1
                 self.metrics.inc(
@@ -763,22 +665,19 @@ class JobQueue:
                     retry_after=self._retry_after_hint(),
                 )
 
-        job = Job(
-            job_id=self._new_job_id(),
-            spec=spec,
-            cache_key=key,
-            priority=priority,
+        job = self._new_job(
+            spec,
+            key,
+            priority,
             deadline=Deadline.from_seconds(deadline_seconds),
             submitted_at=time.time(),
             _queued_mono=time.monotonic(),
         )
-        self.jobs[job.job_id] = job
-        self._trace_begin(job)
         if cache_read is not None:
             self.traces.add_span(job.job_id, "cache.read", *cache_read, hit=False)
         self._inflight[key] = job
         heapq.heappush(self._heap, (-priority, next(self._sequence), job.job_id))
-        self._wake.set()
+        self._notify()
         return job
 
     def cancel(self, job_id: str) -> bool:
@@ -788,17 +687,13 @@ class JobQueue:
         client must not tear down a solve its twins are still waiting on.
         A running solve is not interrupted either (its result is still
         cached for the next asker); the request is recorded on the job
-        view (``cancel_requested``) so every waiter can see it.
+        view (``cancel_requested``) so every waiter can see it, and a
+        lease on it that never commits ends the job CANCELLED instead of
+        retrying it (:meth:`fleet_requeue`).
         """
         job = self.jobs[job_id]
         if job.state is JobState.QUEUED and job.coalesced == 0:
-            job.state = JobState.CANCELLED
-            job.finished_at = time.time()
-            self.cancelled += 1
-            if self._inflight.get(job.cache_key) is job:
-                del self._inflight[job.cache_key]
-            self._retire(job)
-            self._bump(job)
+            self._finish_terminal(job, JobState.CANCELLED)
             return True
         if not job.state.terminal:
             job.cancel_requested = True
@@ -806,284 +701,17 @@ class JobQueue:
         return False
 
     # ------------------------------------------------------------------
-    async def _scheduler(self) -> None:
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            while (
-                self._heap
-                and self._running < self.workers
-                and not self._draining
-            ):
-                _, _, job_id = heapq.heappop(self._heap)
-                job = self.jobs.get(job_id)
-                if job is None or job.state is not JobState.QUEUED:
-                    continue  # cancelled, or a stale re-priority entry
-                if job.deadline is not None and job.deadline.expired():
-                    self._expire_queued(job)
-                    continue
-                job.state = JobState.RUNNING
-                job.started_at = time.time()
-                self.queue_latency_total += job.started_at - job.submitted_at
-                self.queue_latency_jobs += 1
-                now_mono = time.monotonic()
-                wait = max(0.0, now_mono - job._queued_mono)
-                self.metrics.observe("qed_queue_wait_seconds", wait)
-                self.traces.add_span(
-                    job.job_id, "queue.wait", job._queued_mono, now_mono
-                )
-                self._running += 1
-                self._bump(job)
-                asyncio.create_task(self._run_job(job))
-
-    def _expire_queued(self, job: Job) -> None:
-        """Complete a queued job whose wall-clock budget ran out.
-
-        The verdict is an honest, zero-work UNKNOWN: ``DONE`` (the service
-        answered the question it was asked within the budget it was given),
-        non-definitive, ``deadline_expired`` marked -- and **not** cached,
-        so it can never shadow a real solve of the same key.
-        """
-        job.record = {
-            "bug_id": job.spec.bug_id,
-            "version_name": job.spec.version,
-            "qed_definitive": False,
-            "deadline_expired": True,
-            "served_from_cache": False,
-            "cache_key": job.cache_key,
-        }
-        job.state = JobState.DONE
-        job.started_at = job.finished_at = time.time()
-        self.deadline_expired += 1
-        self.metrics.inc("qed_deadline_expiries_total", scope="queue")
-        self.traces.add_event(job.job_id, "deadline.expired", scope="queued")
-        self.flight.dump(
-            job.job_id,
-            reason="deadline_expired",
-            state=job.state.value,
-            trace=self.traces.to_json_dict(job.job_id),
-            attempts=job.attempts,
-        )
-        if self._inflight.get(job.cache_key) is job:
-            del self._inflight[job.cache_key]
-        self._retire(job)
-        self._bump(job)
-
-    async def _run_job(self, job: Job) -> None:
-        loop = asyncio.get_running_loop()
-        retry_delay: Optional[float] = None
-        # The attempt span opens *before* dispatch so the worker's shipped
-        # batch (which can arrive any time before the future resolves) has
-        # a live span to re-root under.
-        job._attempt_span_id = self.traces.add_span(
-            job.job_id,
-            "queue.attempt",
-            time.monotonic(),
-            None,
-            attempt=job.attempts + 1,
-        )
-        try:
-            executor = self._ensure_executor()
-            spec_dict = job.spec.canonical_dict()
-            kwargs: Dict[str, object] = {}
-            if job.deadline is not None:
-                # Hand the worker its *remaining* budget; it rebases onto
-                # its own monotonic clock and threads it down the stack.
-                kwargs["deadline_seconds"] = job.deadline.remaining()
-            if self.use_processes:
-                call = functools.partial(
-                    self.entry, spec_dict, job.job_id, **kwargs
-                )
-            else:
-                def progress(stats: Dict[str, object]) -> None:
-                    loop.call_soon_threadsafe(self._on_progress, job.job_id, stats)
-
-                call = functools.partial(
-                    self.entry, spec_dict, job.job_id, progress, **kwargs
-                )
-            result = await loop.run_in_executor(executor, call)
-            self._finish_success(job, result)
-        except Exception as exc:
-            self.traces.close_span(
-                job.job_id, job._attempt_span_id, time.monotonic(),
-                outcome=type(exc).__name__,
-            )
-            retry_delay = self._job_failed(job, exc)
-        finally:
-            self._running -= 1
-            if retry_delay is None:
-                job.finished_at = time.time()
-                if self._inflight.get(job.cache_key) is job:
-                    del self._inflight[job.cache_key]
-                self._retire(job)
-            self._bump(job)
-            self._wake.set()
-        if retry_delay is not None:
-            await self._requeue_after(job, retry_delay)
-
-    def _finish_success(self, job: Job, result: Dict[str, object]) -> None:
-        """Apply one successful entry result to *job* (local or remote).
-
-        This is the single completion path: record post-processing, cache
-        admission under monotone-upgrade semantics, counters, attempt-span
-        close and the deadline-expiry flight dump.  Remote commits
-        (:meth:`fleet_complete`) run through the same code, which is what
-        makes a served record byte-identical regardless of which host
-        solved it.
-        """
-        record = dict(result["record"])
-        record["cache_key"] = job.cache_key
-        record.setdefault("served_from_cache", False)
-        if self.cache is not None:
-            write_start = time.monotonic()
-            self.cache.put(
-                job.cache_key,
-                record,
-                fingerprint=job.spec.fingerprint,
-                definitive=bool(result.get("definitive", True)),
-                spec=job.spec.canonical_dict(),
-            )
-            self.traces.add_span(
-                job.job_id, "cache.write", write_start, time.monotonic()
-            )
-        job.record = record
-        job.state = JobState.DONE
-        self.executed += 1
-        self.metrics.inc("qed_jobs_executed_total")
-        self.traces.close_span(
-            job.job_id, job._attempt_span_id, time.monotonic(),
-            outcome="done",
-        )
-        if record.get("deadline_expired"):
-            # The worker's budget ran out mid-solve: an honest UNKNOWN,
-            # but still a deadline ending worth a flight record.
-            self.deadline_expired += 1
-            self.metrics.inc("qed_deadline_expiries_total", scope="worker")
-            self.traces.add_event(
-                job.job_id, "deadline.expired", scope="running"
-            )
-            self.flight.dump(
-                job.job_id,
-                reason="deadline_expired",
-                state=job.state.value,
-                trace=self.traces.to_json_dict(job.job_id),
-                attempts=job.attempts + 1,
-            )
-
-    def _backoff_delay(self, attempt: int, *, key: str) -> float:
-        """Capped exponential backoff with seed-derived jitter.
-
-        The jitter factor lives in [0.5, 1.0] and is drawn from an RNG
-        seeded on ``(backoff_seed, key, attempt)``: the same job retries
-        on the same schedule run-to-run (tests stay deterministic), while
-        different jobs -- e.g. a fleet's worth of requeued leases after a
-        partition -- spread out instead of retrying in lockstep.
-        """
-        base = min(
-            self.retry_backoff_base * (2.0 ** (attempt - 1)),
-            self.retry_backoff_cap,
-        )
-        rng = random.Random(f"{self.backoff_seed}:{key}:{attempt}")
-        return base * (0.5 + 0.5 * rng.random())
-
-    def _retry_after_hint(self) -> float:
-        """Seconds a 429'd client should wait, from observed queue latency."""
-        if self.queue_latency_jobs:
-            avg = self.queue_latency_total / self.queue_latency_jobs
-        else:
-            avg = 1.0
-        return max(0.5, min(30.0, avg))
-
-    def _job_failed(self, job: Job, exc: Exception) -> Optional[float]:
-        """Decide a failed dispatch's fate; returns a backoff delay to retry.
-
-        Only a ``BrokenExecutor`` (the worker process *died* -- OOM kill,
-        hard crash) is retried: the job never got an answer, so re-running
-        is safe and usually succeeds on a healthy pool.  An exception
-        *raised by* the entry is deterministic -- retrying would just
-        repeat it -- so it fails the job immediately.  A spec that kills
-        workers past ``max_retries`` is quarantined so resubmissions fail
-        fast instead of burning a fresh pool each time.
-        """
-        if isinstance(exc, BrokenExecutor):
-            # Every future on the broken pool fails with it; replace the
-            # pool so the next dispatch gets a healthy one.
-            self._discard_executor()
-            self._pool_broken = True
-            self.pool_rebuilds += 1
-            self.metrics.inc("qed_pool_rebuilds_total")
-            job.attempts += 1
-            if (
-                job.attempts <= self.max_retries
-                and not job.cancel_requested
-                and not self._draining
-            ):
-                self.retried += 1
-                self.metrics.inc("qed_job_retries_total")
-                delay = self._backoff_delay(job.attempts, key=job.cache_key)
-                self.traces.add_event(
-                    job.job_id,
-                    "queue.retry",
-                    attempt=job.attempts,
-                    backoff_seconds=delay,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                job.state = JobState.QUEUED
-                job._queued_mono = time.monotonic()  # fresh queue-wait span
-                return delay
-            self.quarantined[job.cache_key] = {
-                "reason": "worker_crash",
-                "error": f"{type(exc).__name__}: {exc}",
-                "attempts": job.attempts,
-                "bug_id": job.spec.bug_id,
-                "at": time.time(),
-            }
-            self.metrics.inc("qed_quarantines_total")
-            self.traces.add_event(
-                job.job_id, "queue.quarantined", attempts=job.attempts
-            )
-        job.error = f"{type(exc).__name__}: {exc}"
-        job.state = JobState.FAILED
-        self.failed += 1
-        self.metrics.inc("qed_jobs_failed_total")
-        self.flight.dump(
-            job.job_id,
-            reason=(
-                "quarantined"
-                if job.cache_key in self.quarantined
-                else "failed"
-            ),
-            state=JobState.FAILED.value,
-            trace=self.traces.to_json_dict(job.job_id),
-            error=job.error,
-            attempts=job.attempts,
-        )
-        return None
-
-    async def _requeue_after(self, job: Job, delay: float) -> None:
-        """(Backoff) Re-queue a crash-retried job after *delay* seconds."""
-        await asyncio.sleep(delay)
-        if job.state is not JobState.QUEUED:
-            return  # cancelled during the backoff window
-        heapq.heappush(
-            self._heap, (-job.priority, next(self._sequence), job.job_id)
-        )
-        self._wake.set()
-
-    # ------------------------------------------------------------------
-    # Remote dispatch (the fleet coordinator's queue-side surface).  All
-    # four methods run on the loop, called from /fleet/* handlers or the
-    # coordinator's reaper task, and mirror the local dispatch paths
-    # exactly -- same spans, same counters, same completion code.
+    # Dispatch: the coordinator's queue-side surface.  Every solve, local
+    # or remote, is a lease: popped by fleet_lease_pop, committed through
+    # _finish_success or fleet_fail, and handed back through fleet_requeue
+    # when it will never commit.  All of it runs on the loop.
 
     def fleet_lease_pop(self) -> Optional[Job]:
-        """Pop the next runnable job for a remote lease grant.
+        """Pop the next runnable job for a lease grant (``None``: none).
 
-        The remote twin of the scheduler's pop: skips stale heap entries,
-        expires dead-on-arrival deadlines, transitions the job to RUNNING
-        and opens its attempt span (remote batches re-root under it, like
-        worker-pool batches do locally).  Local workers and the fleet pull
-        from the same heap, so mixed deployments just work.
+        Skips stale heap entries, expires dead-on-arrival deadlines,
+        transitions the job to RUNNING and opens its attempt span, which
+        the worker's shipped batches re-root under.
         """
         if self._draining:
             return None
@@ -1111,57 +739,113 @@ class JobQueue:
                 now_mono,
                 None,
                 attempt=job.attempts + 1,
-                remote=True,
             )
             self._bump(job)
             return job
         return None
 
-    def _finish_terminal(self, job: Job) -> None:
-        """Completion bookkeeping shared by every remote terminal path."""
-        job.finished_at = time.time()
-        if self._inflight.get(job.cache_key) is job:
-            del self._inflight[job.cache_key]
-        self._retire(job)
-        self._bump(job)
+    def _expire_queued(self, job: Job) -> None:
+        """Complete a queued job whose wall-clock budget ran out.
 
-    def fleet_complete(self, job: Job, result: Dict[str, object]) -> None:
-        """Commit a fenced remote success through the local success path."""
-        self._finish_success(job, result)
-        self._finish_terminal(job)
+        The verdict is an honest, zero-work UNKNOWN: ``DONE`` (the service
+        answered the question it was asked within the budget it was given),
+        non-definitive, ``deadline_expired`` marked -- and **not** cached,
+        so it can never shadow a real solve of the same key.
+        """
+        job.record = {
+            "bug_id": job.spec.bug_id,
+            "version_name": job.spec.version,
+            "qed_definitive": False,
+            "deadline_expired": True,
+            "served_from_cache": False,
+            "cache_key": job.cache_key,
+        }
+        job.started_at = time.time()
+        self.deadline_expired += 1
+        self.metrics.inc("qed_deadline_expiries_total", scope="queue")
+        self.traces.add_event(job.job_id, "deadline.expired", scope="queued")
+        self._finish_terminal(job, JobState.DONE)
+        self.flight.dump(
+            job.job_id,
+            reason="deadline_expired",
+            state=job.state.value,
+            trace=self.traces.to_json_dict(job.job_id),
+            attempts=job.attempts,
+        )
+
+    def _finish_success(self, job: Job, result: Dict[str, object]) -> None:
+        """The one success path: apply a fenced commit's entry result.
+
+        Record post-processing, cache admission under monotone-upgrade
+        semantics, counters, attempt-span close and the deadline-expiry
+        flight dump.  Every solve commits through here, which is what
+        makes a served record byte-identical regardless of which worker
+        solved it.
+        """
+        record = dict(result["record"])
+        record["cache_key"] = job.cache_key
+        record.setdefault("served_from_cache", False)
+        if self.cache is not None:
+            write_start = time.monotonic()
+            self.cache.put(
+                job.cache_key,
+                record,
+                fingerprint=job.spec.fingerprint,
+                definitive=bool(result.get("definitive", True)),
+                spec=job.spec.canonical_dict(),
+            )
+            self.traces.add_span(
+                job.job_id, "cache.write", write_start, time.monotonic()
+            )
+        job.record = record
+        self.executed += 1
+        self.metrics.inc("qed_jobs_executed_total")
+        self.traces.close_span(
+            job.job_id, job._attempt_span_id, time.monotonic(),
+            outcome="done",
+        )
+        self._finish_terminal(job, JobState.DONE)
+        if record.get("deadline_expired"):
+            # The worker's budget ran out mid-solve: an honest UNKNOWN,
+            # but still a deadline ending worth a flight record.
+            self.deadline_expired += 1
+            self.metrics.inc("qed_deadline_expiries_total", scope="worker")
+            self.traces.add_event(
+                job.job_id, "deadline.expired", scope="running"
+            )
+            self.flight.dump(
+                job.job_id,
+                reason="deadline_expired",
+                state=job.state.value,
+                trace=self.traces.to_json_dict(job.job_id),
+                attempts=job.attempts + 1,
+            )
 
     def fleet_fail(self, job: Job, error: str) -> None:
-        """Fail a remote job on a deterministic entry error (no retry).
+        """Fail a job on a deterministic entry error (no retry).
 
-        Mirrors the local policy: an exception *raised by* the entry
-        repeats on re-run, so retrying it remotely would waste a lease.
+        An exception *raised by* the entry repeats on re-run, so retrying
+        it would only waste a lease.
         """
         self.traces.close_span(
             job.job_id, job._attempt_span_id, time.monotonic(),
             outcome="error",
         )
-        job.error = error
-        job.state = JobState.FAILED
-        self.failed += 1
-        self.metrics.inc("qed_jobs_failed_total")
-        self.flight.dump(
-            job.job_id,
-            reason="failed",
-            state=JobState.FAILED.value,
-            trace=self.traces.to_json_dict(job.job_id),
-            error=job.error,
-            attempts=job.attempts,
-        )
-        self._finish_terminal(job)
+        self._fail(job, error, flight_reason="failed")
 
-    def fleet_requeue(self, job: Job, *, reason: str) -> bool:
-        """Hand a leased job back (lease expiry, dead worker, crash report).
+    def fleet_requeue(
+        self, job: Job, *, reason: str, error: Optional[str] = None
+    ) -> bool:
+        """Hand back a lease that will never commit; ``True``: queued again.
 
-        Runs the same capped-backoff/quarantine machinery as a local pool
-        crash: up to ``max_retries`` jittered requeues, then the spec is
-        quarantined and the job FAILED.  Returns ``True`` when the job is
-        queued again (including the draining case, where it re-enters
-        QUEUED so the drain snapshot persists it for the restart).
+        *reason* names the loss (``worker_crash``, ``lease_expired``,
+        ``worker_dead``, ``worker_deregistered``); *error* details it.
+        While draining, the job re-enters QUEUED without spending an
+        attempt, so the drain snapshot persists it for the restart.  A job
+        whose only submitter asked to cancel ends CANCELLED, as
+        :meth:`cancel` ends a queued one.  Anything else is retried up to
+        ``max_retries`` times with jittered backoff; then its spec is
+        quarantined and the job FAILED.
         """
         if job.state is not JobState.RUNNING:
             return False
@@ -1169,13 +853,23 @@ class JobQueue:
             job.job_id, job._attempt_span_id, time.monotonic(),
             outcome=reason,
         )
-        if self._draining:
+        cancel = job.cancel_requested and job.coalesced == 0
+        if self._draining and not cancel:
             job.state = JobState.QUEUED
             job._queued_mono = time.monotonic()
             self._bump(job)
             return True
         job.attempts += 1
-        if job.attempts <= self.max_retries and not job.cancel_requested:
+        detail = error or reason
+        if cancel:
+            self.traces.add_event(
+                job.job_id, "queue.cancelled", attempts=job.attempts
+            )
+            self._finish_terminal(
+                job, JobState.CANCELLED, f"cancelled after {reason}: {detail}"
+            )
+            return False
+        if job.attempts <= self.max_retries:
             self.retried += 1
             self.metrics.inc("qed_job_retries_total")
             delay = self._backoff_delay(job.attempts, key=job.cache_key)
@@ -1184,16 +878,16 @@ class JobQueue:
                 "queue.retry",
                 attempt=job.attempts,
                 backoff_seconds=delay,
-                error=reason,
+                error=detail,
             )
             job.state = JobState.QUEUED
-            job._queued_mono = time.monotonic()
+            job._queued_mono = time.monotonic()  # fresh queue-wait span
             self._bump(job)
             asyncio.ensure_future(self._requeue_after(job, delay))
             return True
         self.quarantined[job.cache_key] = {
             "reason": reason,
-            "error": f"remote attempts exhausted ({reason})",
+            "error": detail,
             "attempts": job.attempts,
             "bug_id": job.spec.bug_id,
             "at": time.time(),
@@ -1202,20 +896,76 @@ class JobQueue:
         self.traces.add_event(
             job.job_id, "queue.quarantined", attempts=job.attempts
         )
-        job.error = f"{reason} after {job.attempts} attempts"
-        job.state = JobState.FAILED
+        self._fail(
+            job,
+            f"{reason} after {job.attempts} attempts: {detail}",
+            flight_reason="quarantined",
+        )
+        return False
+
+    def _fail(self, job: Job, error: str, *, flight_reason: str) -> None:
+        """The one fail path: mark *job* FAILED and dump its flight record."""
         self.failed += 1
         self.metrics.inc("qed_jobs_failed_total")
+        self._finish_terminal(job, JobState.FAILED, error)
         self.flight.dump(
             job.job_id,
-            reason="quarantined",
-            state=JobState.FAILED.value,
+            reason=flight_reason,
+            state=job.state.value,
             trace=self.traces.to_json_dict(job.job_id),
             error=job.error,
             attempts=job.attempts,
         )
-        self._finish_terminal(job)
-        return False
+
+    def _finish_terminal(
+        self, job: Job, state: JobState, error: Optional[str] = None
+    ) -> None:
+        """Every terminal transition: set *state* (and *error*), count a
+        cancellation, free the key, retire the view, wake the waiters."""
+        job.state = state
+        if error is not None:
+            job.error = error
+        if state is JobState.CANCELLED:
+            self.cancelled += 1
+        job.finished_at = time.time()
+        if self._inflight.get(job.cache_key) is job:
+            del self._inflight[job.cache_key]
+        self._retire(job)
+        self._bump(job)
+
+    def _backoff_delay(self, attempt: int, *, key: str) -> float:
+        """Capped exponential backoff with seed-derived jitter.
+
+        The jitter factor lives in [0.5, 1.0] and is drawn from an RNG
+        seeded on ``(backoff_seed, key, attempt)``: the same job retries
+        on the same schedule run-to-run (tests stay deterministic), while
+        different jobs -- e.g. a fleet's worth of requeued leases after a
+        partition -- spread out instead of retrying in lockstep.
+        """
+        base = min(
+            self.retry_backoff_base * (2.0 ** (attempt - 1)),
+            self.retry_backoff_cap,
+        )
+        rng = random.Random(f"{self.backoff_seed}:{key}:{attempt}")
+        return base * (0.5 + 0.5 * rng.random())
+
+    def _retry_after_hint(self) -> float:
+        """Seconds a 429'd client should wait, from observed queue latency."""
+        if self.queue_latency_jobs:
+            avg = self.queue_latency_total / self.queue_latency_jobs
+        else:
+            avg = 1.0
+        return max(0.5, min(30.0, avg))
+
+    async def _requeue_after(self, job: Job, delay: float) -> None:
+        """(Backoff) Re-queue a retried job after *delay* seconds."""
+        await asyncio.sleep(delay)
+        if job.state is not JobState.QUEUED:
+            return  # cancelled during the backoff window
+        heapq.heappush(
+            self._heap, (-job.priority, next(self._sequence), job.job_id)
+        )
+        self._notify()
 
     # ------------------------------------------------------------------
     async def drain(self) -> Dict[str, object]:
@@ -1223,8 +973,8 @@ class JobQueue:
         snapshot the rest.
 
         Sets the draining flag (new submissions raise
-        :class:`QueueDraining`, the scheduler stops pulling from the
-        heap), waits for in-flight solves to reach a terminal state, then
+        :class:`QueueDraining`, no lease is granted any more), waits for
+        every outstanding lease to commit or be handed back, then
         returns the :meth:`queue_state` snapshot of still-queued jobs --
         the JSON-able payload a server persists so
         :meth:`restore_state` can resubmit the work after a restart.
@@ -1232,25 +982,17 @@ class JobQueue:
         with a terminal state instead of hanging on a dead queue.
         """
         self._draining = True
-        self._wake.set()
-        # Remote leases count as in-flight work: their commits still land
-        # during the drain, and a worker that dies mid-drain has its lease
-        # expired by the reaper, which requeues the job into the snapshot.
-        while self._running or (
-            self.fleet is not None and self.fleet.has_active_leases()
-        ):
+        # Leases still commit during the drain; one that never will (a
+        # crashed solver, a worker that dies mid-drain) is handed back by
+        # fleet_requeue, which puts its job into the snapshot.
+        while self.fleet.has_active_leases():
             await asyncio.sleep(0.02)
         state = self.queue_state()
         for job in list(self.jobs.values()):
             if job.state is JobState.QUEUED:
-                job.state = JobState.CANCELLED
-                job.error = "drained for shutdown (state persisted)"
-                job.finished_at = time.time()
-                self.cancelled += 1
-                if self._inflight.get(job.cache_key) is job:
-                    del self._inflight[job.cache_key]
-                self._retire(job)
-                self._bump(job)
+                self._finish_terminal(
+                    job, JobState.CANCELLED, "drained for shutdown (state persisted)"
+                )
         return state
 
     def queue_state(self) -> Dict[str, object]:
@@ -1366,12 +1108,12 @@ class JobQueue:
         return rows
 
     # ------------------------------------------------------------------
+    def _count(self, state: JobState) -> int:
+        return sum(1 for job in self.jobs.values() if job.state is state)
+
     def stats_dict(self) -> Dict[str, object]:
         """Counters for ``GET /stats`` and
         :func:`repro.eval.report.serving_statistics`."""
-        queued = sum(
-            1 for job in self.jobs.values() if job.state is JobState.QUEUED
-        )
         return {
             "workers": self.workers,
             "use_processes": self.use_processes,
@@ -1382,19 +1124,15 @@ class JobQueue:
             "failed": self.failed,
             "cancelled": self.cancelled,
             "retried": self.retried,
-            "pool_rebuilds": self.pool_rebuilds,
-            "pool_broken": self._pool_broken,
             "deadline_expired": self.deadline_expired,
             "quarantined": len(self.quarantined),
             "quarantine_rejections": self.quarantine_rejections,
             "queue_full_rejections": self.queue_full_rejections,
             "max_queue_depth": self.max_queue_depth,
             "draining": self._draining,
-            "fleet": (
-                None if self.fleet is None else self.fleet.stats_dict()
-            ),
-            "running": self._running,
-            "queued": queued,
+            "fleet": self.fleet.stats_dict(),
+            "running": self._count(JobState.RUNNING),
+            "queued": self._count(JobState.QUEUED),
             "jobs_tracked": len(self.jobs),
             "queue_latency_seconds_total": self.queue_latency_total,
             "queue_latency_jobs": self.queue_latency_jobs,
@@ -1408,15 +1146,17 @@ class JobQueue:
         """Prometheus text for ``GET /metrics``.
 
         Counters accumulate as they happen (queue events inline, worker
-        deltas merged off the progress pipe); point-in-time state is
-        refreshed as gauges at scrape time, including the result cache's
-        own counters so the metrics endpoint and ``GET /stats`` agree.
+        deltas merged from the solves' shipped obs batches); point-in-time
+        state is refreshed as gauges at scrape time, including the result
+        cache's own counters so the metrics endpoint and ``GET /stats``
+        agree.
         """
-        queued = sum(
-            1 for job in self.jobs.values() if job.state is JobState.QUEUED
+        self.metrics.set_gauge(
+            "qed_queue_depth", float(self._count(JobState.QUEUED))
         )
-        self.metrics.set_gauge("qed_queue_depth", float(queued))
-        self.metrics.set_gauge("qed_jobs_running", float(self._running))
+        self.metrics.set_gauge(
+            "qed_jobs_running", float(self._count(JobState.RUNNING))
+        )
         self.metrics.set_gauge(
             "qed_quarantined_keys", float(len(self.quarantined))
         )
@@ -1435,6 +1175,5 @@ class JobQueue:
                     self.metrics.set_gauge(
                         f"qed_result_cache_{field_name}", float(value)
                     )
-        if self.fleet is not None:
-            self.fleet.refresh_gauges()
+        self.fleet.refresh_gauges()
         return self.metrics.render_prometheus()

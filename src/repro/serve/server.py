@@ -33,19 +33,18 @@ Endpoints
     Prometheus text exposition: queue/cache/retry counters, solver work
     counters merged up from worker processes, stage-seconds histograms.
 ``GET /healthz``
-    Liveness + readiness probe: ``200`` with queue depth, pool liveness
-    and cache-log writability when the service can take work, ``503``
-    (with the same payload) while the worker pool is being rebuilt after
-    a crash, the cache log is unwritable, the queue is draining, or a
-    fleet-only deployment (``workers=0``) has no live remote workers.
-    With a fleet attached the payload also carries live/suspect/dead
-    worker counts and outstanding leases.
+    Liveness + readiness probe: ``200`` when at least one worker, local
+    or remote, is live, the cache log is writable and the queue is not
+    draining; ``503`` (with the same payload) otherwise.  The payload
+    carries the individual signals (``no_executors`` when no worker is
+    live) plus the live/suspect/dead worker counts and outstanding leases.
 ``POST /fleet/register|lease|heartbeat|complete|deregister``
     The remote-worker protocol (:mod:`repro.serve.fleet`): pull jobs
     under time-bounded, fence-epoch leases, heartbeat to renew them and
-    ship telemetry, commit with the fence token.  ``GET /fleet`` is the
-    coordinator's worker/lease table.  404 when no coordinator is
-    attached.
+    ship telemetry, commit with the fence token -- the same verbs the
+    server's own workers call in-process.  404 unless the server accepts
+    remote workers (``fleet=True``).  ``GET /fleet`` is the coordinator's
+    worker/lease table, local workers included.
 ``GET /cache/log?since=N[&max=M]``
     Replication stream: a raw byte range of the append-only result-cache
     log (latin-1 in JSON), which :class:`repro.serve.fleet.CacheFollower`
@@ -143,10 +142,13 @@ class QEDServer:
         host: str = "127.0.0.1",
         port: int = 0,
         admission: Optional[AdmissionController] = None,
+        fleet: bool = False,
     ) -> None:
         self.queue = queue
         self.host = host
         self.port = port
+        #: Serve ``POST /fleet/*`` to remote workers.
+        self.fleet = fleet
         #: Per-client token buckets in front of POST /jobs; ``None``
         #: disables the fairness layer (depth bounding stays with the
         #: queue's own ``max_queue_depth``).
@@ -158,10 +160,7 @@ class QEDServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Start the queue (if idle) and begin accepting connections."""
-        if self.queue._scheduler_task is None:
-            await self.queue.start()
-        if self.queue.fleet is not None:
-            self.queue.fleet.start()
+        await self.queue.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -172,8 +171,6 @@ class QEDServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.queue.fleet is not None:
-            await self.queue.fleet.stop()
         await self.queue.stop()
 
     async def drain(self, state_path: Optional[str] = None) -> dict:
@@ -380,27 +377,20 @@ class QEDServer:
     async def _fleet(
         self, method: str, segments: list, body: Optional[dict]
     ) -> Tuple[int, dict]:
-        """The remote-worker protocol: dispatch to the coordinator."""
+        """The worker protocol: dispatch to the coordinator."""
         fleet = self.queue.fleet
-        if fleet is None:
-            return 404, {"error": "fleet mode is not enabled"}
         if segments == ["fleet"]:
             if method != "GET":
                 return 405, {"error": "GET /fleet"}
             return 200, {"fleet": fleet.stats_dict()}
-        handlers = {
-            "register": fleet.register,
-            "lease": fleet.lease,
-            "heartbeat": fleet.heartbeat,
-            "complete": fleet.complete,
-            "deregister": fleet.deregister,
-        }
-        if len(segments) != 2 or segments[1] not in handlers:
+        if not self.fleet:
+            return 404, {"error": "fleet mode is not enabled"}
+        if len(segments) != 2 or segments[1] not in fleet.VERBS:
             return 404, {"error": f"no fleet route {'/'.join(segments)!r}"}
         if method != "POST":
             return 405, {"error": f"POST /fleet/{segments[1]}"}
         try:
-            return 200, handlers[segments[1]](body or {})
+            return 200, await fleet.call(segments[1], body or {})
         except ValueError as exc:
             raise _BadRequest(str(exc))
 
@@ -575,43 +565,26 @@ class QEDServer:
     def _healthz(self) -> Tuple[int, dict]:
         """Readiness probe: 200 when the service can take work, else 503.
 
-        Not-ready causes: the worker pool died and has not been rebuilt
-        yet, the result-cache log lost writability (full disk, detached
-        volume), or the queue is draining for shutdown.  The payload
+        Ready means: at least one worker, local or remote, is live; the
+        result-cache log is writable (not a full disk or a detached
+        volume); and the queue is not draining for shutdown.  The payload
         carries the individual signals either way, so an operator sees
         *why* from the probe itself.
         """
         stats = self.queue.stats_dict()
         cache_writable = self.queue.cache is None or self.queue.cache.writable()
-        fleet = self.queue.fleet
-        # Fleet-only deployments (workers=0) have no local executors; the
-        # probe stays 503 until at least one remote worker is live.
-        no_executors = self.queue.workers == 0 and (
-            fleet is None or fleet.live_workers() == 0
-        )
-        ready = (
-            not stats["pool_broken"]
-            and not stats["draining"]
-            and cache_writable
-            and not no_executors
-        )
+        fleet = stats["fleet"]
+        no_executors = fleet["workers"]["live"] == 0
+        ready = not no_executors and cache_writable and not stats["draining"]
         payload = {
             "ok": ready,
             "queued": stats["queued"],
             "running": stats["running"],
-            "pool_broken": stats["pool_broken"],
             "draining": stats["draining"],
             "cache_writable": cache_writable,
             "no_executors": no_executors,
+            "fleet": dict(fleet["workers"], leases_outstanding=fleet["leases_outstanding"]),
         }
-        if fleet is not None:
-            counts = fleet.worker_counts()
-            payload["fleet"] = {
-                "live": counts["live"],
-                "suspect": counts["suspect"],
-                "dead": counts["dead"],
-                "leases_outstanding": len(fleet._leases),
-            }
         return (200 if ready else 503), payload
 
     def _get_result(self, key: str) -> Tuple[int, dict]:
@@ -646,9 +619,9 @@ class LocalServer:
     """Run the whole serving stack on a background thread.
 
     ``with LocalServer(...) as url:`` yields a ready ``http://host:port``
-    and tears everything down (server, queue, executor) on exit.  This is
-    the in-process deployment: tests, the CLI's spawn-a-server modes and
-    the quickstart example all use it.
+    and tears everything down (server, queue, local workers and their
+    solver children) on exit.  This is the in-process deployment: tests,
+    the CLI's spawn-a-server modes and the quickstart example all use it.
     """
 
     def __init__(
@@ -679,9 +652,10 @@ class LocalServer:
         )
         self._host = host
         self._port = port
-        #: ``fleet=True`` attaches a :class:`FleetCoordinator` so remote
-        #: workers (``serve_qed.py worker``) can pull jobs; ``admission``
-        #: is the kwargs dict for an :class:`AdmissionController`.
+        #: ``fleet=True`` opens ``POST /fleet/*`` to remote workers
+        #: (``serve_qed.py worker``); ``fleet_kwargs`` configure the
+        #: :class:`FleetCoordinator`, which paces local and remote workers
+        #: alike; ``admission`` is the kwargs for an AdmissionController.
         self._fleet = fleet
         self._fleet_kwargs = dict(fleet_kwargs or {})
         self._admission_kwargs = admission
@@ -717,15 +691,19 @@ class LocalServer:
         asyncio.set_event_loop(loop)
         self._loop = loop
         self.queue = JobQueue(**self._queue_args)
-        if self._fleet:
-            FleetCoordinator(self.queue, **self._fleet_kwargs)
+        # Replaces the queue's default coordinator with a configured one.
+        FleetCoordinator(self.queue, **self._fleet_kwargs)
         admission = (
             AdmissionController(**self._admission_kwargs)
             if self._admission_kwargs is not None
             else None
         )
         self.server = QEDServer(
-            self.queue, host=self._host, port=self._port, admission=admission
+            self.queue,
+            host=self._host,
+            port=self._port,
+            admission=admission,
+            fleet=self._fleet,
         )
         try:
             loop.run_until_complete(self.server.start())
@@ -733,6 +711,7 @@ class LocalServer:
         except BaseException as exc:
             self._startup_error = exc
             self._ready.set()
+            loop.run_until_complete(self.server.stop())
             loop.close()
             return
         self._ready.set()
@@ -771,6 +750,7 @@ class LocalServer:
         return future.result(timeout=timeout)
 
     def stop(self) -> None:
+        """Stop the stack; returns once the solver children are reaped."""
         loop = self._loop
         if loop is not None and not loop.is_closed():
             loop.call_soon_threadsafe(loop.stop)

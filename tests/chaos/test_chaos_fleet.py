@@ -37,7 +37,7 @@ def _worker_process_main(url: str, worker_id: str) -> None:
     the failure the lease clock exists for.
     """
     FleetWorker(
-        url, worker_id=worker_id, use_processes=False, poll_seconds=0.05
+        url, worker_id=worker_id, use_processes=False
     ).run()
 
 
@@ -93,7 +93,6 @@ class TestWorkerSigkill:
                 url,
                 worker_id="chaos-b",
                 use_processes=False,
-                poll_seconds=0.05,
                 max_jobs=1,
             ).run()
             final = client.wait_done(view.job_id, timeout=120)
@@ -145,7 +144,6 @@ class TestZombieFencing:
                 worker_id="zombie-a",
                 entry=_selftest_entry,
                 use_processes=False,
-                poll_seconds=0.05,
                 max_jobs=1,
             )
             thread_a = threading.Thread(target=worker_a.run, daemon=True)
@@ -162,7 +160,6 @@ class TestZombieFencing:
                 worker_id="zombie-b",
                 entry=_selftest_entry,
                 use_processes=False,
-                poll_seconds=0.05,
                 max_jobs=1,
             )
             worker_b.run()
@@ -208,7 +205,6 @@ class TestZombieFencing:
                 worker_id="dup-w",
                 entry=_selftest_entry,
                 use_processes=False,
-                poll_seconds=0.05,
                 max_jobs=1,
             )
             worker.run()
@@ -252,7 +248,6 @@ class TestZombieFencing:
                 worker_id="mute-a",
                 entry=_selftest_entry,
                 use_processes=False,
-                poll_seconds=0.05,
                 max_jobs=1,
             )
             thread_a = threading.Thread(target=worker_a.run, daemon=True)
@@ -269,7 +264,6 @@ class TestZombieFencing:
                 worker_id="loud-b",
                 entry=_selftest_entry,
                 use_processes=False,
-                poll_seconds=0.05,
                 max_jobs=1,
             )
             worker_b.run()

@@ -2,7 +2,7 @@
 
 The acceptance contract for the flight recorder is exercised here under
 the seeded fault injector: a SIGKILL-retried job's trace shows every
-dispatch attempt, a quarantined job leaves a flight artifact carrying all
+lease attempt, a quarantined job leaves a flight artifact carrying all
 of them, and the fault injector's firings surface as span events in
 workers that survive to ship them.
 """
@@ -70,14 +70,16 @@ class TestKillRetryTrace:
             trace = queue.traces.to_json_dict(job.job_id)
             attempts = _attempt_spans(trace)
             assert [a["attrs"]["attempt"] for a in attempts] == [1, 2]
-            # The killed dispatch closed on the crash, the retry on done.
-            assert attempts[0]["attrs"]["outcome"] == "BrokenProcessPool"
+            # The killed lease closed on the crash, the retry on done.
+            assert attempts[0]["attrs"]["outcome"] == "worker_crash"
             assert attempts[1]["attrs"]["outcome"] == "done"
             # The retry decision itself is on the record as a span event.
             events = [e for e in trace["events"] if e["name"] == "queue.retry"]
             assert len(events) == 1 and events[0]["attrs"]["attempt"] == 1
             assert queue.metrics.counter_value("qed_job_retries_total") == 1
-            assert queue.metrics.counter_value("qed_pool_rebuilds_total") == 1
+            assert (
+                queue.metrics.counter_value("qed_fleet_crash_reports_total") == 1
+            )
 
         run(with_queue(body))
 
@@ -87,7 +89,7 @@ class TestQuarantineFlightRecord:
         faults.install(
             faults.FaultInjector(
                 [
-                    # No once-token: every dispatch dies at its first hit.
+                    # No once-token: every lease dies at its first hit.
                     faults.FaultSpec(
                         site="serve.queue.worker", action="kill", at=1, count=0
                     )
@@ -109,9 +111,7 @@ class TestQuarantineFlightRecord:
             assert payload["attempts"] == queue.max_retries + 1
             attempts = _attempt_spans(payload["trace"])
             assert len(attempts) == queue.max_retries + 1
-            assert all(
-                a["attrs"]["outcome"] == "BrokenProcessPool" for a in attempts
-            )
+            assert all(a["attrs"]["outcome"] == "worker_crash" for a in attempts)
             event_names = [e["name"] for e in payload["trace"]["events"]]
             assert event_names.count("queue.retry") == queue.max_retries
             assert "queue.quarantined" in event_names

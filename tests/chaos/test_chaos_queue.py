@@ -52,7 +52,7 @@ def assert_fault_free_verdict(record):
 
 
 class TestWorkerKillRetry:
-    """Scenario: the worker process is killed once; the retry succeeds."""
+    """Scenario: the solver process is killed once; the retry succeeds."""
 
     def test_kill_once_then_retry_matches_fault_free(self, tmp_path):
         faults.install(
@@ -77,7 +77,7 @@ class TestWorkerKillRetry:
             assert_fault_free_verdict(job.record)
             assert job.attempts == 1  # exactly one crash, one retry
             assert queue.retried == 1
-            assert queue.pool_rebuilds == 1
+            assert queue.fleet.crash_reports == 1
             assert queue.failed == 0
             assert not queue.quarantined
 
@@ -85,14 +85,14 @@ class TestWorkerKillRetry:
 
 
 class TestPoisonQuarantine:
-    """Scenario: a spec that kills every worker is quarantined."""
+    """Scenario: a spec that kills every solver process is quarantined."""
 
     def test_persistent_killer_quarantined_then_force_clears(self, tmp_path):
         faults.install(
             faults.FaultInjector(
                 [
-                    # No once-token: every dispatch (a fresh fork with a
-                    # zeroed counter) dies at its first hit.
+                    # No once-token: every lease (a fresh solver fork with
+                    # a zeroed counter) dies at its first hit.
                     faults.FaultSpec(
                         site="serve.queue.worker", action="kill", at=1, count=0
                     )
@@ -105,19 +105,19 @@ class TestPoisonQuarantine:
             doomed = queue.submit(spec("__echo__", tag="poison"))
             await wait_terminal(queue, doomed, timeout=120.0)
             assert doomed.state is JobState.FAILED
-            assert "Broken" in doomed.error
+            assert "worker_crash" in doomed.error
             assert doomed.attempts == queue.max_retries + 1
             assert doomed.cache_key in queue.quarantined
             reason = queue.quarantined[doomed.cache_key]
             assert reason["reason"] == "worker_crash"
             assert reason["attempts"] == doomed.attempts
 
-            # Resubmission fails fast: no dispatch, no new pool burned.
-            rebuilds = queue.pool_rebuilds
+            # Resubmission fails fast: no lease, no solver fork burned.
+            granted = queue.fleet.leases_granted
             rejected = queue.submit(spec("__echo__", tag="poison"))
             assert rejected.state is JobState.FAILED
             assert "quarantined" in rejected.error
-            assert queue.pool_rebuilds == rebuilds
+            assert queue.fleet.leases_granted == granted
             assert queue.quarantine_rejections == 1
 
             # The operator override: clear the fault, force a re-run.

@@ -124,7 +124,7 @@ class TestDrainResume:
             # The snapshot was consumed on resubmission...
             assert not os.path.exists(state_path)
             client = ServeClient(url, retry_backoff=0.01)
-            # ...and the survivor runs to completion under the new pool.
+            # ...and the survivor runs to completion on the restarted server.
             deadline = time.monotonic() + 10.0
             record = None
             while record is None and time.monotonic() < deadline:

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.serve import fleet as fleet_module
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.fleet import (
     AdmissionController,
@@ -189,6 +190,42 @@ class TestLeaseFence:
 
         run(with_fleet(body))
 
+    def test_crash_on_cancel_requested_job_cancels_it_unquarantined(self):
+        async def body(queue, fleet):
+            job = queue.submit(spec())
+            fleet.register({"worker_id": "w1"})
+            lease = fleet.lease({"worker_id": "w1"})["lease"]
+            assert queue.cancel(job.job_id) is False  # running: a request
+            resp = fleet.complete(commit_body(lease, crashed=True))
+            assert resp["requeued"] is False
+            # Its only submitter asked to cancel: it ends as cancel() ends
+            # a queued job, and the spec stays servable.
+            assert job.state is JobState.CANCELLED
+            assert job.attempts == 1
+            assert not queue.quarantined
+            assert queue.cancelled == 1 and queue.failed == 0
+            again = queue.submit(spec())
+            assert again is not job and again.state is JobState.QUEUED
+
+        run(with_fleet(body))
+
+    def test_crash_on_cancel_requested_coalesced_job_retries(self):
+        async def body(queue, fleet):
+            job = queue.submit(spec())
+            assert queue.submit(spec()) is job and job.coalesced == 1
+            fleet.register({"worker_id": "w1"})
+            lease = fleet.lease({"worker_id": "w1"})["lease"]
+            assert queue.cancel(job.job_id) is False
+            assert job.cancel_requested
+            resp = fleet.complete(commit_body(lease, crashed=True))
+            # A coalesced twin still waits on the answer: retry as usual.
+            assert resp["requeued"] is True
+            assert job.state is JobState.QUEUED
+            assert queue.retried == 1
+            assert not queue.quarantined
+
+        run(with_fleet(body))
+
     def test_repeated_remote_crashes_quarantine_the_spec(self):
         async def body(queue, fleet):
             job = queue.submit(spec("__crash__"))
@@ -214,6 +251,74 @@ class TestLeaseFence:
             # The quarantined spec now fails fast on resubmission.
             rejected = queue.submit(spec("__crash__"))
             assert rejected.state is JobState.FAILED
+
+        run(with_fleet(body))
+
+    def test_commit_that_cannot_be_applied_fails_the_job(self):
+        async def body(queue, fleet):
+            job = queue.submit(spec())
+            fleet.register({"worker_id": "w1"})
+            lease = fleet.lease({"worker_id": "w1"})["lease"]
+            result = _selftest_entry(lease["spec"], job.job_id, None)
+            resp = fleet.complete(commit_body(lease, result=result))
+            # The lease is released before the outcome is applied, so a
+            # failing cache write must end the job, not orphan it.
+            assert resp["accepted"] is True
+            assert job.state is JobState.FAILED
+            assert "PermissionError" in job.error
+            assert not fleet.has_active_leases()
+            assert queue.submit(spec()) is not job
+
+        run(with_fleet(body, cache=_ReadOnlyCache()))
+
+
+class _ReadOnlyCache:
+    """A result cache whose every write fails (a read-only volume)."""
+
+    directory = None
+
+    def get(self, key, **kwargs):
+        return None
+
+    def put(self, key, record, **kwargs):
+        raise PermissionError("read-only file system")
+
+
+class TestLocalCalls:
+    def test_idle_lease_wait_is_capped(self, monkeypatch):
+        monkeypatch.setattr(fleet_module, "_LEASE_WAIT_MAX", 0.1)
+
+        async def body(queue, fleet):
+            fleet.register({"worker_id": "w1"})
+            start = time.monotonic()
+            answer = await fleet.call("lease", {"worker_id": "w1"})
+            assert answer == {"lease": None}
+            # Not the 30 s heartbeat: a request timeout must never fire.
+            assert time.monotonic() - start < 5.0
+
+        run(with_fleet(body, heartbeat_seconds=30.0, lease_seconds=60.0))
+
+    def test_stopping_coordinator_grants_no_lease(self):
+        async def body(queue, fleet):
+            fleet.register({"worker_id": "w1"})
+            waiting = asyncio.ensure_future(
+                fleet.call("lease", {"worker_id": "w1"})
+            )
+            await asyncio.sleep(0.05)  # the request now waits for work
+            job = queue.submit(spec())  # wakes it ...
+            await queue.stop()  # ... but the stop comes first
+            assert await waiting == {"lease": None}
+            assert job.state is JobState.QUEUED and job.attempts == 0
+            assert fleet.leases_granted == 0
+
+        run(with_fleet(body))
+
+    def test_verb_errors_reach_a_local_worker_as_transport_errors(self):
+        async def body(queue, fleet):
+            with pytest.raises(ServeError) as info:
+                await asyncio.to_thread(fleet.fleet_call, "register", {})
+            assert info.value.status is None
+            assert "worker_id is required" in str(info.value)
 
         run(with_fleet(body))
 
@@ -294,7 +399,6 @@ class TestWorkerEndToEnd:
                 worker_id="wt-1",
                 entry=_selftest_entry,
                 use_processes=False,
-                poll_seconds=0.05,
                 max_jobs=2,
             )
             thread = threading.Thread(target=worker.run, daemon=True)
@@ -347,7 +451,6 @@ class TestWorkerEndToEnd:
                 worker_id="wt-err",
                 entry=raising_entry,
                 use_processes=False,
-                poll_seconds=0.05,
                 max_jobs=1,
             )
             worker.run()

@@ -1,17 +1,25 @@
 """Job queue: priority, coalescing, cancellation, crash recovery, caching.
 
 Most tests drive the queue with the deterministic
-:func:`repro.serve.queue._selftest_entry` double on a *thread* executor
-(fast, no fork); the crash-recovery test uses real worker processes
-because killing the worker is the point.
+:func:`repro.serve.queue._selftest_entry` double on *thread*-mode local
+workers (fast, no fork); the crash-recovery and single-path tests use real
+solver processes because killing the solver is the point.
 """
 
 import asyncio
+import errno
+import multiprocessing
+import os
+import time
 
 import pytest
 
+from repro.obs import trace as obs_trace
 from repro.serve.cache import ResultCache
+from repro.serve.client import ServeClient
+from repro.serve.fleet import FleetCoordinator
 from repro.serve.queue import JobQueue, JobState, _selftest_entry
+from repro.serve.server import LocalServer
 
 from serve_helpers import make_spec as spec
 
@@ -219,15 +227,15 @@ class TestCacheIntegration:
 
 
 class TestWorkerCrash:
-    """A dying worker process must FAIL the job and heal the pool."""
+    """A dying solver process FAILs only its job; the worker forks anew."""
 
-    def test_crash_fails_job_then_pool_recovers(self):
+    def test_crash_fails_job_then_worker_recovers(self):
         async def body(queue):
             doomed = queue.submit(spec("__crash__"))
             await wait_terminal(queue, doomed, timeout=60.0)
             assert doomed.state is JobState.FAILED
-            assert "Broken" in doomed.error
-            # The pool was replaced: the next job runs normally.
+            assert "worker_crash" in doomed.error
+            # The worker forked a fresh solver child: the next job runs.
             healthy = queue.submit(spec("__echo__", tag="after"))
             await wait_terminal(queue, healthy, timeout=60.0)
             assert healthy.state is JobState.DONE
@@ -235,17 +243,212 @@ class TestWorkerCrash:
 
         run(with_queue(body, use_processes=True))
 
-    def test_entry_exception_fails_job_without_breaking_pool(self):
+    def test_entry_exception_fails_job_without_a_retry(self):
         async def body(queue):
             bad = queue.submit(spec("__boom__"))
             await wait_terminal(queue, bad)
             assert bad.state is JobState.FAILED
             assert "RuntimeError" in bad.error
-            # An ordinary exception (vs. a crash) leaves the pool usable.
-            assert queue._executor is not None
+            # An ordinary exception (vs. a crash) is not retried, and the
+            # worker that ran it stays live.
+            assert queue.retried == 0
+            assert queue.fleet.worker_counts()["live"] == queue.workers
 
         run(with_queue(body, entry=_raising_entry))
+
+    def test_cache_write_error_fails_job_and_worker_carries_on(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        put = cache.put
+        writes = []
+
+        def put_once_full(*args, **kwargs):
+            writes.append(args[0])
+            if len(writes) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return put(*args, **kwargs)
+
+        cache.put = put_once_full
+
+        async def body(queue):
+            doomed = queue.submit(spec("__echo__", tag="full-disk"))
+            await wait_terminal(queue, doomed)
+            assert doomed.state is JobState.FAILED
+            assert "OSError" in doomed.error
+            assert doomed.cache_key not in queue.quarantined
+            # The key is free again and the only worker is still there: a
+            # resubmission is a fresh job, and it runs.
+            again = queue.submit(spec("__echo__", tag="full-disk"))
+            assert again is not doomed
+            await wait_terminal(queue, again)
+            assert again.state is JobState.DONE
+            assert queue.fleet.worker_counts()["live"] == 1
+
+        run(with_queue(body, cache=cache, workers=1))
+
+    # The solve thread's death is the point of the test; pytest reports it.
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_thread_solve_without_outcome_is_a_crash(self):
+        async def body(queue):
+            job = queue.submit(spec())
+            await wait_terminal(queue, job)
+            assert job.state is JobState.FAILED
+            assert "worker_crash" in job.error
+            assert job.attempts == queue.max_retries + 1
+
+        run(with_queue(body, entry=_exiting_entry, retry_backoff_base=0.01))
 
 
 def _raising_entry(spec_dict, job_id="", progress=None):
     raise RuntimeError("entry exploded")
+
+
+def _exiting_entry(spec_dict, job_id="", progress=None):
+    raise SystemExit(3)  # ends the solve thread without an outcome
+
+
+def _sleep_then_crash(spec_dict, job_id="", progress=None, **kwargs):
+    time.sleep(0.5)
+    os._exit(1)
+
+
+def _forking_entry(spec_dict, job_id="", progress=None, **kwargs):
+    # A solve may fork a pool of its own, as a spec with ``split`` does.
+    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(0,))
+    child.start()
+    child.join(10.0)
+    return {
+        "record": {"bug_id": spec_dict["bug_id"], "exitcode": child.exitcode},
+        "definitive": True,
+    }
+
+
+#: Per-bound events the chatty entry emits, the last right before it returns.
+CHATTY_BOUNDS = 8
+
+
+def _chatty_entry(spec_dict, job_id="", progress=None, **kwargs):
+    collector = obs_trace.start_trace()
+    for bound in range(1, CHATTY_BOUNDS + 1):
+        with obs_trace.span("test.bound", bound=bound):
+            pass
+        progress({"bound": bound, "verdict": "unsat"})
+    obs_trace.clear()
+    progress({"__obs__": collector.batch_since((0, 0))})
+    return {
+        "record": {"bug_id": spec_dict["bug_id"], "qed_definitive": True},
+        "definitive": True,
+    }
+
+
+class TestSinglePath:
+    """Local solves are leases: what that guarantees, with real children."""
+
+    def test_crash_costs_only_its_own_job(self):
+        async def body(queue):
+            healthy = queue.submit(spec("__sleep:0.8__"))
+            poison = queue.submit(spec("__crash__"))
+            await wait_terminal(queue, poison, timeout=60.0)
+            await wait_terminal(queue, healthy, timeout=60.0)
+            assert poison.state is JobState.FAILED
+            assert poison.cache_key in queue.quarantined
+            # The sibling on the other worker never noticed.
+            assert healthy.state is JobState.DONE
+            assert healthy.attempts == 0
+            assert healthy.cache_key not in queue.quarantined
+
+        run(
+            with_queue(
+                body, workers=2, use_processes=True, retry_backoff_base=0.01
+            )
+        )
+
+    def test_crash_during_drain_lands_in_the_snapshot(self):
+        async def body(queue):
+            job = queue.submit(spec("__echo__", tag="drain-crash"))
+            while job.state is JobState.QUEUED:
+                await queue.wait(job, since=job.version, timeout=1.0)
+            state = await queue.drain()
+            [item] = state["queued"]
+            assert item["spec"]["config"]["tag"] == "drain-crash"
+            assert job.attempts == 0
+            assert job.cache_key not in queue.quarantined
+
+        run(with_queue(body, use_processes=True, entry=_sleep_then_crash))
+
+    def test_solver_child_may_fork_its_own_pool(self):
+        async def body(queue):
+            job = queue.submit(spec())
+            await wait_terminal(queue, job)
+            assert job.state is JobState.DONE, job.error
+            assert job.record["exitcode"] == 0
+
+        run(with_queue(body, use_processes=True, entry=_forking_entry))
+
+    def test_idle_workers_stay_live_then_run(self):
+        async def main():
+            queue = JobQueue(
+                entry=_selftest_entry, workers=2, use_processes=True
+            )
+            FleetCoordinator(queue, heartbeat_seconds=0.1)
+            await queue.start()
+            try:
+                for _ in range(20):  # 1 s idle, ten heartbeat intervals
+                    await asyncio.sleep(0.05)
+                    counts = queue.fleet.worker_counts()
+                    assert counts == {"live": 2, "suspect": 0, "dead": 0}
+                job = queue.submit(spec())
+                await wait_terminal(queue, job)
+                assert job.state is JobState.DONE
+            finally:
+                await queue.stop()
+
+        run(main())
+
+    def test_events_land_before_the_commit(self):
+        async def body(queue):
+            job = queue.submit(spec())
+            await wait_terminal(queue, job)
+            assert job.state is JobState.DONE
+            # Events reaching a DONE job are dropped, so all of them must
+            # have landed before the commit did.
+            assert [e["bound"] for e in job.progress] == list(
+                range(1, CHATTY_BOUNDS + 1)
+            )
+            trace = queue.traces.to_json_dict(job.job_id)
+            attempt = next(
+                s for s in trace["spans"] if s["name"] == "queue.attempt"
+            )
+            bounds = [s for s in trace["spans"] if s["name"] == "test.bound"]
+            assert len(bounds) == CHATTY_BOUNDS
+            assert all(s["parent_id"] == attempt["span_id"] for s in bounds)
+            granted = [
+                e for e in trace["events"] if e["name"] == "fleet.lease_granted"
+            ]
+            assert [e["attrs"]["worker"] for e in granted] == ["local-0"]
+
+        run(with_queue(body, use_processes=True, entry=_chatty_entry))
+
+    def test_stop_reaps_every_solver_child(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        server = LocalServer(
+            cache_dir=str(tmp_path), workers=2, entry=_selftest_entry
+        )
+        url = server.start()
+        try:
+            client = ServeClient(url)
+            views = [
+                client.submit(spec=spec("__sleep:0.3__", tag=i))
+                for i in range(2)
+            ]
+            for view in views:
+                assert client.wait_done(view.job_id, timeout=60).state == "done"
+            children = set(multiprocessing.active_children()) - before
+            assert len(children) == 2  # one persistent solver per worker
+            table = client.stats()["queue"]["fleet"]["workers_table"]
+            assert [w["worker_id"] for w in table] == ["local-0", "local-1"]
+        finally:
+            server.stop()
+        assert set(multiprocessing.active_children()) - before == set()
+        assert all(child.exitcode is not None for child in children)
