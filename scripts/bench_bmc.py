@@ -24,9 +24,10 @@ snapshot an attributable trajectory.  ``--check`` reads that history for
 monotonically across the last ``TREND_WINDOW`` entries fails the gate even
 when every individual step clears the 0.6x floor -- slow rot compounds.
 ``scripts/dashboard_qed.py`` renders the same history as a live
-trajectory.  ``--telemetry`` installs a live
-:class:`repro.obs.telemetry.TelemetrySink` first, so the gated numbers
-measure the heartbeat-sampling overhead.
+trajectory.  ``--telemetry`` installs a trace collector
+(:class:`repro.obs.trace.ObsCollector`) first -- solver heartbeats are
+recorded through it, alongside the spans and span events -- so the gated
+numbers measure the observability overhead, heartbeat sampling included.
 
 Profiles::
 
@@ -67,7 +68,6 @@ from typing import Dict, List, Optional
 
 from repro.bmc import BMCProblem, BMCResult, BoundedModelChecker, SafetyProperty
 from repro.expr import BVConst, BVVar, mux
-from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.rtl import Circuit, elaborate
 
@@ -681,8 +681,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--telemetry", action="store_true",
-        help="run with a live TelemetrySink installed so the report (and "
-        "the pps gates) measure the heartbeat-sampling overhead",
+        help="run with a trace collector installed (heartbeats ride on "
+        "it) so the report (and the pps gates) measure the observability "
+        "overhead, heartbeat sampling included",
     )
     parser.add_argument(
         "--check", metavar="BASELINE", default=None,
@@ -709,7 +710,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             baseline = json.load(stream)
 
     if args.telemetry:
-        obs_telemetry.install()
+        obs_trace.install(obs_trace.ObsCollector())
 
     profiler = None
     if args.profile_out:
@@ -744,13 +745,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         )
 
-    obs_enabled = (
-        obs_telemetry.active() is not None or obs_trace.active() is not None
-    )
     report = {
         "profile": args.profile,
         "commit": _git_commit(),
-        "obs_enabled": obs_enabled,
+        "obs_enabled": obs_trace.active() is not None,
         "runs": runs,
     }
     text = json.dumps(report, indent=2)

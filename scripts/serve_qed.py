@@ -14,7 +14,9 @@ Subcommands::
                  pass answered entirely from the result cache.
     smoke     -- the CI gate: boot an in-process server, run one EDDI-V
                  job, check the verdict against a direct detect_bug() call,
-                 and check that an identical resubmission is a cache hit.
+                 check that an identical resubmission is a cache hit, and
+                 check all three observability channels of the solved job
+                 (its trace, its heartbeats, the /metrics it fed).
     worker    -- join a server's fleet from this host: pull jobs under
                  leases, heartbeat, commit with the fence token:
                  ... serve_qed.py worker --server 127.0.0.1:8123
@@ -172,8 +174,34 @@ def cmd_campaign(args) -> int:
     return 0
 
 
+def _obs_failures(client, job_id: str, metrics) -> List[str]:
+    """Spans, heartbeats and metrics of a solved job all reached the server.
+
+    The worker's ``detect_bug`` span re-rooted under the queue's
+    ``queue.attempt`` span, at least one per-bound heartbeat on
+    ``/jobs/<id>/telemetry``, and a worker metric delta (bounds searched)
+    merged into ``/metrics`` -- one run guarding the one capture protocol
+    end to end.
+    """
+    failures: List[str] = []
+    spans = client.trace(job_id).get("spans") or []
+    attempts = {s["span_id"] for s in spans if s.get("name") == "queue.attempt"}
+    if not any(
+        s.get("name") == "detect_bug" and s.get("parent_id") in attempts
+        for s in spans
+    ):
+        failures.append("trace lacks a detect_bug span under queue.attempt")
+    heartbeats = client.telemetry(job_id).get("heartbeats") or []
+    if not any(hb.get("site") == "bound" for hb in heartbeats):
+        failures.append("/telemetry lists no per-bound heartbeat")
+    if not metrics.get("qed_bounds_total"):
+        failures.append("/metrics reports zero qed_bounds_total")
+    return failures
+
+
 def cmd_smoke(args) -> int:
-    """CI smoke: served verdict == direct verdict, resubmission hits cache."""
+    """CI smoke: served verdict == direct verdict, resubmission hits cache,
+    and the solved job's spans, heartbeats and metrics all arrived."""
     config = CampaignConfig(
         bug_ids=[SMOKE_BUG], run_industrial_flow=False, run_directed_tests=False
     )
@@ -210,6 +238,8 @@ def cmd_smoke(args) -> int:
             failures.append("/metrics reports zero qed_cache_hits_total")
         if not metrics.get("qed_jobs_submitted_total"):
             failures.append("/metrics reports zero qed_jobs_submitted_total")
+        if not view.cache_hit:
+            failures.extend(_obs_failures(client, view.job_id, metrics))
         if args.trace_out:
             trace = client.trace(view.job_id)
             with open(args.trace_out, "w", encoding="utf-8") as stream:
@@ -221,7 +251,10 @@ def cmd_smoke(args) -> int:
         for failure in failures:
             print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
         return 1
-    print("serve smoke OK: served verdict matches direct, resubmission hit cache")
+    print(
+        "serve smoke OK: served verdict matches direct, resubmission hit "
+        "cache, spans/heartbeats/metrics arrived"
+    )
     return 0
 
 

@@ -150,7 +150,7 @@ def render_events(trace: Dict[str, object], out=sys.stdout) -> None:
         out.write(f"  {name:<28}x{len(grouped[name]):<5} last={sample}\n")
     dropped = trace.get("dropped_events")
     if isinstance(dropped, int) and dropped:
-        out.write(f"  ({dropped} older events dropped by the ring)\n")
+        out.write(f"  ({dropped} events dropped by the bounded rings)\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -81,7 +81,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.bmc.property import Assumption, SafetyProperty
 from repro.deadline import Deadline
 from repro.obs import metrics as obs_metrics
-from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.bmc.trace import CounterexampleTrace, property_holds_at, replay_inputs
 from repro.bmc.unroller import SYMBOLIC, Unroller
@@ -972,36 +971,28 @@ class BoundedModelChecker:
         per_bound: List[float] = []
         per_bound_stats: List[BoundStats] = []
         deadline_expired = False
-        # Telemetry rides the per-bound progress channel: solver heartbeats
-        # are stamped with the bound being searched, and each completed
-        # bound adds one summary heartbeat whose counters are the run's
+        # Heartbeats ride the active collector: solver heartbeats are
+        # stamped with the bound being searched, and each completed bound
+        # adds one summary heartbeat whose counters are the run's
         # cumulative totals (monotone by construction).
-        telemetry = obs_telemetry.active()
-        telemetry_totals = {
-            "conflicts": 0,
-            "decisions": 0,
-            "propagations": 0,
-            "learned": 0,
-        }
+        observer = obs_trace.active()
+        totals = {"conflicts": 0, "decisions": 0, "propagations": 0, "learned": 0}
 
         def emit(stats: BoundStats) -> None:
             per_bound_stats.append(stats)
-            if telemetry is not None:
-                telemetry_totals["conflicts"] += stats.conflicts
-                telemetry_totals["decisions"] += stats.decisions
-                telemetry_totals["propagations"] += stats.propagations
-                telemetry_totals["learned"] += stats.learned_clauses
-                telemetry.record(
+            if observer is not None:
+                totals["conflicts"] += stats.conflicts
+                totals["decisions"] += stats.decisions
+                totals["propagations"] += stats.propagations
+                totals["learned"] += stats.learned_clauses
+                observer.heartbeat(
                     "bound",
                     bound=stats.bound,
                     verdict=stats.verdict,
                     bound_seconds=stats.runtime_seconds,
                     solve_seconds=stats.solve_seconds,
-                    conflicts=telemetry_totals["conflicts"],
-                    decisions=telemetry_totals["decisions"],
-                    propagations=telemetry_totals["propagations"],
-                    learned=telemetry_totals["learned"],
                     learned_carried=stats.learned_clauses_carried,
+                    **totals,
                 )
             # Metrics sampling happens here -- the existing per-bound poll
             # point -- never inside the solver's hot loops.
@@ -1057,10 +1048,10 @@ class BoundedModelChecker:
             bound_start = time.perf_counter()
             vars_before = self._cnf.num_vars
             clauses_before = self._cnf.num_clauses
-            if telemetry is not None:
+            if observer is not None:
                 # Solver heartbeats sampled while this bound's query runs
                 # carry the bound number (the dashboard's progress axis).
-                telemetry.set_context(bound=bound)
+                observer.set_heartbeat_context(bound=bound)
             bound_span = obs_trace.span("bmc.bound", bound=bound)
             with obs_trace.span("bmc.encode", bound=bound):
                 self._encode_new_frames(bound)
@@ -1230,8 +1221,8 @@ class BoundedModelChecker:
                         self._elim_stack,
                         skip=self._builder.restored_vars,
                     )
-                if telemetry is not None:
-                    telemetry.set_context(bound=None)
+                if observer is not None:
+                    observer.set_heartbeat_context(bound=None)
                 return self._violation_result(
                     result, bound, start_time, per_bound, per_bound_stats
                 )
@@ -1250,8 +1241,8 @@ class BoundedModelChecker:
             # solver returned UNKNOWN at the deadline), so the loop-top
             # check never saw it.
             deadline_expired = True
-        if telemetry is not None:
-            telemetry.set_context(bound=None)
+        if observer is not None:
+            observer.set_heartbeat_context(bound=None)
         if deadline_expired and per_bound_stats:
             # Honest reach: the last bound whose query actually ran (the
             # final stats entry is the zero-work expiry marker).

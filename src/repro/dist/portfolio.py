@@ -190,16 +190,16 @@ def _race_worker(  # fork-entry
     expires_at: Optional[float] = None,
 ) -> None:
     """Process entry point: solve and report (top-level so it pickles)."""
-    # Inherited through the fork like the deadline: spans recorded here
-    # carry the parent's trace id and ship back with the result.
-    collector = obs_trace.active()
-    obs_mark = None if collector is None else collector.mark()
-    racer_span = obs_trace.span("portfolio.racer", config=config.name)
-    result, reduction = _solve_one(
-        config, clauses, num_vars, assumptions, frozen, max_conflicts,
-        expires_at,
-    )
-    racer_span.close(verdict=result.status.value)
+    # The collector is inherited through the fork like the deadline: spans
+    # recorded here carry the parent's trace id, and they ship back with
+    # the result, together with the racer's metric delta.
+    with obs_trace.capture() as obs_batch:
+        racer_span = obs_trace.span("portfolio.racer", config=config.name)
+        result, reduction = _solve_one(
+            config, clauses, num_vars, assumptions, frozen, max_conflicts,
+            expires_at,
+        )
+        racer_span.close(verdict=result.status.value)
     model = result.model
     if model is not None and reduction is not None:
         model = reduction.extend_model(model)
@@ -212,7 +212,7 @@ def _race_worker(  # fork-entry
             result.stats.decisions,
             result.stats.propagations,
             result.stats.learned_clauses,
-            None if obs_mark is None else collector.batch_since(obs_mark),
+            obs_batch,
         )
     )
 
@@ -306,7 +306,7 @@ def solve_portfolio(
                     decisions,
                     propagations,
                     learned,
-                    span_batch,
+                    obs_batch,
                 ) = results.get(timeout=poll_seconds)
             except queue_module.Empty:
                 # A worker that died without reporting (OOM kill) must not
@@ -315,9 +315,7 @@ def solve_portfolio(
                     break
                 continue
             finished += 1
-            collector = obs_trace.active()
-            if collector is not None and span_batch is not None:
-                collector.absorb(span_batch)
+            obs_trace.absorb(obs_batch)
             status = SolverStatus(status_value)
             outcome.finished[raced[index].name] = status_value
             # Work counters always mean "total work of every finished

@@ -60,7 +60,6 @@ from repro import faults
 from repro.deadline import Deadline
 from repro.dist.cubes import Cube, split_cube
 from repro.obs import metrics as obs_metrics
-from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.dist.portfolio import (
     DIVERSE_CONFIGS,
@@ -791,21 +790,14 @@ class WorkScheduler:
                     exported,
                     config_name,
                     runtime,
-                    span_batch,
-                    telemetry_batch,
+                    obs_batch,
                 ) = message
-                # Worker span batches merge into the parent collector: the
-                # ids are pid-prefixed and their parents are spans this
-                # collector already holds (inherited across the fork), so
-                # the cube subtree lands under the open dist.solve span.
-                collector = obs_trace.active()
-                if collector is not None and span_batch is not None:
-                    collector.absorb(span_batch)
-                # Worker heartbeats merge the same way (pid-tagged); the
-                # parent sink's flush callback then ships them onward.
-                sink = obs_telemetry.active()
-                if sink is not None and telemetry_batch:
-                    sink.absorb(telemetry_batch)
+                # The cube's spans, events and metric delta merge into this
+                # process: span ids are pid-prefixed and their parents are
+                # spans the collector already holds (inherited across the
+                # fork), so the cube subtree lands under the open
+                # dist.solve span.
+                obs_trace.absorb(obs_batch)
                 literals = tuple(literals)
                 key = (literals, depth)
                 if verdict != "sat" and open_cubes.get(key, 0) <= 0:
@@ -952,15 +944,12 @@ def _pool_worker(  # fork-entry
     deadline = None if expires_at is None else Deadline(expires_at=expires_at)
     # The collector (if any) arrived through the fork memory snapshot with
     # the parent's trace id and its open span stack -- this worker's spans
-    # parent under the span that was open at fork time (dist.solve).
+    # parent under the span that was open at fork time (dist.solve), and
+    # its heartbeats carry the worker index.  Each cube's capture ships
+    # them home with the cube result.
     collector = obs_trace.active()
-    # Same for the telemetry sink: heartbeats recorded here ship home with
-    # each cube result, so the fork-inherited flush callback is detached
-    # to keep a heartbeat from travelling both channels.
-    telemetry = obs_telemetry.active()
-    if telemetry is not None:
-        telemetry.detach_flush()
-        telemetry.set_context(worker=worker_id)
+    if collector is not None:
+        collector.set_heartbeat_context(worker=worker_id)
     solver, reduction = personality.build_solver(
         query.clauses, query.num_vars, query.frozen
     )
@@ -971,38 +960,37 @@ def _pool_worker(  # fork-entry
             literals, depth, budget = tasks.get(timeout=0.05)
         except queue_module.Empty:
             continue
-        obs_mark = None if collector is None else collector.mark()
-        telemetry_mark = None if telemetry is None else telemetry.mark()
-        if announce is not None:
-            try:
-                announce.send(("taken", (literals, depth, budget)))
-            except (BrokenPipeError, OSError):
-                pass
-        # Chaos-harness injection point: a seeded "kill" here dies with
-        # the cube announced but unreported -- the exact window the
-        # scheduler's recovery path must cover.
-        faults.crash_point("dist.scheduler.cube")
-        imported = 0
-        if inboxes is not None:
-            for _ in range(256):
+        with obs_trace.capture() as obs_batch:
+            if announce is not None:
                 try:
-                    clause = inboxes[worker_id].get_nowait()
-                except queue_module.Empty:
-                    break
-                solver.add_clause(clause)
-                imported += 1
-        cube_start = time.perf_counter()
-        cube_span = obs_trace.span(
-            "dist.cube", worker=worker_id, depth=depth, literals=len(literals)
-        )
-        result = solver.solve(
-            assumptions=query.assumptions + list(literals),
-            max_conflicts=budget,
-            deadline=deadline,
-        )
-        cube_span.close(
-            verdict=result.status.value, conflicts=result.stats.conflicts
-        )
+                    announce.send(("taken", (literals, depth, budget)))
+                except (BrokenPipeError, OSError):
+                    pass
+            # Chaos-harness injection point: a seeded "kill" here dies with
+            # the cube announced but unreported -- the exact window the
+            # scheduler's recovery path must cover.
+            faults.crash_point("dist.scheduler.cube")
+            imported = 0
+            if inboxes is not None:
+                for _ in range(256):
+                    try:
+                        clause = inboxes[worker_id].get_nowait()
+                    except queue_module.Empty:
+                        break
+                    solver.add_clause(clause)
+                    imported += 1
+            cube_start = time.perf_counter()
+            cube_span = obs_trace.span(
+                "dist.cube", worker=worker_id, depth=depth, literals=len(literals)
+            )
+            result = solver.solve(
+                assumptions=query.assumptions + list(literals),
+                max_conflicts=budget,
+                deadline=deadline,
+            )
+            cube_span.close(
+                verdict=result.status.value, conflicts=result.stats.conflicts
+            )
         exported = 0
         if inboxes is not None:
             for clause in solver.drain_exported():
@@ -1037,10 +1025,7 @@ def _pool_worker(  # fork-entry
                 exported,
                 personality.name,
                 time.perf_counter() - cube_start,
-                None if obs_mark is None else collector.batch_since(obs_mark),
-                None
-                if telemetry_mark is None
-                else telemetry.batch_since(telemetry_mark),
+                obs_batch,
             )
         )
         if announce is not None:

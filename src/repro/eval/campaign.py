@@ -483,19 +483,17 @@ def detect_bug(
 
 def _detect_bug_job(
     job: Tuple[str, CampaignConfig]
-) -> Tuple[BugDetectionRecord, Optional[dict]]:
+) -> Tuple[BugDetectionRecord, obs_trace.ObsBatch]:
     """Pool entry point (top-level so it pickles).
 
-    Returns the record plus the span batch this job recorded on the
-    collector inherited across the fork (``None`` when the parent ran
-    without tracing) -- the campaign's "progress pipe" is the pool's
-    return channel, so spans ride back with the result.
+    Returns the record plus the observability batch this job captured --
+    spans and events on the collector inherited across the fork, and the
+    metric delta -- since the campaign's "progress pipe" is the pool's
+    return channel.
     """
     bug_id, config = job
-    collector = obs_trace.active()
-    obs_mark = None if collector is None else collector.mark()
-    record = detect_bug(bug_id, config)
-    batch = None if obs_mark is None else collector.batch_since(obs_mark)
+    with obs_trace.capture() as batch:
+        record = detect_bug(bug_id, config)
     return record, batch
 
 
@@ -652,7 +650,7 @@ def run_campaign(
     # Campaign entry is a trace root for direct runs (the serving layer
     # never reaches this path with a collector of its own installed).
     # Fork-pool workers inherit the installed collector and ship their
-    # span batches back with each record.
+    # observability batches back with each record.
     owned = obs_trace.active() is None
     if owned:
         obs_trace.start_trace()
@@ -680,10 +678,8 @@ def run_campaign(
                 # ``pool.map`` yields in submission order, so records are
                 # journaled in bug-selection order even when a later-
                 # submitted job finishes first.
-                for record, span_batch in pool.map(_detect_bug_job, jobs):
-                    collector = obs_trace.active()
-                    if collector is not None and span_batch is not None:
-                        collector.absorb(span_batch)
+                for record, obs_batch in pool.map(_detect_bug_job, jobs):
+                    obs_trace.absorb(obs_batch)
                     done[record.bug_id] = record
                     journal_record(record)
     finally:

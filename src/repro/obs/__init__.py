@@ -1,55 +1,56 @@
-"""Unified observability: tracing, fork-safe metrics, telemetry, flight.
+"""Unified observability: tracing and heartbeats, fork-safe metrics, flight.
 
 Stdlib-only and lock-free by design -- the whole package sits inside the
 fork-safety lint scope, because its module-global state (the active
-:class:`~repro.obs.trace.ObsCollector`, the process
-:class:`~repro.obs.metrics.MetricsRegistry`, the installed
-:class:`~repro.obs.telemetry.TelemetrySink`) is inherited by every forked
+:class:`~repro.obs.trace.ObsCollector`, the open capture, the process
+:class:`~repro.obs.metrics.MetricsRegistry`) is inherited by every forked
 cube/campaign/serve worker exactly like :data:`repro.faults._INJECTOR`.
 
-The four pieces:
+The three pieces:
 
-* :mod:`repro.obs.trace` -- trace contexts, spans, span events, the
-  server-side per-job :class:`~repro.obs.trace.TraceStore`;
+* :mod:`repro.obs.trace` -- trace contexts, spans, span events and solver
+  heartbeats (a span-event kind sampled off the solver's cold branches:
+  conflicts, propagations/s, trail depth, LBD histogram, restart
+  cadence), the capture/absorb protocol, and the server-side per-job
+  :class:`~repro.obs.trace.TraceStore` behind ``GET /jobs/<id>/trace``
+  and its heartbeat view ``GET /jobs/<id>/telemetry``;
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms with explicit
-  child-snapshot merge and Prometheus text rendering;
-* :mod:`repro.obs.telemetry` -- live solver search heartbeats (conflicts,
-  propagations/s, trail depth, LBD histogram, restart cadence) sampled
-  off the solver's cold branches and streamed up to
-  ``GET /jobs/<id>/telemetry``;
+  delta merge and Prometheus text rendering;
 * :mod:`repro.obs.flight` -- the failure flight recorder (bounded JSON
   artifacts for failed/quarantined/deadline-expired jobs).
 
+The capture/absorb contract: every fork entry runs its work inside
+:func:`capture`, which yields one JSON-safe ``ObsBatch`` -- completed
+spans, events (heartbeats included), a ``dropped`` count and the
+process-metrics delta recorded inside it -- and the receiving side takes
+it in with :func:`absorb` (or, on the server,
+:meth:`~repro.obs.trace.TraceStore.absorb` plus one metrics merge).  A
+capture uses the collector it inherited and never creates one (only
+trace roots do); ``capture(ship=...)`` also ships new events while the
+work runs, and only from the process that opened it.
+
 Instrumented layers use the module-level helpers (:func:`active`,
-:func:`span`, :func:`event`, :func:`process_metrics`,
-:func:`telemetry_active`): one global load and an ``is None`` branch when
-observability is off, nothing in ``# hot-loop`` regions ever (solver
-counters are sampled at the existing per-call, per-bound and cold-branch
-boundaries only).
+:func:`span`, :func:`event`, :func:`process_metrics`): one global load
+and an ``is None`` branch when observability is off, nothing in
+``# hot-loop`` regions ever (solver counters and heartbeats are sampled
+at the existing per-call, per-bound and cold-branch boundaries only).
 """
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     MetricsRegistry,
-    diff_snapshots,
     parse_prometheus,
     process_metrics,
     reset_process_metrics,
 )
-from repro.obs.telemetry import (
-    TelemetrySink,
-    active as telemetry_active,
-    clear as clear_telemetry,
-    enabled as telemetry_enabled,
-    install as install_telemetry,
-    set_enabled as set_telemetry_enabled,
-)
 from repro.obs.trace import (
+    ObsBatch,
     ObsCollector,
     SpanHandle,
-    TraceContext,
     TraceStore,
+    absorb,
     active,
+    capture,
     clear,
     enabled,
     event,
@@ -65,29 +66,24 @@ from repro.obs.trace import (
 __all__ = [
     "FlightRecorder",
     "MetricsRegistry",
+    "ObsBatch",
     "ObsCollector",
     "SpanHandle",
-    "TelemetrySink",
-    "TraceContext",
     "TraceStore",
+    "absorb",
     "active",
+    "capture",
     "clear",
-    "clear_telemetry",
-    "diff_snapshots",
     "enabled",
     "event",
     "install",
-    "install_telemetry",
     "last_trace",
     "new_trace_id",
     "parse_prometheus",
     "process_metrics",
     "reset_process_metrics",
     "set_enabled",
-    "set_telemetry_enabled",
     "span",
     "start_trace",
     "sum_self_seconds",
-    "telemetry_active",
-    "telemetry_enabled",
 ]

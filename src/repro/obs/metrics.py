@@ -3,10 +3,11 @@
 A :class:`MetricsRegistry` is a plain in-process accumulator -- no locks,
 no background threads, no sockets -- which is what makes it safe to
 inherit across ``fork()`` and to live inside the fork-safety lint scope.
-Cross-process aggregation is *explicit*: a forked worker takes a
-:meth:`~MetricsRegistry.snapshot` at job start, computes the
-:func:`diff_snapshots` delta at job end, and ships that delta over the
-pipe it already reports on; the parent folds it in with
+Cross-process aggregation is *explicit*: a forked worker's
+:func:`repro.obs.trace.capture` swaps a fresh process registry in for the
+duration of the work, ships its :meth:`~MetricsRegistry.snapshot` as the
+delta over the pipe it already reports on, and merges it back into the
+registry it swapped out; the parent folds the delta in with
 :meth:`~MetricsRegistry.merge`.  Counters and histograms add, gauges take
 the most recent value.
 
@@ -31,10 +32,10 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "DEFAULT_BUCKETS",
     "MetricsRegistry",
-    "diff_snapshots",
     "parse_prometheus",
     "process_metrics",
     "reset_process_metrics",
+    "swap_process_metrics",
 ]
 
 #: Histogram bucket upper bounds in seconds (Prometheus defaults, +inf
@@ -219,66 +220,6 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def diff_snapshots(now: Snapshot, then: Snapshot) -> Snapshot:
-    """Counter/histogram delta ``now - then``; gauges pass through as-is.
-
-    This is how a long-lived solver process ships per-job metrics without
-    double counting: mark at job start, diff at job end, ship the delta.
-    """
-
-    def _series_map(snap: Snapshot, kind: str) -> Dict[str, Dict[LabelKey, object]]:
-        result: Dict[str, Dict[LabelKey, object]] = {}
-        table = snap.get(kind)
-        if isinstance(table, dict):
-            for name, rows in table.items():
-                series: Dict[LabelKey, object] = {}
-                for pairs, value in rows:
-                    series[tuple((str(k), str(v)) for k, v in pairs)] = value
-                result[str(name)] = series
-        return result
-
-    out_counters: Dict[str, List[object]] = {}
-    then_counters = _series_map(then, "counters")
-    for name, series in _series_map(now, "counters").items():
-        rows: List[object] = []
-        for key in sorted(series):
-            base = then_counters.get(name, {}).get(key, 0.0)
-            delta = float(series[key]) - float(base)  # type: ignore[arg-type]
-            if delta:
-                rows.append([[list(pair) for pair in key], delta])
-        if rows:
-            out_counters[name] = rows
-
-    out_histograms: Dict[str, List[object]] = {}
-    then_histograms = _series_map(then, "histograms")
-    for name, series in _series_map(now, "histograms").items():
-        rows = []
-        for key in sorted(series):
-            cells = series[key]
-            assert isinstance(cells, list)
-            base_cells = then_histograms.get(name, {}).get(key)
-            if isinstance(base_cells, list):
-                delta_cells = [
-                    float(cell) - float(base_cells[index])
-                    if index < len(base_cells)
-                    else float(cell)
-                    for index, cell in enumerate(cells)
-                ]
-            else:
-                delta_cells = [float(cell) for cell in cells]
-            if any(delta_cells):
-                rows.append([[list(pair) for pair in key], delta_cells])
-        if rows:
-            out_histograms[name] = rows
-
-    gauges = now.get("gauges")
-    return {
-        "counters": out_counters,
-        "gauges": gauges if isinstance(gauges, dict) else {},
-        "histograms": out_histograms,
-    }
-
-
 def parse_prometheus(text: str) -> Dict[str, float]:
     """Parse exposition text into ``{"name{labels}": value}`` (tests/CI).
 
@@ -306,8 +247,15 @@ def process_metrics() -> MetricsRegistry:
     return _PROCESS
 
 
+def swap_process_metrics(registry: MetricsRegistry) -> MetricsRegistry:
+    """Install *registry* as the process registry; returns the previous one."""
+    global _PROCESS
+    previous, _PROCESS = _PROCESS, registry
+    return previous
+
+
 def reset_process_metrics() -> MetricsRegistry:
     """Swap in a fresh process registry (test isolation helper)."""
-    global _PROCESS
-    _PROCESS = MetricsRegistry()
-    return _PROCESS
+    fresh = MetricsRegistry()
+    swap_process_metrics(fresh)
+    return fresh

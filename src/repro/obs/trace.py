@@ -1,4 +1,4 @@
-"""End-to-end tracing: trace contexts, spans, span events, trace stores.
+"""End-to-end tracing: spans, span events, heartbeats, capture, trace stores.
 
 The tracing layer follows the :mod:`repro.deadline` / :mod:`repro.faults`
 threading model exactly: one module-global :class:`ObsCollector` (or
@@ -11,38 +11,51 @@ injector) asks :func:`active` and does nothing when it returns ``None``,
 so the disabled cost is a single module-global load and an ``is None``
 branch.
 
-Fork propagation falls out of the memory model: a cube worker forked while
-a ``dist.solve`` span is open inherits the collector *with that span on
-the stack*, so the worker's first span parents under it and carries the
-parent's trace id.  The worker then ships its completed spans back over
-whatever pipe it already reports results on (the scheduler's results
-queue, the campaign pool's return value, a serve worker's solver-child
-pipe) and the parent absorbs them with :meth:`ObsCollector.absorb` --
-span ids are prefixed with the recording pid, so batches from any number
-of children merge without collisions.
+Solver heartbeats are one more span-event kind (:data:`HEARTBEAT`),
+sampled off the solver's cold branches through the active collector, so
+they share its bounded event ring, its drop counter and its shipping.
+
+**The capture/absorb contract.**  Every fork entry (a cube worker's loop,
+a portfolio racer, a campaign pool job, the serving layer's job entry)
+runs its work inside :func:`capture`, which yields one JSON-safe
+:data:`ObsBatch` -- completed spans, events, a ``dropped`` count and the
+process-metrics delta recorded inside it -- shipped home over whatever
+channel the worker already reports on and taken in with :func:`absorb`
+(on the server: :meth:`TraceStore.absorb` plus one metrics merge).  Span
+ids are prefixed with the recording pid, so batches from any number of
+children merge without collisions, and a child's spans parent under the
+span that was open at fork time.  ``capture(ship=...)`` also ships new
+events while the work runs, which keeps a served job's heartbeats live;
+only the process that opened a capture ever ships from it.
 
 No locks anywhere: collectors are single-writer by construction (one
 process, one logical job at a time), which is what lets this module sit
 inside the fork-safety lint scope.  The one caveat is serve workers that
 solve on threads (``use_processes=False``) when more than one runs in a
-process: concurrent jobs share the module global, so spans still render
-but may attribute to the wrong job's batch.  The default, one solver
-child per worker, is exact.
+process: concurrent jobs share the module globals (collector, capture,
+process registry), so their spans, events and metric deltas may land in
+the wrong job's batch or be lost.  The default, one solver child per
+worker, is exact.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+
+from repro.obs import metrics as obs_metrics
 
 __all__ = [
+    "HEARTBEAT",
+    "ObsBatch",
     "ObsCollector",
     "SpanHandle",
-    "TraceContext",
     "TraceStore",
+    "absorb",
     "active",
+    "capture",
     "clear",
     "enabled",
     "event",
@@ -58,6 +71,19 @@ __all__ = [
 SpanDict = Dict[str, object]
 #: One span event: monotonic timestamp, name, owning span id, attributes.
 EventDict = Dict[str, object]
+#: What a capture yields and :func:`absorb` takes: completed ``spans``,
+#: ``events``, the ``dropped`` event count and the ``metrics`` delta (a
+#: :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`; final batch only).
+ObsBatch = Dict[str, object]
+
+#: Event name of a solver heartbeat; its attrs are the flat heartbeat dict.
+HEARTBEAT = "heartbeat"
+#: Minimum seconds between sampled heartbeats (:meth:`ObsCollector.heartbeat_due`).
+HEARTBEAT_INTERVAL_SECONDS = 0.05
+#: Minimum seconds between live shipments of a ``capture(ship=...)``.
+SHIP_INTERVAL_SECONDS = 0.25
+#: Samples kept in the propagations/s sliding window.
+_PPS_WINDOW = 16
 
 _TRACE_SEQ = 0
 
@@ -67,22 +93,6 @@ def new_trace_id() -> str:
     global _TRACE_SEQ
     _TRACE_SEQ += 1
     return f"t{os.getpid():08x}{_TRACE_SEQ:06d}"
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The wire-safe identity of a trace position: trace id + parent span.
-
-    This is what crosses explicit process boundaries (job rows, shipped
-    batches); the richer :class:`ObsCollector` crosses *fork* boundaries
-    implicitly via the memory snapshot.
-    """
-
-    trace_id: str
-    parent_span_id: Optional[str] = None
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {"trace_id": self.trace_id, "parent_span_id": self.parent_span_id}
 
 
 class ObsCollector:
@@ -102,9 +112,15 @@ class ObsCollector:
         "events",
         "max_spans",
         "max_events",
+        "events_total",
         "dropped_events",
+        "heartbeats",
         "_stack",
         "_seq",
+        "_beat_seq",
+        "_last_beat",
+        "_pps_window",
+        "_beat_context",
     )
 
     def __init__(
@@ -114,15 +130,30 @@ class ObsCollector:
         max_spans: int = 4096,
         max_events: int = 2048,
     ) -> None:
+        if max_events < 1:
+            raise ValueError("max_events must be at least 1")
         self.trace_id: str = trace_id or new_trace_id()
         self.base_epoch: float = time.time() - time.monotonic()
         self.spans: List[SpanDict] = []
         self.events: List[EventDict] = []
         self.max_spans = max_spans
         self.max_events = max_events
+        #: Events ever appended to the ring (the capture cursor).
+        self.events_total = 0
+        #: Events lost: evicted from this ring, or reported dropped by an
+        #: absorbed batch (the one drop counter).
         self.dropped_events = 0
+        #: :data:`HEARTBEAT` events ever appended (the ``/telemetry`` cursor).
+        self.heartbeats = 0
         self._stack: List[str] = []
         self._seq = 0
+        self._beat_seq = 0
+        # -inf, not 0.0: ``time.monotonic()`` counts from boot, so a zero
+        # start would refuse every sample on a host up for less than the
+        # throttle interval.
+        self._last_beat = float("-inf")
+        self._pps_window: List[Tuple[float, int]] = []
+        self._beat_context: Dict[str, object] = {}
 
     # -- recording ------------------------------------------------------
     def begin(
@@ -158,12 +189,18 @@ class ObsCollector:
                 if popped == span_id:
                     break
 
-    def event(self, name: str, attrs: Optional[Dict[str, object]] = None) -> None:
-        """Record a point-in-time event under the innermost open span."""
+    def _append_event(self, entry: EventDict) -> None:
         if len(self.events) >= self.max_events:
             del self.events[0]
             self.dropped_events += 1
-        self.events.append(
+        self.events.append(entry)
+        self.events_total += 1
+        if entry.get("name") == HEARTBEAT:
+            self.heartbeats += 1
+
+    def event(self, name: str, attrs: Optional[Dict[str, object]] = None) -> None:
+        """Record a point-in-time event under the innermost open span."""
+        self._append_event(
             {
                 "t": time.monotonic(),
                 "name": name,
@@ -172,26 +209,60 @@ class ObsCollector:
             }
         )
 
-    # -- shipping -------------------------------------------------------
-    def mark(self) -> Tuple[int, int]:
-        """Snapshot (span, event) counts; pair with :meth:`batch_since`."""
-        return (len(self.spans), len(self.events))
+    # -- heartbeats -----------------------------------------------------
+    def heartbeat_due(self) -> bool:
+        """Whether enough wall clock passed to sample another heartbeat
+        (so a restart storm samples at a bounded rate)."""
+        return time.monotonic() - self._last_beat >= HEARTBEAT_INTERVAL_SECONDS
 
-    def batch_since(self, mark: Tuple[int, int]) -> Dict[str, object]:
-        """Completed spans and events recorded since *mark*, JSON-safe.
+    def set_heartbeat_context(self, **fields: object) -> None:
+        """Merge *fields* (the bound searched, the cube worker) into every
+        later heartbeat; ``None`` drops a key."""
+        for key, value in fields.items():
+            if value is None:
+                self._beat_context.pop(key, None)
+            else:
+                self._beat_context[key] = value
 
-        Open spans are withheld (their closing end will ship with a later
-        batch once the parent closes them), so a batch is always a set of
-        finished measurements.
+    def heartbeat(self, site: str, **fields: object) -> Dict[str, object]:
+        """Record one heartbeat sampled at *site* and return it.
+
+        ``fields`` are raw solver counters (``conflicts``, ``propagations``,
+        ``trail_depth``, ...), stamped with a sequence number, pid, wall
+        time and the heartbeat context, plus ``pps``: propagations/s over
+        a sliding window that resets when ``propagations`` decreases (a
+        fresh solver).  The result is the attrs of a :data:`HEARTBEAT`
+        event, which an open ``capture(ship=...)`` may ship at once.
         """
-        spans = [s for s in self.spans[mark[0] :] if s["end"] is not None]
-        return {
-            "trace_id": self.trace_id,
-            "spans": spans,
-            "events": self.events[mark[1] :],
+        now = time.monotonic()
+        beat: Dict[str, object] = {
+            "seq": self._beat_seq,
+            "pid": os.getpid(),
+            "t": time.time(),
+            "site": site,
         }
+        beat.update(self._beat_context)
+        beat.update(fields)
+        propagations = fields.get("propagations")
+        if isinstance(propagations, int):
+            window = self._pps_window
+            if window and propagations < window[-1][1]:
+                del window[:]
+            window.append((now, propagations))
+            if len(window) > _PPS_WINDOW:
+                del window[0]
+            elapsed = window[-1][0] - window[0][0]
+            if elapsed > 0:
+                beat["pps"] = (window[-1][1] - window[0][1]) / elapsed
+        self._beat_seq += 1
+        self._last_beat = now
+        self.event(HEARTBEAT, beat)
+        if _CAPTURE is not None:
+            _CAPTURE.maybe_ship()
+        return beat
 
-    def absorb(self, batch: Dict[str, object]) -> None:
+    # -- merging --------------------------------------------------------
+    def absorb(self, batch: ObsBatch) -> None:
         """Merge a child's shipped batch into this collector.
 
         Child span ids are pid-prefixed and child parent ids point either
@@ -206,18 +277,12 @@ class ObsCollector:
         events = batch.get("events")
         if isinstance(events, list):
             for entry in events:
-                if len(self.events) >= self.max_events:
-                    del self.events[0]
-                    self.dropped_events += 1
-                self.events.append(entry)
+                self._append_event(entry)
+        dropped = batch.get("dropped")
+        if isinstance(dropped, int) and dropped > 0:
+            self.dropped_events += dropped
 
     # -- views ----------------------------------------------------------
-    def context(self) -> TraceContext:
-        return TraceContext(
-            trace_id=self.trace_id,
-            parent_span_id=self._stack[-1] if self._stack else None,
-        )
-
     def to_json_dict(self) -> Dict[str, object]:
         return {
             "trace_id": self.trace_id,
@@ -266,9 +331,10 @@ def set_enabled(flag: bool) -> bool:
     """Globally enable/disable trace creation (:func:`start_trace`).
 
     Disabling does *not* tear down an installed collector; it only makes
-    the entry points (`detect_bug`, `run_campaign`, job execution) skip
-    creating one, which is the observability-off mode the byte-identical
-    record guarantee is tested against.
+    the trace roots (`detect_bug`, `run_campaign`, job execution) skip
+    creating one -- which also switches heartbeats off, since they are
+    recorded through the collector.  This is the observability-off mode
+    the byte-identical record guarantee is tested against.
     """
     global _ENABLED
     previous = _ENABLED
@@ -340,19 +406,174 @@ def event(name: str, **attrs: object) -> None:
 
 
 # ----------------------------------------------------------------------
+# The capture protocol: one batch per fork boundary.
+
+
+class _Capture:
+    """State of one open :func:`capture`: cursors, metric swap, shipper."""
+
+    __slots__ = (
+        "collector",
+        "ship",
+        "pid",
+        "previous",
+        "saved_metrics",
+        "delta",
+        "spans_mark",
+        "events_mark",
+        "upstream_mark",
+        "unsent",
+        "last_ship",
+    )
+
+    def __init__(self, ship: Optional[Callable[[ObsBatch], None]]) -> None:
+        collector = self.collector = _COLLECTOR
+        self.ship = ship
+        self.pid = os.getpid()
+        self.previous = _CAPTURE
+        self.delta = obs_metrics.MetricsRegistry()
+        self.saved_metrics = obs_metrics.swap_process_metrics(self.delta)
+        self.spans_mark, self.events_mark, self.upstream_mark = (
+            (0, 0, 0)
+            if collector is None
+            else (len(collector.spans), collector.events_total, _upstream(collector))
+        )
+        #: Events a failing shipper lost (shipped on as dropped).
+        self.unsent = 0
+        self.last_ship = float("-inf")
+
+    def take(self, *, final: bool) -> ObsBatch:
+        """What was recorded since the last take (spans only if final)."""
+        spans: List[SpanDict] = []
+        events: List[EventDict] = []
+        dropped, self.unsent = self.unsent, 0
+        collector = self.collector
+        if collector is not None:
+            new = collector.events_total - self.events_mark
+            kept = min(new, len(collector.events))
+            upstream = _upstream(collector)
+            events = collector.events[len(collector.events) - kept :]
+            dropped += new - kept + upstream - self.upstream_mark
+            self.events_mark, self.upstream_mark = collector.events_total, upstream
+            if final:
+                spans = [
+                    s for s in collector.spans[self.spans_mark :]
+                    if s["end"] is not None
+                ]
+        return {"spans": spans, "events": events, "dropped": dropped}
+
+    def send(self, batch: ObsBatch) -> None:
+        """Ship *batch*; a failing shipper loses its events, never the run."""
+        assert self.ship is not None
+        try:
+            self.ship(batch)
+        except Exception:
+            self.unsent += len(batch["events"]) + batch["dropped"]
+
+    def maybe_ship(self) -> None:
+        """Ship the new events if a shipment is due (opening pid only)."""
+        if self.ship is None or self.pid != os.getpid():
+            return
+        now = time.monotonic()
+        if now - self.last_ship < SHIP_INTERVAL_SECONDS:
+            return
+        self.last_ship = now
+        batch = self.take(final=False)
+        if batch["events"] or batch["dropped"]:
+            self.send(batch)
+
+    def close(self) -> ObsBatch:
+        """Restore the metric registry and build (and ship) the final batch."""
+        global _CAPTURE
+        _CAPTURE = self.previous
+        obs_metrics.swap_process_metrics(self.saved_metrics)
+        delta = self.delta.snapshot()
+        self.saved_metrics.merge(delta)
+        batch = self.take(final=True)
+        batch["metrics"] = delta
+        if self.ship is not None and self.pid == os.getpid():
+            self.send(batch)
+        return batch
+
+
+def _upstream(collector: ObsCollector) -> int:
+    """Drops *reported by* absorbed batches (all drops minus evictions)."""
+    return collector.dropped_events - (
+        collector.events_total - len(collector.events)
+    )
+
+
+_CAPTURE: Optional[_Capture] = None
+
+
+@contextmanager
+def capture(
+    ship: Optional[Callable[[ObsBatch], None]] = None,
+) -> Iterator[ObsBatch]:
+    """Capture what the enclosed work records, as one :data:`ObsBatch`.
+
+    The yielded dict is filled in on exit: the spans completed inside the
+    capture (open ones are withheld), the events recorded inside it that
+    the ring still holds, how many were lost (``dropped``: evicted before
+    shipping, reported by absorbed batches, or lost to a failing
+    shipper), and the process-metrics delta -- a fresh process registry
+    is swapped in for the duration and merged back on exit.
+
+    The capture uses the installed collector and never creates one (only
+    trace roots do); with none it ships just the metric delta.  *ship*,
+    when given, receives batches of new events at most every
+    :data:`SHIP_INTERVAL_SECONDS` while the work runs, then the final
+    batch -- and only ever in the process that opened the capture, so a
+    forked child never ships on its parent's channel.
+    """
+    global _CAPTURE
+    state = _Capture(ship)
+    _CAPTURE = state
+    batch: ObsBatch = {}
+    try:
+        yield batch
+    finally:
+        batch.update(state.close())
+
+
+def absorb(batch: Optional[ObsBatch]) -> None:
+    """Take a child's batch in: spans and events, drops, metric delta.
+
+    The active collector (if any) absorbs the spans, events and drop
+    count, the process registry merges the metric delta, and an open
+    ``capture(ship=...)`` ships the news onward when a shipment is due.
+    """
+    if not batch:
+        return
+    collector = _COLLECTOR
+    if collector is not None:
+        collector.absorb(batch)
+    delta = batch.get("metrics")
+    if isinstance(delta, dict):
+        obs_metrics.process_metrics().merge(delta)
+    if _CAPTURE is not None:
+        _CAPTURE.maybe_ship()
+
+
+# ----------------------------------------------------------------------
 class TraceStore:
     """Server-side per-job trace aggregation (the ``/jobs/<id>/trace`` view).
 
-    The serve queue records its own spans (queue-wait, lint, cache
-    read/write, attempts) directly into the store and *re-roots* batches
-    shipped up from worker processes: a shipped span whose parent is
-    unknown to the store attaches under the span the batch arrived for
-    (the running attempt), which is what stitches a forked worker's
-    subtree into the job's trace under the job's trace id.
+    Each job's trace is an :class:`ObsCollector` -- the same bounded span
+    list, event ring and drop counter a worker records into.  The serve
+    queue records its own spans (queue-wait, lint, cache read/write,
+    attempts) directly into the store and *re-roots* batches shipped up
+    from worker processes: a shipped span whose parent is unknown to the
+    store attaches under the span the batch arrived for (the running
+    attempt), which is what stitches a forked worker's subtree into the
+    job's trace under the job's trace id.  A job's heartbeats are its
+    :data:`HEARTBEAT` events (:meth:`heartbeats`).
 
-    Bounded twice over -- per-job span/event caps plus a job cap with
-    oldest-first eviction -- so a long-lived server cannot grow without
-    bound.  Only ever touched from the queue's event-loop thread.
+    Bounded twice over -- per-job span/event caps, and at most
+    ``max_jobs`` traces of *finished* jobs (oldest-finished evicted
+    first; a queued or running job's trace is never evicted) -- so a
+    long-lived server cannot grow without bound.  Only ever touched from
+    the queue's event-loop thread.
     """
 
     def __init__(
@@ -365,22 +586,27 @@ class TraceStore:
         self.max_jobs = max_jobs
         self.max_spans = max_spans
         self.max_events = max_events
-        self._jobs: Dict[str, Dict[str, object]] = {}
+        self._jobs: Dict[str, ObsCollector] = {}
+        #: Finished job ids, oldest-finished first (an ordered set).
+        self._finished: Dict[str, None] = {}
         self._seq = 0
 
     def ensure(self, job_id: str, trace_id: str) -> None:
-        if job_id in self._jobs:
+        if job_id not in self._jobs:
+            self._jobs[job_id] = ObsCollector(
+                trace_id, max_spans=self.max_spans, max_events=self.max_events
+            )
+
+    def finish(self, job_id: str) -> None:
+        """Mark *job_id* finished: past ``max_jobs`` finished traces, the
+        oldest-finished one is evicted."""
+        if job_id not in self._jobs or job_id in self._finished:
             return
-        while len(self._jobs) >= self.max_jobs:
-            oldest = next(iter(self._jobs))
+        self._finished[job_id] = None
+        while len(self._finished) > self.max_jobs:
+            oldest = next(iter(self._finished))
+            del self._finished[oldest]
             del self._jobs[oldest]
-        self._jobs[job_id] = {
-            "trace_id": trace_id,
-            "base_epoch": time.time() - time.monotonic(),
-            "spans": [],
-            "events": [],
-            "dropped_events": 0,
-        }
 
     def known(self, job_id: str) -> bool:
         return job_id in self._jobs
@@ -403,15 +629,11 @@ class TraceStore:
         settle it later with :meth:`close_span`.
         """
         entry = self._jobs.get(job_id)
-        if entry is None:
-            return None
-        spans = entry["spans"]
-        assert isinstance(spans, list)
-        if len(spans) >= self.max_spans:
+        if entry is None or len(entry.spans) >= self.max_spans:
             return None
         self._seq += 1
         span_id = f"q.{self._seq}"
-        spans.append(
+        entry.spans.append(
             {
                 "span_id": span_id,
                 "parent_id": parent_id,
@@ -434,9 +656,7 @@ class TraceStore:
         entry = self._jobs.get(job_id)
         if entry is None or span_id is None:
             return
-        spans = entry["spans"]
-        assert isinstance(spans, list)
-        for record in reversed(spans):
+        for record in reversed(entry.spans):
             if record.get("span_id") == span_id:
                 record["end"] = end
                 if attrs:
@@ -445,37 +665,16 @@ class TraceStore:
                         merged.update(attrs)
                 return
 
-    def add_event(
-        self,
-        job_id: str,
-        name: str,
-        *,
-        span_id: Optional[str] = None,
-        **attrs: object,
-    ) -> None:
+    def add_event(self, job_id: str, name: str, **attrs: object) -> None:
         entry = self._jobs.get(job_id)
-        if entry is None:
-            return
-        events = entry["events"]
-        assert isinstance(events, list)
-        if len(events) >= self.max_events:
-            del events[0]
-            dropped = entry.get("dropped_events", 0)
-            entry["dropped_events"] = int(dropped) + 1 if isinstance(dropped, int) else 1
-        events.append(
-            {
-                "t": time.monotonic(),
-                "name": name,
-                "span_id": span_id,
-                "attrs": dict(attrs),
-            }
-        )
+        if entry is not None:
+            entry.event(name, attrs)
 
     # -- worker batches -------------------------------------------------
     def absorb(
         self,
         job_id: str,
-        batch: Dict[str, object],
+        batch: ObsBatch,
         *,
         attach_to: Optional[str] = None,
     ) -> None:
@@ -484,58 +683,64 @@ class TraceStore:
         Spans whose parent id is not present (neither in the batch nor
         already stored) are re-rooted under *attach_to* -- the worker's
         own root becomes a child of the queue's attempt span, and the
-        worker subtree below it comes along untouched.
+        worker subtree below it comes along untouched.  The batch's
+        ``dropped`` count adds to the job's ``dropped_events``.
         """
         entry = self._jobs.get(job_id)
         if entry is None:
             return
-        spans = entry["spans"]
-        events = entry["events"]
-        assert isinstance(spans, list) and isinstance(events, list)
-        known_ids = {s["span_id"] for s in spans}
-        incoming = batch.get("spans")
-        if isinstance(incoming, list):
-            batch_ids = {
-                s.get("span_id") for s in incoming if isinstance(s, dict)
-            }
-            for raw in incoming:
-                if not isinstance(raw, dict) or len(spans) >= self.max_spans:
-                    continue
-                record = dict(raw)
-                parent = record.get("parent_id")
-                if parent is None or (
-                    parent not in batch_ids and parent not in known_ids
-                ):
-                    record["parent_id"] = attach_to
-                spans.append(record)
-        incoming_events = batch.get("events")
-        if isinstance(incoming_events, list):
-            for raw in incoming_events:
-                if not isinstance(raw, dict):
-                    continue
-                if len(events) >= self.max_events:
-                    del events[0]
-                events.append(dict(raw))
+        known_ids = {s["span_id"] for s in entry.spans}
+        spans = [s for s in _as_list(batch.get("spans")) if isinstance(s, dict)]
+        batch_ids = {s.get("span_id") for s in spans}
+        rerooted = []
+        for raw in spans:
+            record = dict(raw)
+            parent = record.get("parent_id")
+            if parent is None or (
+                parent not in batch_ids and parent not in known_ids
+            ):
+                record["parent_id"] = attach_to
+            rerooted.append(record)
+        events = [
+            dict(e) for e in _as_list(batch.get("events")) if isinstance(e, dict)
+        ]
+        entry.absorb(
+            {"spans": rerooted, "events": events, "dropped": batch.get("dropped")}
+        )
 
     # -- views ----------------------------------------------------------
     def to_json_dict(self, job_id: str) -> Optional[Dict[str, object]]:
         entry = self._jobs.get(job_id)
         if entry is None:
             return None
-        spans = entry["spans"]
-        events = entry["events"]
-        assert isinstance(spans, list) and isinstance(events, list)
-        return {
-            "job_id": job_id,
-            "trace_id": entry["trace_id"],
-            "base_epoch": entry["base_epoch"],
-            "spans": list(spans),
-            "events": list(events),
-            "dropped_events": entry.get("dropped_events", 0),
-        }
+        return {"job_id": job_id, **entry.to_json_dict()}
+
+    def heartbeat_count(self, job_id: str) -> int:
+        """Heartbeats the job's trace has received (0 when untraced)."""
+        entry = self._jobs.get(job_id)
+        return 0 if entry is None else entry.heartbeats
+
+    def heartbeats(self, job_id: str) -> List[Dict[str, object]]:
+        """The job's retained heartbeats, oldest first (flat dicts).
+
+        The event ring evicts oldest first, so these are the newest of
+        the :meth:`heartbeat_count` received; the rest were evicted.
+        """
+        entry = self._jobs.get(job_id)
+        if entry is None:
+            return []
+        return [
+            e["attrs"]
+            for e in entry.events
+            if e.get("name") == HEARTBEAT and isinstance(e.get("attrs"), dict)
+        ]
 
     def job_ids(self) -> List[str]:
         return list(self._jobs)
+
+
+def _as_list(value: object) -> List[object]:
+    return value if isinstance(value, list) else []
 
 
 def sum_self_seconds(spans: Iterable[SpanDict]) -> Dict[str, List[float]]:

@@ -107,7 +107,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.deadline import Deadline
 from repro.obs import metrics as obs_metrics
-from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.sat.cnf import CNF, Literal, var_of
 
@@ -1186,7 +1185,7 @@ class CDCLSolver:
     def _lbd_histogram(self) -> Dict[int, int]:
         """LBD distribution of the live learned clauses.
 
-        One linear arena walk -- cold-path only: sampled into telemetry
+        One linear arena walk -- cold-path only: sampled into
         heartbeats at restart/DB-reduce branches, which already do
         comparable linear work, never at the per-conflict poll sites.
         """
@@ -1203,18 +1202,18 @@ class CDCLSolver:
 
     def _sample_heartbeat(
         self,
-        sink: obs_telemetry.TelemetrySink,
+        observer: obs_trace.ObsCollector,
         site: str,
         *,
         restart_interval: Optional[int] = None,
         with_lbd: bool = False,
     ) -> None:
-        """Record one telemetry heartbeat from read-only search state.
+        """Record one heartbeat from read-only search state.
 
         Counters are the instance's lifetime totals (monotone across
         incremental solve calls on a reused solver); nothing here feeds
         back into the search, so the verdict/model/stats of a solve are
-        byte-identical with telemetry on or off.
+        byte-identical with heartbeats on or off.
         """
         stats = self.stats
         fields: Dict[str, object] = {
@@ -1232,7 +1231,7 @@ class CDCLSolver:
             fields["restart_interval"] = restart_interval
         if with_lbd:
             fields["lbd_hist"] = self._lbd_histogram()
-        sink.record(site, **fields)
+        observer.heartbeat(site, **fields)
 
     def _call_stats(self, entry: SolverStats, call_max_level: int) -> SolverStats:
         stats = self.stats
@@ -1271,14 +1270,12 @@ class CDCLSolver:
         entry = self._snapshot()
         call_max_level = 0
         # Observability: one module-global load per call.  Span events
-        # (restarts, DB reductions, deadline polls) are recorded only at
-        # the cold branches below -- never inside the `# hot-loop`
-        # propagate/analyse regions -- and only when a collector is
-        # installed, so the disabled cost is a local `is None` test.
+        # (restarts, DB reductions, deadline polls) and read-only,
+        # rate-limited heartbeats are recorded only at the cold branches
+        # below -- never inside the `# hot-loop` propagate/analyse
+        # regions -- and only when a collector is installed, so the
+        # disabled cost is a local `is None` test.
         observer = obs_trace.active()
-        # Telemetry heartbeats follow the same contract: sampled only at
-        # the cold branches below, read-only, rate-limited by the sink.
-        telemetry = obs_telemetry.active()
 
         # Reset to level 0: a previous call's assumption decisions and
         # partial trail must never leak into this query.
@@ -1337,8 +1334,8 @@ class CDCLSolver:
                                 "solver.deadline_poll",
                                 {"remaining": deadline.remaining()},
                             )
-                        if telemetry is not None and telemetry.due():
-                            self._sample_heartbeat(telemetry, "deadline_poll")
+                            if observer.heartbeat_due():
+                                self._sample_heartbeat(observer, "deadline_poll")
                         if deadline.expired():
                             self._backjump(0)
                             return SolverResult(
@@ -1395,16 +1392,16 @@ class CDCLSolver:
                             "next_interval": conflicts_until_restart,
                         },
                     )
+                    if observer.heartbeat_due():
+                        # Before the backjump: trail depth and decision
+                        # level describe the search being abandoned.
+                        self._sample_heartbeat(
+                            observer,
+                            "restart",
+                            restart_interval=conflicts_until_restart,
+                            with_lbd=True,
+                        )
                 obs_metrics.process_metrics().inc("qed_solver_restarts_total")
-                if telemetry is not None and telemetry.due():
-                    # Sampled before the backjump so trail depth and
-                    # decision level describe the search being abandoned.
-                    self._sample_heartbeat(
-                        telemetry,
-                        "restart",
-                        restart_interval=conflicts_until_restart,
-                        with_lbd=True,
-                    )
                 self._backjump(0)
                 if deadline is not None and deadline.expired():
                     return SolverResult(
@@ -1432,11 +1429,11 @@ class CDCLSolver:
                             "after": self._num_learned_live,
                         },
                     )
+                    if observer.heartbeat_due():
+                        self._sample_heartbeat(observer, "db_reduce", with_lbd=True)
                 obs_metrics.process_metrics().inc(
                     "qed_solver_db_reductions_total"
                 )
-                if telemetry is not None and telemetry.due():
-                    self._sample_heartbeat(telemetry, "db_reduce", with_lbd=True)
 
             # Apply pending assumptions as decisions.
             pending_assumption = -1
@@ -1490,8 +1487,8 @@ class CDCLSolver:
                             "solver.deadline_poll",
                             {"remaining": deadline.remaining()},
                         )
-                    if telemetry is not None and telemetry.due():
-                        self._sample_heartbeat(telemetry, "deadline_poll")
+                        if observer.heartbeat_due():
+                            self._sample_heartbeat(observer, "deadline_poll")
                     if deadline.expired():
                         self._backjump(0)
                         return SolverResult(

@@ -45,7 +45,7 @@ Architecture
                                 v  every solve is a lease
     +--- dispatch: FleetCoordinator + FleetWorker (repro.serve.fleet) ----+
     |  verbs: register -> lease (waits <= 1 heartbeat for work) ->        |
-    |  heartbeat (renews the lease, ships progress/telemetry/obs) ->      |
+    |  heartbeat (renews the lease, ships progress + __obs__ batches) ->  |
     |  complete {lease_id, fence, events, result | crashed | error}       |
     |    local workers (workers=N): threads of the server calling the     |
     |        verbs in-process on the loop (no HTTP, no JSON)              |

@@ -31,8 +31,9 @@ Four pieces, all stdlib-only:
 
 :class:`FleetWorker`
     Worker-side pull loop: register, lease, solve, heartbeat while
-    solving (each beat renews the lease and ships buffered progress /
-    telemetry / obs events upstream), then commit with the fence token
+    solving (each beat renews the lease and ships the buffered events --
+    per-bound progress and ``__obs__`` batches -- upstream), then commit
+    with the fence token
     and the remaining events.  Each worker owns one persistent solver
     child, forked at its first lease and reused (killed on revocation or
     stop, forked again after it dies); events and the outcome come back
@@ -378,11 +379,11 @@ class FleetCoordinator:
         """``POST /fleet/heartbeat``: renew a lease, ship buffered events.
 
         A valid beat pushes the lease expiry out by a full lease window,
-        so a healthy-but-slow solve is never reassigned.  Events (per-bound
-        progress, ``__telemetry__`` batches, ``__obs__`` batches) are
-        forwarded into the queue's normal progress pipeline -- but only
-        while the lease is live, so a zombie cannot pollute the telemetry
-        of a reassigned attempt.
+        so a healthy-but-slow solve is never reassigned.  Events -- per-bound
+        progress dicts plus ``{"__obs__": batch}`` observability batches,
+        which carry the heartbeats -- are forwarded into the queue's
+        normal progress pipeline, but only while the lease is live, so a
+        zombie cannot pollute the trace of a reassigned attempt.
         """
         worker_id = self._worker_id(body)
         now = time.monotonic()
@@ -513,9 +514,10 @@ class FleetCoordinator:
         """Feed worker-shipped events through the queue's progress path.
 
         Each event is what the entry handed its ``progress`` callable: a
-        per-bound stats dict, a ``{"__telemetry__": [...]}`` batch, or a
-        ``{"__obs__": {...}}`` batch -- telemetry rings, trace re-rooting
-        and metrics merging all happen in :meth:`JobQueue._on_progress`.
+        per-bound stats dict, or one ``{"__obs__": batch}`` observability
+        batch (:func:`repro.obs.trace.capture`) -- trace re-rooting,
+        heartbeats and metrics merging all happen in
+        :meth:`JobQueue._on_progress`.
         """
         if not isinstance(events, list):
             return

@@ -48,14 +48,18 @@ Observability
 
 Every job owns a trace (:class:`repro.obs.trace.TraceStore` entry keyed by
 job id): the queue records its own spans (cache read/write, queue-wait,
-each lease attempt) and solves run under their own
-:class:`~repro.obs.trace.ObsCollector`, shipping completed spans and a
-process-metrics delta with the solve's events as a tagged
-``{"__obs__": ...}`` payload that :meth:`JobQueue._on_progress` diverts
-into the store (re-rooted under the attempt span) and the queue's
-:class:`~repro.obs.metrics.MetricsRegistry`.  Jobs that FAIL, are
-quarantined, or expire their deadline dump a flight-recorder JSON artifact
-(:class:`repro.obs.flight.FlightRecorder`) with the trace attached.
+each lease attempt), and each solve is a trace root whose
+:func:`~repro.obs.trace.capture` ships tagged ``{"__obs__": batch}``
+payloads with its events: new events (heartbeats included) every 0.25 s
+while it runs, then the completed spans and the process-metrics delta.
+:meth:`JobQueue._on_progress` absorbs each batch into the store
+(re-rooted under the attempt span) and merges its delta into the queue's
+:class:`~repro.obs.metrics.MetricsRegistry`; ``GET /jobs/<id>/telemetry``
+is the heartbeat view of the trace.  Traces of queued and running jobs
+are never evicted; finished ones age out oldest-finished first.  Jobs
+that FAIL, are quarantined, or expire their deadline dump a
+flight-recorder JSON artifact (:class:`repro.obs.flight.FlightRecorder`)
+with the trace attached.
 
 ``use_processes=False`` runs each local solve on a thread instead of the
 worker's solver child -- same contract, no fork -- which in-process demos
@@ -78,8 +82,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import faults
 from repro.deadline import Deadline
 from repro.eval.campaign import detect_bug, record_to_json_dict
-from repro.obs import metrics as obs_metrics
-from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -95,11 +97,6 @@ __all__ = [
     "QueueFull",
     "execute_job_spec",
 ]
-
-
-#: Telemetry heartbeats retained per job (older ones fall off the ring;
-#: ``GET /jobs/<id>/telemetry`` reports how many were dropped).
-TELEMETRY_RING = 256
 
 
 class QueueDraining(RuntimeError):
@@ -163,10 +160,6 @@ class Job:
     cancel_requested: bool = False
     #: Trace identity for ``GET /jobs/<id>/trace`` (None when tracing off).
     trace_id: Optional[str] = None
-    #: Recent solver heartbeats (bounded ring; ``GET /jobs/<id>/telemetry``).
-    telemetry: List[Dict[str, object]] = field(default_factory=list)
-    #: Heartbeats ever received -- the ring-index base for ``since`` queries.
-    telemetry_total: int = 0
     #: Monotonic submit instant (queue-wait span start); not serialized.
     _queued_mono: float = field(default=0.0, repr=False)
     #: Open ``queue.attempt`` span worker batches re-root under.
@@ -238,8 +231,11 @@ def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
                 f"{current[:12]}.."
             )
     send = progress
-    on_bound = None
+    on_bound = ship = None
     if send is not None:
+        def ship(batch: obs_trace.ObsBatch) -> None:
+            send({"__obs__": batch})
+
         def on_bound(stats) -> None:
             # Chaos-harness message site: progress is best-effort, so a
             # seeded drop must be invisible to the verdict and a seeded
@@ -251,47 +247,24 @@ def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
             if fate == "duplicate":
                 send(stats.to_json_dict())
 
-    # The job runs under its own collector (solver children are long-lived,
-    # so a fork-inherited one would mix jobs); the queue re-roots the
-    # shipped batch under this dispatch's attempt span.  Metrics ship as
-    # a delta against the process registry so a reused worker never
-    # double-counts earlier jobs.
-    collector = obs_trace.start_trace()
-    metrics_mark = obs_metrics.process_metrics().snapshot()
-    # Telemetry heartbeats ship *while* the solve runs (tagged
-    # ``__telemetry__``, riding the same progress stream as ``__obs__``),
+    # The job is a trace root with its own collector (solver children are
+    # long-lived, so a fork-inherited one would mix jobs).  Its capture
+    # ships new events -- heartbeats included -- while the solve runs,
     # which is what makes GET /jobs/<id>/telemetry live rather than a
-    # post-mortem.  A fresh per-job sink for the same reason as the
-    # collector: a fork-inherited one would mix jobs.
-    telemetry_sink = None
-    if send is not None and obs_telemetry.enabled():
-        shipper = send
-
-        def _ship_heartbeats(batch: List[Dict[str, object]]) -> None:
-            shipper({"__telemetry__": batch})
-
-        telemetry_sink = obs_telemetry.install(
-            obs_telemetry.TelemetrySink(on_flush=_ship_heartbeats)
-        )
+    # post-mortem, and the final batch (spans, metric delta) on exit; the
+    # queue re-roots the spans under this dispatch's attempt span.
+    collector = obs_trace.start_trace()
     try:
-        record = detect_bug(
-            spec.bug_id,
-            config,
-            on_bound=on_bound,
-            deadline=Deadline.from_seconds(deadline_seconds),
-        )
+        with obs_trace.capture(ship):
+            record = detect_bug(
+                spec.bug_id,
+                config,
+                on_bound=on_bound,
+                deadline=Deadline.from_seconds(deadline_seconds),
+            )
     finally:
-        if telemetry_sink is not None:
-            obs_telemetry.clear()
-            telemetry_sink.flush()
         if collector is not None:
             obs_trace.clear()
-            if send is not None:
-                batch = collector.batch_since((0, 0))
-                batch["metrics"] = obs_metrics.diff_snapshots(
-                    obs_metrics.process_metrics().snapshot(), metrics_mark
-                )
-                send({"__obs__": batch})
     return {
         "record": record_to_json_dict(record),
         "definitive": record.qed_definitive,
@@ -456,27 +429,13 @@ class JobQueue:
         wake.set()
 
     def _on_progress(self, job_id: str, stats: Dict[str, object]) -> None:
-        if isinstance(stats, dict) and "__telemetry__" in stats:
-            # Tagged heartbeat batch: append to the job's bounded telemetry
-            # ring.  Never mixed into ``progress`` (that stream stays
-            # per-bound) and never bumps the long-poll version -- the
-            # telemetry endpoint is a plain poll.
-            payload = stats["__telemetry__"]
-            job = self.jobs.get(job_id)
-            if isinstance(payload, list) and job is not None:
-                for heartbeat in payload:
-                    if isinstance(heartbeat, dict):
-                        job.telemetry.append(heartbeat)
-                        job.telemetry_total += 1
-                overflow = len(job.telemetry) - TELEMETRY_RING
-                if overflow > 0:
-                    del job.telemetry[:overflow]
-            return
         if isinstance(stats, dict) and "__obs__" in stats:
-            # Tagged observability payload, not a per-bound progress event:
-            # worker spans re-root under the dispatch attempt, the metrics
+            # Tagged observability batch, not a per-bound progress event:
+            # worker spans re-root under the dispatch attempt, events
+            # (heartbeats included) join the job's trace, the metrics
             # delta merges into the queue registry.  Never shown to
-            # long-pollers (progress stays the per-bound stream).
+            # long-pollers and never bumps the long-poll version (progress
+            # stays the per-bound stream; telemetry is a plain poll).
             payload = stats["__obs__"]
             if isinstance(payload, dict):
                 job = self.jobs.get(job_id)
@@ -504,7 +463,9 @@ class JobQueue:
         event.set()
 
     def _retire(self, job: Job) -> None:
-        """Record a terminal transition and bound the job registry."""
+        """Record a terminal transition and bound the job registry (and,
+        by the same rule, the trace store: finished traces age out)."""
+        self.traces.finish(job.job_id)
         self._terminal.append(job.job_id)
         while len(self._terminal) > self.max_tracked_jobs:
             old_id = self._terminal.popleft()
@@ -1062,21 +1023,23 @@ class JobQueue:
     ) -> Optional[Dict[str, object]]:
         """Wire form for ``GET /jobs/<id>/telemetry`` (None = unknown job).
 
-        ``since`` is an absolute heartbeat index: a poller passes the
-        ``total`` it already saw and receives only newer heartbeats.
-        ``dropped`` counts heartbeats that fell off the bounded ring
-        before anyone read them.
+        The heartbeat events of the job's trace, flattened.  ``since`` is
+        an absolute heartbeat index: a poller passes the ``total`` it
+        already saw and receives only newer heartbeats.  ``dropped``
+        counts heartbeats the trace's bounded event ring evicted before
+        anyone read them.
         """
         job = self.jobs.get(job_id)
         if job is None:
             return None
-        first = job.telemetry_total - len(job.telemetry)
-        start = max(0, since - first)
+        heartbeats = self.traces.heartbeats(job_id)
+        total = self.traces.heartbeat_count(job_id)
+        first = total - len(heartbeats)
         return {
             "job_id": job.job_id,
             "state": job.state.value,
-            "heartbeats": job.telemetry[start:],
-            "total": job.telemetry_total,
+            "heartbeats": heartbeats[max(0, since - first) :],
+            "total": total,
             "dropped": first,
         }
 
@@ -1101,7 +1064,7 @@ class JobQueue:
                     "attempts": job.attempts,
                     "submitted_at": job.submitted_at,
                     "progress_events": len(job.progress),
-                    "telemetry_total": job.telemetry_total,
+                    "telemetry_total": self.traces.heartbeat_count(job.job_id),
                 }
             )
         rows.sort(key=lambda row: (row["submitted_at"], row["job_id"]))

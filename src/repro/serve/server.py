@@ -41,10 +41,11 @@ Endpoints
 ``POST /fleet/register|lease|heartbeat|complete|deregister``
     The remote-worker protocol (:mod:`repro.serve.fleet`): pull jobs
     under time-bounded, fence-epoch leases, heartbeat to renew them and
-    ship telemetry, commit with the fence token -- the same verbs the
-    server's own workers call in-process.  404 unless the server accepts
-    remote workers (``fleet=True``).  ``GET /fleet`` is the coordinator's
-    worker/lease table, local workers included.
+    ship progress and observability batches, commit with the fence
+    token -- the same verbs the server's own workers call in-process.
+    404 unless the server accepts remote workers (``fleet=True``).
+    ``GET /fleet`` is the coordinator's worker/lease table, local workers
+    included.
 ``GET /cache/log?since=N[&max=M]``
     Replication stream: a raw byte range of the append-only result-cache
     log (latin-1 in JSON), which :class:`repro.serve.fleet.CacheFollower`
@@ -542,8 +543,9 @@ class QEDServer:
         """``GET /jobs/<id>/telemetry[?since=N]``: live solver heartbeats.
 
         Heartbeats stream up from the solver's cold branches while the
-        job runs; a poller passes the ``total`` it already holds as
-        ``since`` and receives only newer entries from the bounded ring.
+        job runs, as events of its trace; a poller passes the ``total`` it
+        already holds as ``since`` and receives only newer entries from
+        the trace's bounded event ring.
         """
         try:
             since = int(query.get("since", 0))

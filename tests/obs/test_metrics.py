@@ -5,11 +5,11 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    diff_snapshots,
     parse_prometheus,
     process_metrics,
     reset_process_metrics,
 )
+from repro.obs.trace import capture
 
 
 class TestRecording:
@@ -71,28 +71,29 @@ class TestSnapshotsAndMerge:
         parent.merge(child.snapshot())
         assert "depth 9" in parent.render_prometheus()
 
-    def test_diff_snapshots_ships_only_the_delta(self):
-        registry = MetricsRegistry()
+    def test_capture_ships_only_the_delta(self):
+        registry = process_metrics()
         registry.inc("jobs_total", 4.0)
         registry.observe("wait_seconds", 0.1)
-        mark = registry.snapshot()
-        registry.inc("jobs_total", 2.0)
-        registry.observe("wait_seconds", 0.2)
-        delta = diff_snapshots(registry.snapshot(), mark)
+        with capture() as batch:
+            process_metrics().inc("jobs_total", 2.0)
+            process_metrics().observe("wait_seconds", 0.2)
         receiver = MetricsRegistry()
-        receiver.merge(delta)
+        receiver.merge(batch["metrics"])
         assert receiver.counter_value("jobs_total") == 2.0
         parsed = parse_prometheus(receiver.render_prometheus())
         assert parsed["wait_seconds_count"] == 1
         assert parsed["wait_seconds_sum"] == pytest.approx(0.2)
+        # The delta was merged back: the process registry saw it all.
+        assert process_metrics() is registry
+        assert registry.counter_value("jobs_total") == 6.0
 
-    def test_diff_of_identical_snapshots_is_empty(self):
-        registry = MetricsRegistry()
-        registry.inc("jobs_total")
-        snap = registry.snapshot()
-        delta = diff_snapshots(registry.snapshot(), snap)
-        assert delta["counters"] == {}
-        assert delta["histograms"] == {}
+    def test_capture_of_no_work_ships_an_empty_delta(self):
+        process_metrics().inc("jobs_total")
+        with capture() as batch:
+            pass
+        assert batch["metrics"]["counters"] == {}
+        assert batch["metrics"]["histograms"] == {}
 
 
 class TestRenderingAndParsing:

@@ -10,6 +10,7 @@ the span that was open at fork time.
 
 import json
 import os
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.eval.campaign import (
     record_comparable_dict,
     run_campaign,
 )
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 # x1|x2 and x3|x4 but every cross pair forbidden: UNSAT (4 cubes of work).
@@ -30,6 +32,26 @@ UNSAT_CLAUSES = [[1, 2], [3, 4], [-1, -3], [-1, -4], [-2, -3], [-2, -4]]
 
 def _pid_prefixes(spans):
     return {str(s["span_id"]).split(".")[0] for s in spans}
+
+
+def _random_3cnf(num_vars, num_clauses, seed=3):
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append([v if rng.random() < 0.5 else -v for v in variables])
+    return clauses
+
+
+def _assert_restart_parity(collector):
+    """Every worker restart shows up in the trace *and* the metrics."""
+    restarts = sum(1 for e in collector.events if e["name"] == "solver.restart")
+    counted = obs_metrics.process_metrics().counter_value(
+        "qed_solver_restarts_total"
+    )
+    assert collector.dropped_events == 0
+    assert restarts > 0
+    assert counted == restarts
 
 
 class TestSchedulerPropagation:
@@ -68,7 +90,61 @@ class TestSchedulerPropagation:
         assert _pid_prefixes(cubes) == {f"{os.getpid():x}"}
 
 
+class TestMetricsParity:
+    """Worker metric deltas ship home with the worker's spans and events."""
+
+    def test_cube_workers_ship_metric_deltas(self):
+        obs_metrics.reset_process_metrics()
+        collector = obs_trace.start_trace()
+        query = SplitQuery(
+            clauses=_random_3cnf(110, 470), num_vars=110,
+            cubes=binary_cubes([1, 2], 2),
+        )
+        WorkScheduler(SplitConfig(workers=2)).solve(query)
+        obs_trace.clear()
+        _assert_restart_parity(collector)
+
+    def test_racers_ship_metric_deltas(self):
+        obs_metrics.reset_process_metrics()
+        collector = obs_trace.start_trace()
+        solve_portfolio(_random_3cnf(120, 516), 120, workers=2)
+        obs_trace.clear()
+        _assert_restart_parity(collector)
+
+    def test_campaign_workers_ship_metric_deltas(self):
+        obs_metrics.reset_process_metrics()
+        config = CampaignConfig(
+            bug_ids=["sra_zero_fill", "wrport_collision"],
+            run_industrial_flow=False,
+            run_directed_tests=False,
+        )
+        run_campaign(config, workers=2)
+        _assert_restart_parity(obs_trace.last_trace())
+
+
 class TestPortfolioPropagation:
+    def test_racers_never_call_the_parents_shipper(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(obs_trace, "HEARTBEAT_INTERVAL_SECONDS", 0.0)
+        monkeypatch.setattr(obs_trace, "SHIP_INTERVAL_SECONDS", 0.0)
+        log = tmp_path / "ship.log"
+
+        def ship(batch):
+            with open(log, "a", encoding="utf-8") as stream:
+                stream.write(f"{os.getpid()} {len(batch['events'])}\n")
+
+        collector = obs_trace.start_trace()
+        with obs_trace.capture(ship=ship):
+            solve_portfolio(_random_3cnf(120, 516), 120, workers=2)
+        obs_trace.clear()
+        # The racers sampled heartbeats (they came home in their batches)...
+        assert any(
+            e["name"] == "heartbeat" and e["attrs"]["pid"] != os.getpid()
+            for e in collector.events
+        )
+        # ...but only this process ever ran the shipper.
+        pids = {line.split()[0] for line in log.read_text().splitlines()}
+        assert pids == {str(os.getpid())}
+
     def test_racers_ship_spans_back(self):
         collector = obs_trace.start_trace()
         outcome = solve_portfolio(UNSAT_CLAUSES, 4, workers=2)

@@ -56,31 +56,38 @@ class TestObsCollector:
             collector.end(collector.begin("s"))
         assert len(collector.spans) == 2
 
-    def test_batch_since_withholds_open_spans(self):
-        collector = ObsCollector()
-        mark = collector.mark()
-        open_span = collector.begin("open")
-        closed = collector.begin("closed")
-        collector.end(closed)
-        batch = collector.batch_since(mark)
+    def test_capture_withholds_open_spans(self):
+        collector = obs_trace.install(ObsCollector())
+        before = collector.begin("before")
+        collector.end(before)
+        with obs_trace.capture() as batch:
+            open_span = collector.begin("open")
+            closed = collector.begin("closed")
+            collector.end(closed)
         names = [s["name"] for s in batch["spans"]]
         assert names == ["closed"]
-        assert batch["trace_id"] == collector.trace_id
         collector.end(open_span)
 
     def test_absorb_appends_child_batches(self):
         parent = ObsCollector()
         root = parent.begin("root")
-        child = ObsCollector(parent.trace_id)
+        child = obs_trace.install(ObsCollector(parent.trace_id))
         child._stack.append(root["span_id"])  # simulate fork inheritance
-        leaf = child.begin("leaf")
-        child.end(leaf)
-        child.event("child.event")
-        parent.absorb(child.batch_since((0, 0)))
+        with obs_trace.capture() as batch:
+            leaf = child.begin("leaf")
+            child.end(leaf)
+            child.event("child.event")
+        obs_trace.install(parent)
+        obs_trace.absorb(batch)
         parent.end(root)
         by_name = {s["name"]: s for s in parent.spans}
         assert by_name["leaf"]["parent_id"] == root["span_id"]
         assert any(e["name"] == "child.event" for e in parent.events)
+
+    def test_absorb_counts_the_batchs_drops(self):
+        parent = ObsCollector()
+        parent.absorb({"events": [], "dropped": 2})
+        assert parent.dropped_events == 2
 
 
 class TestModuleGlobals:
@@ -125,12 +132,13 @@ class TestTraceStore:
         store = TraceStore()
         store.ensure("job-1", "t1")
         attempt = store.add_span("job-1", "queue.attempt", 0.0, None, attempt=1)
-        worker = ObsCollector("t1")
-        root = worker.begin("detect_bug")
-        leaf = worker.begin("bmc.bound")
-        worker.end(leaf)
-        worker.end(root)
-        store.absorb("job-1", worker.batch_since((0, 0)), attach_to=attempt)
+        worker = obs_trace.install(ObsCollector("t1"))
+        with obs_trace.capture() as batch:
+            root = worker.begin("detect_bug")
+            leaf = worker.begin("bmc.bound")
+            worker.end(leaf)
+            worker.end(root)
+        store.absorb("job-1", batch, attach_to=attempt)
         view = store.to_json_dict("job-1")
         by_name = {s["name"]: s for s in view["spans"]}
         # The worker's root re-roots under the attempt; its subtree does not.
@@ -157,8 +165,33 @@ class TestTraceStore:
         store = TraceStore(max_jobs=2)
         for i in range(3):
             store.ensure(f"job-{i}", f"t{i}")
+            store.finish(f"job-{i}")
         assert not store.known("job-0")
         assert store.known("job-1") and store.known("job-2")
+
+    def test_live_jobs_are_never_evicted(self):
+        store = TraceStore(max_jobs=2)
+        for i in range(5):
+            store.ensure(f"job-{i}", f"t{i}")
+        # Five live traces, cap two: the cap only counts finished ones.
+        assert all(store.known(f"job-{i}") for i in range(5))
+        for i in (3, 1, 4):
+            store.finish(f"job-{i}")
+        # Oldest-finished goes first, whatever the insertion order.
+        assert not store.known("job-3")
+        assert all(store.known(f"job-{i}") for i in (0, 1, 2, 4))
+
+    def test_dropped_events_add_batch_drops_to_evictions(self):
+        producer = obs_trace.install(ObsCollector(max_events=3))
+        with obs_trace.capture() as batch:
+            for i in range(5):
+                producer.event("tick", {"i": i})
+        assert len(batch["events"]) == 3 and batch["dropped"] == 2
+        store = TraceStore(max_events=2)
+        store.ensure("job-1", "t1")
+        store.absorb("job-1", batch)
+        # 2 lost by the producer's ring + 1 evicted by the store's.
+        assert store.to_json_dict("job-1")["dropped_events"] == 3
 
     def test_event_ring_is_bounded(self):
         store = TraceStore(max_events=2)

@@ -54,6 +54,27 @@ class TestQueueTraces:
 
         run(with_queue(body))
 
+    def test_running_job_trace_survives_a_submission_flood(self):
+        async def body(queue):
+            job = queue.submit(spec("__sleep:1.5__"))
+            while job.state is JobState.QUEUED:
+                await queue.wait(job, since=job.version, timeout=1.0)
+            assert job.state is JobState.RUNNING
+            for index in range(300):
+                queue.submit(spec("__echo__", tag=f"flood-{index}"))
+            # 301 live traces against a cap of 256 finished ones: the
+            # running job's trace stays.
+            assert queue.traces.known(job.job_id)
+            await wait_terminal(queue, job)
+            view = queue.traces.to_json_dict(job.job_id)
+            attempt = next(
+                s for s in view["spans"] if s["name"] == "queue.attempt"
+            )
+            assert attempt["attrs"]["outcome"] == "done"
+            assert attempt["end"] is not None
+
+        run(with_queue(body))
+
     def test_cache_hit_records_read_span(self):
         async def body(queue):
             first = queue.submit(spec())

@@ -329,13 +329,13 @@ CHATTY_BOUNDS = 8
 
 
 def _chatty_entry(spec_dict, job_id="", progress=None, **kwargs):
-    collector = obs_trace.start_trace()
-    for bound in range(1, CHATTY_BOUNDS + 1):
-        with obs_trace.span("test.bound", bound=bound):
-            pass
-        progress({"bound": bound, "verdict": "unsat"})
+    obs_trace.start_trace()
+    with obs_trace.capture(lambda batch: progress({"__obs__": batch})):
+        for bound in range(1, CHATTY_BOUNDS + 1):
+            with obs_trace.span("test.bound", bound=bound):
+                pass
+            progress({"bound": bound, "verdict": "unsat"})
     obs_trace.clear()
-    progress({"__obs__": collector.batch_since((0, 0))})
     return {
         "record": {"bug_id": spec_dict["bug_id"], "qed_definitive": True},
         "definitive": True,

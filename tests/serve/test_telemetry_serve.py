@@ -1,27 +1,27 @@
-"""Serving-layer telemetry: per-job heartbeat ring + ``/telemetry``.
+"""Serving-layer telemetry: the heartbeat view of a job's trace.
 
-The queue-level tests drive ``_on_progress`` with tagged
-``__telemetry__`` payloads exactly as a worker ships them; the HTTP
-tests use a deterministic entry that ships a scripted batch; the live
-test solves a real EDDI-V job through the process-pool server and
-asserts the acceptance contract -- at least two heartbeats with
-monotonically non-decreasing conflict counts.
+The queue-level tests drive ``_on_progress`` with tagged ``__obs__``
+batches of heartbeat events exactly as a worker's capture ships them;
+the HTTP tests use a deterministic entry; the live test solves a real
+EDDI-V job through the process-pool server and asserts the acceptance
+contract -- at least two heartbeats with monotonically non-decreasing
+conflict counts.
 """
 
 import asyncio
 import json
+import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.obs import trace as obs_trace
+from repro.obs.trace import HEARTBEAT
 from repro.serve import LocalServer, ServeClient
 from repro.serve.cache import ResultCache
-from repro.serve.queue import (
-    TELEMETRY_RING,
-    JobQueue,
-    _selftest_entry,
-)
+from repro.serve.fleet import FleetCoordinator
+from repro.serve.queue import JobQueue, JobState, _selftest_entry
 
 from serve_helpers import make_spec as spec
 
@@ -51,9 +51,14 @@ async def with_queue(body, **kwargs):
 
 
 def heartbeat(seq, conflicts, site="restart", **extra):
+    """One heartbeat event as a worker's capture ships it."""
     hb = {"seq": seq, "pid": 1234, "site": site, "conflicts": conflicts}
     hb.update(extra)
-    return hb
+    return {"t": 0.0, "name": HEARTBEAT, "span_id": None, "attrs": hb}
+
+
+def obs(*events, dropped=0):
+    return {"__obs__": {"spans": [], "events": list(events), "dropped": dropped}}
 
 
 class TestTelemetryRing:
@@ -63,12 +68,10 @@ class TestTelemetryRing:
             await wait_terminal(queue, job)
             version = job.version
             progress_len = len(job.progress)
-            queue._on_progress(
-                job.job_id,
-                {"__telemetry__": [heartbeat(0, 5), heartbeat(1, 9)]},
-            )
-            assert job.telemetry_total == 2
-            assert [hb["conflicts"] for hb in job.telemetry] == [5, 9]
+            queue._on_progress(job.job_id, obs(heartbeat(0, 5), heartbeat(1, 9)))
+            view = queue.telemetry_dict(job.job_id)
+            assert view["total"] == 2
+            assert [hb["conflicts"] for hb in view["heartbeats"]] == [5, 9]
             # telemetry is a plain poll: no long-poll wakeup, and the
             # per-bound progress stream stays untouched
             assert job.version == version
@@ -80,14 +83,19 @@ class TestTelemetryRing:
         async def body(queue):
             job = queue.submit(spec())
             await wait_terminal(queue, job)
-            batch = [heartbeat(i, i) for i in range(TELEMETRY_RING + 50)]
-            queue._on_progress(job.job_id, {"__telemetry__": batch})
-            assert len(job.telemetry) == TELEMETRY_RING
-            assert job.telemetry_total == TELEMETRY_RING + 50
+            ring = queue.traces.max_events
+            queued_events = len(queue.traces.to_json_dict(job.job_id)["events"])
+            batch = [heartbeat(i, i) for i in range(ring + 50)]
+            queue._on_progress(job.job_id, obs(*batch))
             view = queue.telemetry_dict(job.job_id)
+            assert len(view["heartbeats"]) == ring
             assert view["dropped"] == 50
-            assert view["total"] == TELEMETRY_RING + 50
+            assert view["total"] == ring + 50
             assert view["heartbeats"][0]["conflicts"] == 50
+            # Heartbeats share the trace's ring (and its drop counter)
+            # with the queue's own events.
+            trace = queue.traces.to_json_dict(job.job_id)
+            assert trace["dropped_events"] == 50 + queued_events
 
         run(with_queue(body))
 
@@ -96,16 +104,13 @@ class TestTelemetryRing:
             job = queue.submit(spec())
             await wait_terminal(queue, job)
             queue._on_progress(
-                job.job_id,
-                {"__telemetry__": [heartbeat(i, i * 10) for i in range(5)]},
+                job.job_id, obs(*[heartbeat(i, i * 10) for i in range(5)])
             )
             first = queue.telemetry_dict(job.job_id, since=0)
             assert len(first["heartbeats"]) == 5
             later = queue.telemetry_dict(job.job_id, since=first["total"])
             assert later["heartbeats"] == []
-            queue._on_progress(
-                job.job_id, {"__telemetry__": [heartbeat(5, 99)]}
-            )
+            queue._on_progress(job.job_id, obs(heartbeat(5, 99)))
             newest = queue.telemetry_dict(job.job_id, since=first["total"])
             assert [hb["conflicts"] for hb in newest["heartbeats"]] == [99]
 
@@ -121,13 +126,56 @@ class TestTelemetryRing:
         async def body(queue):
             job = queue.submit(spec())
             await wait_terminal(queue, job)
-            queue._on_progress(job.job_id, {"__telemetry__": "not-a-list"})
-            queue._on_progress(
-                job.job_id, {"__telemetry__": ["not-a-dict", heartbeat(0, 1)]}
-            )
-            assert job.telemetry_total == 1
+            queue._on_progress(job.job_id, {"__obs__": {"events": "not-a-list"}})
+            queue._on_progress(job.job_id, obs("not-a-dict", heartbeat(0, 1)))
+            assert queue.telemetry_dict(job.job_id)["total"] == 1
 
         run(with_queue(body))
+
+
+#: Released by the test once it saw the running job's heartbeat.
+_RELEASE = threading.Event()
+
+
+def _beating_entry(spec_dict, job_id="", progress=None, **kwargs):
+    """Record one heartbeat, then hold the lease until released."""
+    collector = obs_trace.start_trace()
+    try:
+        with obs_trace.capture(lambda batch: progress({"__obs__": batch})):
+            collector.heartbeat("restart", conflicts=7)
+            _RELEASE.wait(10.0)
+    finally:
+        obs_trace.clear()
+    return {"record": {"bug_id": spec_dict["bug_id"]}, "definitive": True}
+
+
+class TestHeartbeatsWhileRunning:
+    def test_heartbeats_reach_the_view_before_the_commit(self):
+        async def main():
+            _RELEASE.clear()
+            queue = JobQueue(entry=_beating_entry, use_processes=False)
+            FleetCoordinator(queue, heartbeat_seconds=0.1)
+            await queue.start()
+            try:
+                job = queue.submit(spec())
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while (
+                    queue.telemetry_dict(job.job_id)["total"] == 0
+                    and loop.time() < deadline
+                ):
+                    await asyncio.sleep(0.02)
+                view = queue.telemetry_dict(job.job_id)
+                assert view["state"] == "running"
+                assert [hb["conflicts"] for hb in view["heartbeats"]] == [7]
+                _RELEASE.set()
+                await wait_terminal(queue, job)
+                assert job.state is JobState.DONE
+            finally:
+                _RELEASE.set()
+                await queue.stop()
+
+        run(main())
 
 
 class TestHttpTelemetry:
