@@ -16,7 +16,9 @@ Subcommands::
                  job, check the verdict against a direct detect_bug() call,
                  check that an identical resubmission is a cache hit, and
                  check all three observability channels of the solved job
-                 (its trace, its heartbeats, the /metrics it fed).
+                 (its trace, its heartbeats, the /metrics it fed), and
+                 check that each bmc.bound span lasted the runtime_seconds
+                 its progress event reports (one clock across the fork).
     worker    -- join a server's fleet from this host: pull jobs under
                  leases, heartbeat, commit with the fence token:
                  ... serve_qed.py worker --server 127.0.0.1:8123
@@ -156,12 +158,10 @@ def cmd_submit(args) -> int:
 def cmd_campaign(args) -> int:
     config = _campaign_config(args)
     with _client_for(args, workers=args.workers) as client:
-        start = time.perf_counter()
         campaign = run_campaign_via_server(client, config)
-        elapsed = time.perf_counter() - start
         hits = sum(1 for r in campaign.records if r.served_from_cache)
         print(
-            f"{len(campaign.records)} bugs in {elapsed:.1f}s "
+            f"{len(campaign.records)} bugs in {campaign.wall_clock_seconds:.1f}s "
             f"({hits} served from cache)"
         )
         breakdown = detection_breakdown(campaign)
@@ -181,7 +181,9 @@ def _obs_failures(client, job_id: str, metrics) -> List[str]:
     ``queue.attempt`` span, at least one per-bound heartbeat on
     ``/jobs/<id>/telemetry``, and a worker metric delta (bounds searched)
     merged into ``/metrics`` -- one run guarding the one capture protocol
-    end to end.
+    end to end.  It also guards the one clock across the fork and lease
+    boundary: each ``bmc.bound`` span lasted exactly the ``runtime_seconds``
+    that the same bound's progress event reports (both rounded to 1 us).
     """
     failures: List[str] = []
     spans = client.trace(job_id).get("spans") or []
@@ -191,6 +193,21 @@ def _obs_failures(client, job_id: str, metrics) -> List[str]:
         for s in spans
     ):
         failures.append("trace lacks a detect_bug span under queue.attempt")
+    reported = {
+        event.get("bound"): event.get("runtime_seconds")
+        for event in client.job(job_id).progress
+    }
+    bound_spans = [s for s in spans if s.get("name") == "bmc.bound"]
+    if not bound_spans:
+        failures.append("trace lacks a bmc.bound span")
+    for span in bound_spans:
+        bound = span["attrs"].get("bound")
+        lasted = round(span["end"] - span["start"], 6)
+        if lasted != reported.get(bound):
+            failures.append(
+                f"bmc.bound span of bound {bound} lasted {lasted} s, its "
+                f"progress event reports {reported.get(bound)} s"
+            )
     heartbeats = client.telemetry(job_id).get("heartbeats") or []
     if not any(hb.get("site") == "bound" for hb in heartbeats):
         failures.append("/telemetry lists no per-bound heartbeat")
@@ -253,7 +270,7 @@ def cmd_smoke(args) -> int:
         return 1
     print(
         "serve smoke OK: served verdict matches direct, resubmission hit "
-        "cache, spans/heartbeats/metrics arrived"
+        "cache, spans/heartbeats/metrics arrived, bound spans match progress"
     )
     return 0
 

@@ -14,6 +14,14 @@ and prints:
 * a span-event summary (restarts, DB reductions, deadline polls, retries,
   fault firings) grouped by event name.
 
+A direct detection's tree is ``detect_bug`` > ``detect.lint``,
+``detect.qed``; under ``detect.qed`` sit ``qed.build`` (the design build:
+core, QED module, elaboration) and ``bmc.run`` (the bound loop plus the
+counterexample replay), which holds one ``bmc.bound`` per bound >
+``bmc.encode``, ``bmc.encode_window``, ``bmc.coi``, ``sat.preprocess``,
+``bmc.solve``.  Every ``*_seconds`` field of a result is read off one of
+these spans, so the durations printed here are the numbers it reports.
+
 Usage::
 
     PYTHONPATH=src python scripts/trace_qed.py trace.json

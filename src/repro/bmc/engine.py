@@ -73,7 +73,6 @@ scheduled bounds.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -125,6 +124,8 @@ class BoundStats:
     #: First frame of the violation window ( == bound - 1 for a dense
     #: schedule past the property's start cycle).
     window_start: int
+    #: Duration of the bound's ``bmc.bound`` span: encoding, cone analysis,
+    #: preprocessing and the query (0.0 for a bound a deadline stopped).
     runtime_seconds: float
     #: "sat", "unsat", "unknown", or "skipped" (no query was needed because
     #: the property is not enforced yet at this bound).
@@ -133,6 +134,8 @@ class BoundStats:
     #: scheduler) answering this bound's query -- excludes frame encoding,
     #: cone-of-influence analysis and slab preprocessing, so
     #: ``propagations / solve_seconds`` is a pure solver-throughput number.
+    #: Read off the ``bmc.solve`` span (solve and deferred re-solve), or
+    #: summed over the ``dist.solve`` spans of a split query.
     solve_seconds: float = 0.0
     conflicts: int = 0
     decisions: int = 0
@@ -260,9 +263,9 @@ class BMCResult:
     status: BMCStatus
     property_name: str
     bound_reached: int
+    #: Duration of the ``bmc.run`` span (bound loop and counterexample replay).
     runtime_seconds: float
     counterexample: Optional[CounterexampleTrace] = None
-    per_bound_runtime: List[float] = field(default_factory=list)
     per_bound_stats: List[BoundStats] = field(default_factory=list)
     num_sat_variables: int = 0
     num_sat_clauses: int = 0
@@ -894,14 +897,10 @@ class BoundedModelChecker:
             initial[name] = self._model_bits_value(model, bits)
         return initial
 
-    def _violation_result(
-        self,
-        sat_result: SolverResult,
-        bound: int,
-        start_time: float,
-        per_bound: List[float],
-        per_bound_stats: List[BoundStats],
-    ) -> BMCResult:
+    def _counterexample(
+        self, sat_result: SolverResult, bound: int
+    ) -> CounterexampleTrace:
+        """Replay the SAT model into the trace up to its first violation."""
         problem = self.problem
         assert sat_result.model is not None
         input_sequence = self._extract_inputs(sat_result.model, bound)
@@ -932,17 +931,7 @@ class BoundedModelChecker:
             trace.inputs = trace.inputs[: trace.length]
             trace.states = trace.states[: trace.length]
             trace.outputs = trace.outputs[: trace.length]
-        return BMCResult(
-            status=BMCStatus.VIOLATION,
-            property_name=problem.prop.name,
-            bound_reached=bound,
-            runtime_seconds=time.perf_counter() - start_time,
-            counterexample=trace,
-            per_bound_runtime=per_bound,
-            per_bound_stats=per_bound_stats,
-            num_sat_variables=self._cnf.num_vars,
-            num_sat_clauses=self._cnf.num_clauses,
-        )
+        return trace
 
     # ------------------------------------------------------------------
     def run(
@@ -967,9 +956,9 @@ class BoundedModelChecker:
         result carries ``deadline_expired=True``.
         """
         problem = self.problem
-        start_time = time.perf_counter()
-        per_bound: List[float] = []
+        run_span = obs_trace.span("bmc.run", prop=problem.prop.name)
         per_bound_stats: List[BoundStats] = []
+        counterexample: Optional[CounterexampleTrace] = None
         deadline_expired = False
         # Heartbeats ride the active collector: solver heartbeats are
         # stamped with the bound being searched, and each completed bound
@@ -1045,14 +1034,14 @@ class BoundedModelChecker:
                     )
                 )
                 break
-            bound_start = time.perf_counter()
+            # runtime_seconds is this span; encoding runs to bmc.coi's end.
+            bound_span = obs_trace.span("bmc.bound", bound=bound)
             vars_before = self._cnf.num_vars
             clauses_before = self._cnf.num_clauses
             if observer is not None:
                 # Solver heartbeats sampled while this bound's query runs
                 # carry the bound number (the dashboard's progress axis).
                 observer.set_heartbeat_context(bound=bound)
-            bound_span = obs_trace.span("bmc.bound", bound=bound)
             with obs_trace.span("bmc.encode", bound=bound):
                 self._encode_new_frames(bound)
 
@@ -1060,14 +1049,12 @@ class BoundedModelChecker:
             if window_start >= bound:
                 # The property is not enforced anywhere in the new frames
                 # (still before its start cycle): nothing to ask the solver.
-                elapsed = time.perf_counter() - bound_start
-                per_bound.append(elapsed)
                 bound_span.close(verdict="skipped")
                 emit(
                     BoundStats(
                         bound=bound,
                         window_start=window_start,
-                        runtime_seconds=elapsed,
+                        runtime_seconds=bound_span.seconds,
                         verdict="skipped",
                         learned_clauses_carried=(
                             self._solver.num_learned_clauses
@@ -1089,25 +1076,23 @@ class BoundedModelChecker:
                 cone_nodes = len(window_cone)
                 asserted, deferred = self._assert_coi_assumptions(window_cone)
                 coi_span.set(cone_nodes=cone_nodes, asserted=asserted)
-            encode_seconds = time.perf_counter() - bound_start
-            slab_before = self._cnf.num_clauses - self._clauses_fed
-            with obs_trace.span("bmc.preprocess", bound=bound):
-                preprocess_stats = (
-                    self._preprocess_slab(activation_var, window_roots)
-                    if problem.preprocess
-                    else None
-                )
-            preprocess_seconds = (
-                time.perf_counter() - bound_start - encode_seconds
-            )
+            assert coi_span.end is not None
             registry = obs_metrics.process_metrics()
             registry.inc(
-                "qed_stage_seconds_total", encode_seconds, stage="encode"
+                "qed_stage_seconds_total",
+                coi_span.end - bound_span.start,
+                stage="encode",
             )
-            if preprocess_seconds > 0.0:
+            slab_before = self._cnf.num_clauses - self._clauses_fed
+            preprocess_stats = (
+                self._preprocess_slab(activation_var, window_roots)
+                if problem.preprocess
+                else None
+            )
+            if preprocess_stats is not None:
                 registry.inc(
                     "qed_stage_seconds_total",
-                    preprocess_seconds,
+                    preprocess_stats.time_seconds,
                     stage="preprocess",
                 )
             slab_after = self._cnf.num_clauses - self._clauses_fed
@@ -1151,42 +1136,40 @@ class BoundedModelChecker:
                 solve_seconds = dist_stats.wall_seconds
                 solve_span.close(verdict=result.status.value)
             else:
+                solver = self._sync_solver()
+                # The span brackets the solver call(s) only: clause loading
+                # and window retirement are not solver throughput.
                 solve_span = obs_trace.span(
                     "bmc.solve", bound=bound, mode="incremental"
                 )
-                solver = self._sync_solver()
-                solve_start = time.perf_counter()
                 result = solver.solve(
                     assumptions=[activation_var],
                     max_conflicts=problem.max_conflicts_per_query,
                     deadline=deadline,
                 )
-                solve_seconds = time.perf_counter() - solve_start
                 solve_results = [result]
                 if result.is_sat and self._pending_assumptions:
                     # The SAT answer is provisional: confirm it against the
                     # deferred (off-cone) environmental assumptions.
                     asserted += deferred
                     deferred = 0
-                    resolve_start = time.perf_counter()
                     result = self._assert_deferred_and_resolve(
                         activation_var, deadline
                     )
-                    solve_seconds += time.perf_counter() - resolve_start
                     solve_results.append(result)
+                solve_span.close(verdict=result.status.value)
+                solve_seconds = solve_span.seconds
                 if result.is_unsat:
                     self._retire_window(activation_var, window_start, bound)
                     self._sync_solver()
                 learned_carried = solver.num_learned_clauses
-                solve_span.close(verdict=result.status.value)
 
-            elapsed = time.perf_counter() - bound_start
-            per_bound.append(elapsed)
+            bound_span.close(verdict=result.status.value)
             emit(
                 BoundStats(
                     bound=bound,
                     window_start=window_start,
-                    runtime_seconds=elapsed,
+                    runtime_seconds=bound_span.seconds,
                     solve_seconds=solve_seconds,
                     verdict=result.status.value,
                     conflicts=sum(r.stats.conflicts for r in solve_results),
@@ -1209,9 +1192,6 @@ class BoundedModelChecker:
                     dist=dist_stats,
                 )
             )
-            bound_span.close(
-                verdict=result.status.value, seconds=round(elapsed, 6)
-            )
 
             if result.is_sat:
                 assert result.model is not None
@@ -1221,11 +1201,8 @@ class BoundedModelChecker:
                         self._elim_stack,
                         skip=self._builder.restored_vars,
                     )
-                if observer is not None:
-                    observer.set_heartbeat_context(bound=None)
-                return self._violation_result(
-                    result, bound, start_time, per_bound, per_bound_stats
-                )
+                counterexample = self._counterexample(result, bound)
+                break
             # UNKNOWN (``max_conflicts_per_query`` expired) falls through
             # like UNSAT but without retiring the window, so the frames stay
             # unproven and ``frames_proven`` reflects only real proofs.
@@ -1243,18 +1220,24 @@ class BoundedModelChecker:
             deadline_expired = True
         if observer is not None:
             observer.set_heartbeat_context(bound=None)
-        if deadline_expired and per_bound_stats:
-            # Honest reach: the last bound whose query actually ran (the
-            # final stats entry is the zero-work expiry marker).
+        if (deadline_expired or counterexample is not None) and per_bound_stats:
+            # Honest reach: the violating bound, or the last bound whose
+            # query actually ran (the final stats entry is the zero-work
+            # expiry marker).
             bound_reached = per_bound_stats[-1].bound
         else:
             bound_reached = problem.bounds()[-1]
+        run_span.close()
         return BMCResult(
-            status=BMCStatus.NO_VIOLATION_WITHIN_BOUND,
+            status=(
+                BMCStatus.NO_VIOLATION_WITHIN_BOUND
+                if counterexample is None
+                else BMCStatus.VIOLATION
+            ),
             property_name=problem.prop.name,
             bound_reached=bound_reached,
-            runtime_seconds=time.perf_counter() - start_time,
-            per_bound_runtime=per_bound,
+            runtime_seconds=run_span.seconds,
+            counterexample=counterexample,
             per_bound_stats=per_bound_stats,
             num_sat_variables=self._cnf.num_vars,
             num_sat_clauses=self._cnf.num_clauses,

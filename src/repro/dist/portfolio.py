@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_module
-import time
 from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
@@ -153,6 +152,7 @@ class PortfolioOutcome:
     decisions: int = 0
     propagations: int = 0
     learned_clauses: int = 0
+    #: Duration of the race's ``portfolio.race`` span.
     runtime_seconds: float = 0.0
     #: Status reported by every configuration that finished (losers that
     #: were cancelled mid-flight do not appear).
@@ -244,7 +244,7 @@ def solve_portfolio(
         raise ValueError("workers must be at least 1")
     raced = list(configs[: max(1, min(workers, len(configs)))])
     expires_at = None if deadline is None else deadline.expires_at
-    start = time.perf_counter()
+    race_span = obs_trace.span("portfolio.race", racers=len(raced))
     if len(raced) == 1:
         with obs_trace.span("portfolio.racer", config=raced[0].name):
             result, reduction = _solve_one(
@@ -254,6 +254,7 @@ def solve_portfolio(
         model = result.model
         if model is not None and reduction is not None:
             model = reduction.extend_model(model)
+        race_span.close()
         return PortfolioOutcome(
             status=result.status,
             model=model,
@@ -262,7 +263,7 @@ def solve_portfolio(
             decisions=result.stats.decisions,
             propagations=result.stats.propagations,
             learned_clauses=result.stats.learned_clauses,
-            runtime_seconds=time.perf_counter() - start,
+            runtime_seconds=race_span.seconds,
             finished={raced[0].name: result.status.value},
         )
 
@@ -344,5 +345,6 @@ def solve_portfolio(
                 process.kill()
                 process.join(timeout=1.0)
         results.close()
-    outcome.runtime_seconds = time.perf_counter() - start
+        race_span.close()
+    outcome.runtime_seconds = race_span.seconds
     return outcome

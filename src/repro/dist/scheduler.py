@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_module
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -194,6 +193,8 @@ class CubeStats:
     decisions: int = 0
     propagations: int = 0
     learned_clauses: int = 0
+    #: Duration of the ``dist.cube`` span (a pool worker's covers solve,
+    #: clause export and model extension) or the ``portfolio.race`` span.
     runtime_seconds: float = 0.0
     worker: int = 0
     config: str = "baseline"
@@ -210,6 +211,7 @@ class DistStats:
     cubes: List[CubeStats] = field(default_factory=list)
     resplits: int = 0
     clauses_shared: int = 0
+    #: Duration of the query's ``dist.solve`` span.
     wall_seconds: float = 0.0
     #: Winning configuration of a portfolio race (``None`` otherwise).
     winner: Optional[str] = None
@@ -355,7 +357,6 @@ class WorkScheduler:
         merges to UNKNOWN, never to a flipped verdict.
         """
         config = self.config
-        start = time.perf_counter()
         # The dist.solve span is open while workers fork, so every cube
         # worker inherits it on its collector stack -- shipped worker
         # spans parent under it with the same trace id.
@@ -368,12 +369,12 @@ class WorkScheduler:
                 result = self._solve_sequential(query, deadline)
             else:
                 result = self._solve_parallel(query, deadline)
-            result.stats.wall_seconds = time.perf_counter() - start
             dist_span.set(
                 status=result.status.value,
                 cubes=len(result.stats.cubes),
                 resplits=result.stats.resplits,
             )
+        result.stats.wall_seconds = dist_span.seconds
         registry = obs_metrics.process_metrics()
         registry.inc("qed_cubes_total", len(result.stats.cubes))
         if result.stats.resplits:
@@ -446,7 +447,6 @@ class WorkScheduler:
             if query.max_conflicts is not None:
                 remaining = max(0, query.max_conflicts - spent)
                 budget = remaining if budget is None else min(budget, remaining)
-            cube_start = time.perf_counter()
             cube_span = obs_trace.span(
                 "dist.cube", depth=cube.depth, literals=len(cube.literals)
             )
@@ -468,7 +468,7 @@ class WorkScheduler:
                 decisions=result.stats.decisions,
                 propagations=result.stats.propagations,
                 learned_clauses=result.stats.learned_clauses,
-                runtime_seconds=time.perf_counter() - cube_start,
+                runtime_seconds=cube_span.seconds,
                 config=personality.name,
             )
             stats.cubes.append(record)
@@ -979,7 +979,8 @@ def _pool_worker(  # fork-entry
                         break
                     solver.add_clause(clause)
                     imported += 1
-            cube_start = time.perf_counter()
+            # The cube's span covers what its runtime_seconds reports:
+            # the solve, the clause export and the model extension.
             cube_span = obs_trace.span(
                 "dist.cube", worker=worker_id, depth=depth, literals=len(literals)
             )
@@ -988,26 +989,26 @@ def _pool_worker(  # fork-entry
                 max_conflicts=budget,
                 deadline=deadline,
             )
+            exported = 0
+            if inboxes is not None:
+                for clause in solver.drain_exported():
+                    delivered = False
+                    for peer, inbox in enumerate(inboxes):
+                        if peer == worker_id:
+                            continue
+                        try:
+                            inbox.put_nowait(clause)
+                            delivered = True
+                        except queue_module.Full:
+                            continue
+                    if delivered:
+                        exported += 1
+            model = result.model
+            if model is not None and reduction is not None:
+                model = reduction.extend_model(model)
             cube_span.close(
                 verdict=result.status.value, conflicts=result.stats.conflicts
             )
-        exported = 0
-        if inboxes is not None:
-            for clause in solver.drain_exported():
-                delivered = False
-                for peer, inbox in enumerate(inboxes):
-                    if peer == worker_id:
-                        continue
-                    try:
-                        inbox.put_nowait(clause)
-                        delivered = True
-                    except queue_module.Full:
-                        continue
-                if delivered:
-                    exported += 1
-        model = result.model
-        if model is not None and reduction is not None:
-            model = reduction.extend_model(model)
         results.put(
             (
                 worker_id,
@@ -1024,7 +1025,7 @@ def _pool_worker(  # fork-entry
                 imported,
                 exported,
                 personality.name,
-                time.perf_counter() - cube_start,
+                cube_span.seconds,
                 obs_batch,
             )
         )

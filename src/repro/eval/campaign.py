@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -340,11 +339,11 @@ def _run_qed_feature(
 
     if mode == "single_i":
         checker = SingleIChecker(version, arch=config.arch)
-        start = time.perf_counter()
-        results = checker.check_all(
-            instructions=None if config.exhaustive else list(plan["opcodes"])
-        )
-        record.single_i_runtime_seconds = time.perf_counter() - start
+        with obs_trace.span("single_i.check_all") as check_span:
+            results = checker.check_all(
+                instructions=None if config.exhaustive else list(plan["opcodes"])
+            )
+        record.single_i_runtime_seconds = check_span.seconds
         record.detected_by["single_i"] = any(r.violated for r in results)
         return
 
@@ -606,31 +605,18 @@ def run_campaign(
         else list(BUGS)
     )
     campaign = CampaignResult()
-    start = time.perf_counter()
+    # Campaign entry is a trace root for direct runs (the serving layer
+    # never reaches this path with a collector of its own installed).
+    # Fork-pool workers inherit the installed collector and ship their
+    # observability batches back with each record.  The campaign's span
+    # is its wall clock, journal replay included.
+    owned = obs_trace.active() is None
+    if owned:
+        obs_trace.start_trace()
+    campaign_span = obs_trace.span("run_campaign", workers=workers)
 
     done: Dict[str, BugDetectionRecord] = {}
     journal = None
-    if journal_path is not None:
-        loaded, valid_end = _read_journal(journal_path, config)
-        for record in loaded:
-            done[record.bug_id] = record
-        if loaded:
-            journal = open(journal_path, "r+b")
-            # Drop any torn tail before appending: concatenating a fresh
-            # record onto torn bytes would lose both on the next replay.
-            journal.truncate(valid_end)
-            journal.seek(0, os.SEEK_END)
-        else:
-            # Fresh journal (or one whose header itself was torn):
-            # start over so the header is guaranteed intact.
-            journal = open(journal_path, "wb")
-            header = {
-                "journal": JOURNAL_FORMAT,
-                "config": config.to_json_dict(),
-            }
-            journal.write(json.dumps(header).encode("utf-8") + b"\n")
-            journal.flush()
-            os.fsync(journal.fileno())
 
     def journal_record(record: BugDetectionRecord) -> None:
         if journal is None:
@@ -646,18 +632,31 @@ def run_campaign(
         # just journaled must survive, everything after must resume.
         faults.crash_point("eval.campaign.record")
 
-    pending = [bug for bug in selected_bugs if bug.bug_id not in done]
-    # Campaign entry is a trace root for direct runs (the serving layer
-    # never reaches this path with a collector of its own installed).
-    # Fork-pool workers inherit the installed collector and ship their
-    # observability batches back with each record.
-    owned = obs_trace.active() is None
-    if owned:
-        obs_trace.start_trace()
-    campaign_span = obs_trace.span(
-        "run_campaign", workers=workers, jobs=len(pending)
-    )
     try:
+        if journal_path is not None:
+            loaded, valid_end = _read_journal(journal_path, config)
+            for record in loaded:
+                done[record.bug_id] = record
+            if loaded:
+                journal = open(journal_path, "r+b")
+                # Drop any torn tail before appending: concatenating a fresh
+                # record onto torn bytes would lose both on the next replay.
+                journal.truncate(valid_end)
+                journal.seek(0, os.SEEK_END)
+            else:
+                # Fresh journal (or one whose header itself was torn):
+                # start over so the header is guaranteed intact.
+                journal = open(journal_path, "wb")
+                header = {
+                    "journal": JOURNAL_FORMAT,
+                    "config": config.to_json_dict(),
+                }
+                journal.write(json.dumps(header).encode("utf-8") + b"\n")
+                journal.flush()
+                os.fsync(journal.fileno())
+
+        pending = [bug for bug in selected_bugs if bug.bug_id not in done]
+        campaign_span.set(jobs=len(pending))
         if workers == 1 or len(pending) <= 1:
             for bug in pending:
                 record = detect_bug(bug.bug_id, config)
@@ -682,15 +681,14 @@ def run_campaign(
                     obs_trace.absorb(obs_batch)
                     done[record.bug_id] = record
                     journal_record(record)
+        # Bug-selection order, resumed and fresh records interleaved exactly
+        # where an uninterrupted run would have put them.
+        campaign.records = [done[bug.bug_id] for bug in selected_bugs]
     finally:
         if journal is not None:
             journal.close()
         campaign_span.close()
         if owned:
             obs_trace.clear()
-
-    # Bug-selection order, resumed and fresh records interleaved exactly
-    # where an uninterrupted run would have put them.
-    campaign.records = [done[bug.bug_id] for bug in selected_bugs]
-    campaign.wall_clock_seconds = time.perf_counter() - start
+    campaign.wall_clock_seconds = campaign_span.seconds
     return campaign

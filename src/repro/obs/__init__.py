@@ -29,9 +29,11 @@ capture uses the collector it inherited and never creates one (only
 trace roots do); ``capture(ship=...)`` also ships new events while the
 work runs, and only from the process that opened it.
 
-Instrumented layers use the module-level helpers (:func:`active`,
-:func:`span`, :func:`event`, :func:`process_metrics`): one global load
-and an ``is None`` branch when observability is off, nothing in
+Spans are the one duration API: every ``*_seconds`` field is read off the
+:func:`span` that times its work, even with observability off, where a
+span costs two clock reads and one small object; :func:`active` and
+:func:`event` then cost one global load and an ``is None`` branch.  None
+of the helpers (:func:`process_metrics` included) sits in
 ``# hot-loop`` regions ever (solver counters and heartbeats are sampled
 at the existing per-call, per-bound and cold-branch boundaries only).
 """

@@ -5,11 +5,15 @@ threading model exactly: one module-global :class:`ObsCollector` (or
 ``None``), installed at a trace root -- ``POST /jobs`` job execution,
 :func:`repro.eval.campaign.detect_bug` or
 :func:`~repro.eval.campaign.run_campaign` for direct runs -- and inherited
-by forked workers through the copy-on-write memory snapshot.  Every
-instrumented layer (BMC engine, work scheduler, CDCL solver, fault
-injector) asks :func:`active` and does nothing when it returns ``None``,
-so the disabled cost is a single module-global load and an ``is None``
-branch.
+by forked workers through the copy-on-write memory snapshot.
+
+**Spans are the one duration API.**  Every ``*_seconds`` field is read
+off the :func:`span` that times its work: it stamps ``time.monotonic()``
+at open and at close, collector or not, and the recorded span gets those
+same stamps, so the field equals the span's ``end - start`` exactly.
+With tracing off a span costs two clock reads and one small object (none
+sits in a ``# hot-loop`` region); :func:`active` and :func:`event` cost a
+module-global load and an ``is None`` branch.
 
 Solver heartbeats are one more span-event kind (:data:`HEARTBEAT`),
 sampled off the solver's cold branches through the active collector, so
@@ -157,16 +161,20 @@ class ObsCollector:
 
     # -- recording ------------------------------------------------------
     def begin(
-        self, name: str, attrs: Optional[Dict[str, object]] = None
+        self,
+        name: str,
+        attrs: Optional[Dict[str, object]] = None,
+        start: Optional[float] = None,
     ) -> SpanDict:
-        """Open a span as a child of the innermost open span."""
+        """Open a span as a child of the innermost open span, stamped
+        *start* (default: now)."""
         self._seq += 1
         span_id = f"{os.getpid():x}.{self._seq}"
         record: SpanDict = {
             "span_id": span_id,
             "parent_id": self._stack[-1] if self._stack else None,
             "name": name,
-            "start": time.monotonic(),
+            "start": time.monotonic() if start is None else start,
             "end": None,
             "attrs": dict(attrs) if attrs else {},
         }
@@ -175,13 +183,10 @@ class ObsCollector:
             self.spans.append(record)
         return record
 
-    def end(self, record: SpanDict, **attrs: object) -> None:
-        """Close *record* (and anything left open beneath it)."""
-        record["end"] = time.monotonic()
-        if attrs:
-            merged = record["attrs"]
-            if isinstance(merged, dict):
-                merged.update(attrs)
+    def end(self, record: SpanDict, at: Optional[float] = None) -> None:
+        """Close *record* at *at* (default: now), and anything left open
+        beneath it."""
+        record["end"] = time.monotonic() if at is None else at
         span_id = record["span_id"]
         if span_id in self._stack:
             while self._stack:
@@ -355,30 +360,45 @@ def start_trace(trace_id: Optional[str] = None) -> Optional[ObsCollector]:
 
 
 class SpanHandle:
-    """Context manager that closes its span on exit; see :func:`span`."""
+    """A timed span: ``start``/``end`` are the monotonic stamps taken at
+    open and close, and also the recorded span's; see :func:`span`."""
 
-    __slots__ = ("_collector", "_span")
+    __slots__ = ("_collector", "_record", "start", "end")
 
     def __init__(
-        self, collector: Optional[ObsCollector], record: Optional[SpanDict]
+        self,
+        collector: Optional[ObsCollector],
+        name: str,
+        attrs: Dict[str, object],
     ) -> None:
         self._collector = collector
-        self._span = record
+        self.start = time.monotonic()
+        self.end: Optional[float] = None
+        self._record: Optional[SpanDict] = None
+        if collector is not None:
+            self._record = collector.begin(name, attrs or None, self.start)
+
+    @property
+    def seconds(self) -> float:
+        """The closed span's duration, ``end - start``."""
+        assert self.end is not None, "span is still open"
+        return self.end - self.start
 
     def set(self, **attrs: object) -> None:
         """Attach attributes to the span (no-op when tracing is off)."""
-        if self._span is not None:
-            merged = self._span["attrs"]
+        if self._record is not None:
+            merged = self._record["attrs"]
             if isinstance(merged, dict):
                 merged.update(attrs)
 
     def close(self, **attrs: object) -> None:
         """Close the span now (idempotent; for non-``with`` call sites)."""
-        if attrs:
+        if self.end is not None:
+            return
+        self.end = time.monotonic()
+        if self._collector is not None and self._record is not None:
             self.set(**attrs)
-        if self._collector is not None and self._span is not None:
-            self._collector.end(self._span)
-            self._span = None
+            self._collector.end(self._record, self.end)
 
     def __enter__(self) -> "SpanHandle":
         return self
@@ -387,15 +407,10 @@ class SpanHandle:
         self.close()
 
 
-_NULL_SPAN = SpanHandle(None, None)
-
-
 def span(name: str, **attrs: object) -> SpanHandle:
-    """Open a span on the active collector; a shared no-op when off."""
-    collector = _COLLECTOR
-    if collector is None:
-        return _NULL_SPAN
-    return SpanHandle(collector, collector.begin(name, attrs or None))
+    """Open a span: it always times its work, and it is recorded on the
+    active collector when there is one."""
+    return SpanHandle(_COLLECTOR, name, attrs)
 
 
 def event(name: str, **attrs: object) -> None:

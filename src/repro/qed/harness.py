@@ -11,7 +11,6 @@ consistency property are the whole specification.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -21,6 +20,7 @@ from repro.deadline import Deadline
 from repro.dist.scheduler import SplitConfig
 from repro.expr.bitvec import BVVar
 from repro.isa.arch import ArchParams, TINY_PROFILE
+from repro.obs import trace as obs_trace
 from repro.qed.consistency import (
     qed_consistency_property,
     qed_consistent_start_state,
@@ -51,7 +51,6 @@ class QEDCheckResult:
     mode: QEDMode
     bmc_result: BMCResult
     counterexample: Optional[QEDCounterexample] = None
-    setup_seconds: float = 0.0
 
     @property
     def found_violation(self) -> bool:
@@ -150,9 +149,8 @@ class SymbolicQED:
         self.focus_opcodes = focus_opcodes
         self.mapping = EDDIVMapping(self.config.arch)
 
-        setup_start = time.perf_counter()
-        self.design, self.prop = self._compose()
-        self.setup_seconds = time.perf_counter() - setup_start
+        with obs_trace.span("qed.build", mode=mode.value):
+            self.design, self.prop = self._compose()
 
     # ------------------------------------------------------------------
     def _compose(self) -> Tuple[Design, SafetyProperty]:
@@ -279,7 +277,6 @@ class SymbolicQED:
             mode=self.mode,
             bmc_result=result,
             counterexample=counterexample,
-            setup_seconds=self.setup_seconds,
         )
 
 

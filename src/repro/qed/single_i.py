@@ -15,7 +15,6 @@ OCS-FV baseline in :mod:`repro.indverif.ocsfv`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -31,6 +30,7 @@ from repro.isa.instructions import (
     InstructionClass,
     instructions_for_design,
 )
+from repro.obs import trace as obs_trace
 from repro.rtl.design import Design
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import build_core
@@ -340,6 +340,7 @@ class SingleIResult:
 
     instruction: str
     violated: bool
+    #: Duration of the check's ``single_i.check`` span (engine build and run).
     runtime_seconds: float
     counterexample_cycles: int = 0
     counterexample_instructions: int = 0
@@ -437,14 +438,13 @@ class SingleIChecker:
             initial_state=self.initial_state(),
             max_bound=max_bound,
         )
-        start = time.perf_counter()
-        result = BoundedModelChecker(problem).run()
-        runtime = time.perf_counter() - start
+        with obs_trace.span("single_i.check", instruction=instr.name) as span:
+            result = BoundedModelChecker(problem).run()
         violated = result.status is BMCStatus.VIOLATION
         return SingleIResult(
             instruction=instr.name,
             violated=violated,
-            runtime_seconds=runtime,
+            runtime_seconds=span.seconds,
             counterexample_cycles=result.counterexample_length if violated else 0,
             counterexample_instructions=1 if violated else 0,
         )

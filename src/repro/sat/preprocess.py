@@ -85,7 +85,6 @@ resolvents over a later candidate and so make it dirty again.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
@@ -101,6 +100,7 @@ from typing import (
     Tuple,
 )
 
+from repro.obs import trace as obs_trace
 from repro.sat.cnf import CNF, Literal
 
 #: Reconstruction stack entry: the variable and the clauses its elimination
@@ -127,6 +127,7 @@ class PreprocessStats:
     probes: int = 0
     failed_literals: int = 0
     rounds: int = 0
+    #: Duration of the call's ``sat.preprocess`` span.
     time_seconds: float = 0.0
 
     def merge(self, other: "PreprocessStats") -> None:
@@ -706,7 +707,7 @@ def preprocess(
     clauses before re-deriving eliminated variables) rather than the
     module-level :func:`extend_model`.
     """
-    start = time.perf_counter()
+    span = obs_trace.span("sat.preprocess")
     state = _Preprocessor(
         clauses,
         frozen,
@@ -745,8 +746,9 @@ def preprocess(
     if enable_blocked and not state.unsat:
         state._bce_pass()
     result_clauses, eliminated, blocked = state.output()
+    span.close()
     state.stats.clauses_out = len(result_clauses)
-    state.stats.time_seconds = time.perf_counter() - start
+    state.stats.time_seconds = span.seconds
     return PreprocessResult(
         clauses=result_clauses,
         stats=state.stats,

@@ -29,6 +29,7 @@ from repro.eval.campaign import (
     CampaignResult,
     record_from_json_dict,
 )
+from repro.obs import trace as obs_trace
 from repro.serve.keys import JobSpec
 
 __all__ = [
@@ -477,29 +478,29 @@ def run_campaign_via_server(
         if config.bug_ids is not None
         else [bug.bug_id for bug in BUGS]
     )
-    start = time.perf_counter()
-    # Fingerprints stay unresolved client-side: the server resolves them
-    # once, off-loop, against its memoized elaborations -- no point in the
-    # client serially elaborating every netlist before submitting.
-    submissions = [
-        client.submit(
-            spec=JobSpec.from_campaign(
-                bug_id, config, resolve_fingerprint=False
-            )
-        )
-        for bug_id in bug_ids
-    ]
     campaign = CampaignResult()
-    for view in submissions:
-        final = (
-            view
-            if view.done
-            else client.wait_done(view.job_id, timeout=timeout_per_job)
-        )
-        if final.state != "done" or final.record is None:
-            raise ServeError(
-                f"job {final.job_id} ({final.state}): {final.error or 'no record'}"
+    with obs_trace.span("run_campaign_via_server", jobs=len(bug_ids)) as span:
+        # Fingerprints stay unresolved client-side: the server resolves them
+        # once, off-loop, against its memoized elaborations -- no point in the
+        # client serially elaborating every netlist before submitting.
+        submissions = [
+            client.submit(
+                spec=JobSpec.from_campaign(
+                    bug_id, config, resolve_fingerprint=False
+                )
             )
-        campaign.records.append(record_from_json_dict(final.record))
-    campaign.wall_clock_seconds = time.perf_counter() - start
+            for bug_id in bug_ids
+        ]
+        for view in submissions:
+            final = (
+                view
+                if view.done
+                else client.wait_done(view.job_id, timeout=timeout_per_job)
+            )
+            if final.state != "done" or final.record is None:
+                raise ServeError(
+                    f"job {final.job_id} ({final.state}): {final.error or 'no record'}"
+                )
+            campaign.records.append(record_from_json_dict(final.record))
+    campaign.wall_clock_seconds = span.seconds
     return campaign

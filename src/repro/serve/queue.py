@@ -686,10 +686,12 @@ class JobQueue:
                 continue
             job.state = JobState.RUNNING
             job.started_at = time.time()
-            self.queue_latency_total += job.started_at - job.submitted_at
-            self.queue_latency_jobs += 1
+            # Latency counter, histogram and queue.wait span all take this
+            # pop's monotonic wait, never the time since first submission.
             now_mono = time.monotonic()
             wait = max(0.0, now_mono - job._queued_mono)
+            self.queue_latency_total += wait
+            self.queue_latency_jobs += 1
             self.metrics.observe("qed_queue_wait_seconds", wait)
             self.traces.add_span(
                 job.job_id, "queue.wait", job._queued_mono, now_mono
@@ -722,16 +724,23 @@ class JobQueue:
             "cache_key": job.cache_key,
         }
         job.started_at = time.time()
-        self.deadline_expired += 1
-        self.metrics.inc("qed_deadline_expiries_total", scope="queue")
-        self.traces.add_event(job.job_id, "deadline.expired", scope="queued")
         self._finish_terminal(job, JobState.DONE)
+        self._note_deadline_expiry(job, "queue", "queued", job.attempts)
+
+    def _note_deadline_expiry(
+        self, job: Job, scope: str, phase: str, attempts: int
+    ) -> None:
+        """Count, trace and flight-dump a job that ended on its deadline
+        (*scope* labels the metric, *phase* the trace event)."""
+        self.deadline_expired += 1
+        self.metrics.inc("qed_deadline_expiries_total", scope=scope)
+        self.traces.add_event(job.job_id, "deadline.expired", scope=phase)
         self.flight.dump(
             job.job_id,
             reason="deadline_expired",
             state=job.state.value,
             trace=self.traces.to_json_dict(job.job_id),
-            attempts=job.attempts,
+            attempts=attempts,
         )
 
     def _finish_success(self, job: Job, result: Dict[str, object]) -> None:
@@ -769,18 +778,7 @@ class JobQueue:
         if record.get("deadline_expired"):
             # The worker's budget ran out mid-solve: an honest UNKNOWN,
             # but still a deadline ending worth a flight record.
-            self.deadline_expired += 1
-            self.metrics.inc("qed_deadline_expiries_total", scope="worker")
-            self.traces.add_event(
-                job.job_id, "deadline.expired", scope="running"
-            )
-            self.flight.dump(
-                job.job_id,
-                reason="deadline_expired",
-                state=job.state.value,
-                trace=self.traces.to_json_dict(job.job_id),
-                attempts=job.attempts + 1,
-            )
+            self._note_deadline_expiry(job, "worker", "running", job.attempts + 1)
 
     def fleet_fail(self, job: Job, error: str) -> None:
         """Fail a job on a deterministic entry error (no retry).

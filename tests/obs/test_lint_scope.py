@@ -32,6 +32,21 @@ class TestHotLoopStaysClean:
             assert report.ok, (path, [f.message for f in report.errors])
 
 
+class TestOneClock:
+    def test_no_perf_counter_in_src(self):
+        # Every duration is read off the span that measures it; a second
+        # clock (``time.perf_counter``) would time the same work twice.
+        pattern = os.path.join(REPO_ROOT, "src", "repro", "**", "*.py")
+        paths = sorted(glob.glob(pattern, recursive=True))
+        assert paths, "src/repro not found"
+        offenders = []
+        for path in paths:
+            with open(path, "r", encoding="utf-8") as stream:
+                if "perf_counter" in stream.read():
+                    offenders.append(os.path.relpath(path, REPO_ROOT))
+        assert offenders == []
+
+
 class TestObsInForkScope:
     def test_obs_package_passes_fork_safety_lint(self):
         paths = sorted(glob.glob(_src("obs", "*.py")))

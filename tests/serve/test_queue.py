@@ -313,6 +313,16 @@ def _sleep_then_crash(spec_dict, job_id="", progress=None, **kwargs):
     os._exit(1)
 
 
+def _crash_once_after_a_second(spec_dict, job_id="", progress=None, **kwargs):
+    # The token file makes only the first attempt crash, a second in.
+    token = spec_dict["config"]["token"]
+    if not os.path.exists(token):
+        open(token, "w").close()
+        time.sleep(1.0)
+        os._exit(1)
+    return {"record": {"bug_id": spec_dict["bug_id"]}, "definitive": True}
+
+
 def _forking_entry(spec_dict, job_id="", progress=None, **kwargs):
     # A solve may fork a pool of its own, as a spec with ``split`` does.
     child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(0,))
@@ -376,6 +386,36 @@ class TestSinglePath:
             assert job.cache_key not in queue.quarantined
 
         run(with_queue(body, use_processes=True, entry=_sleep_then_crash))
+
+    def test_queue_latency_is_the_queue_wait_spans(self, tmp_path):
+        # The crashed first attempt (about 1 s) is not queue wait: the
+        # latency counter sums the monotonic waits the queue.wait spans
+        # record, one per pop, not the wall time since submission.
+        async def body(queue):
+            job = queue.submit(spec("__echo__", token=str(tmp_path / "token")))
+            await wait_terminal(queue, job, timeout=60.0)
+            assert job.state is JobState.DONE, job.error
+            assert job.attempts == 1
+            trace = queue.traces.to_json_dict(job.job_id)
+            waits = [
+                s["end"] - s["start"]
+                for s in trace["spans"]
+                if s["name"] == "queue.wait"
+            ]
+            assert len(waits) == 2
+            stats = queue.stats_dict()
+            assert stats["queue_latency_jobs"] == 2
+            assert stats["queue_latency_seconds_total"] == sum(waits)
+            assert stats["queue_latency_seconds_total"] < 0.5
+
+        run(
+            with_queue(
+                body,
+                use_processes=True,
+                entry=_crash_once_after_a_second,
+                retry_backoff_base=0.01,
+            )
+        )
 
     def test_solver_child_may_fork_its_own_pool(self):
         async def body(queue):
