@@ -4,7 +4,8 @@ Runs the detection campaign for one representative bug per Symbolic QED
 feature plus the specification bug, together with the industrial-flow
 baselines, and prints the Fig. 8 / 9 / 10 style summary.  Pass ``--full`` to
 run every bug in the library (slow on the pure-Python SAT backend) and
-``--workers N`` to fan the independent per-bug jobs out over N processes.
+``--workers N`` to run the independent per-bug jobs on N local fleet
+workers, each solving in a solver child of its own.
 
 Run with::
 
@@ -36,7 +37,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=min(4, os.cpu_count() or 1),
-        help="process-pool size for the per-bug jobs",
+        help="local fleet workers for the per-bug jobs (one solver "
+        "child each)",
     )
     args = parser.parse_args()
     config = CampaignConfig(

@@ -5,7 +5,7 @@ Four passes, all static (no solving):
 1. **Code lint** (:mod:`repro.analysis.code_lint`): determinism and
    hot-loop checks over every file in ``src/repro`` and ``scripts``.
 2. **Fork-safety lint**: lock/asyncio reachability from fork-pool worker
-   entry points, over ``dist``, ``serve`` and the campaign runner.
+   entry points, over ``dist``, ``serve`` and the campaign jobs.
 3. **Design lint** (:mod:`repro.analysis.netlist_lint`): structural checks
    over every registered design version (elaborated at the default arch)
    plus the bug-library sanity diff (each buggy version's netlist delta
@@ -51,6 +51,8 @@ CODE_GLOBS = ("src/repro/**/*.py", "scripts/*.py")
 FORK_GLOBS = (
     "src/repro/dist/*.py",
     "src/repro/serve/*.py",
+    # No fork entry of its own, but ``detect_bug`` runs inside the queue
+    # workers' solver children (reached from ``execute_job_spec``).
     "src/repro/eval/campaign.py",
     # The chaos-harness fault injector fires inside forked workers (its
     # crash/delay/mangle sites are called from fork entry points), so it

@@ -9,7 +9,7 @@ Subcommands::
                      --bug wrport_collision --wait
     campaign  -- run the full 16-version campaign through a server; with no
                  --server an in-process server is spawned for the run:
-                 ... serve_qed.py campaign --via-server --workers 2
+                 ... serve_qed.py campaign --workers 2
                  Run it twice with the same --cache-dir to see the second
                  pass answered entirely from the result cache.
     smoke     -- the CI gate: boot an in-process server, run one EDDI-V
@@ -548,11 +548,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "campaign", help="run the detection campaign through a server"
     )
     add_common(campaign, server_required=False)
-    campaign.add_argument(
-        "--via-server", action="store_true",
-        help="accepted for symmetry with run_campaign() docs (this "
-        "subcommand always goes through the server)",
-    )
     campaign.set_defaults(func=cmd_campaign)
 
     smoke = commands.add_parser("smoke", help="CI smoke gate")

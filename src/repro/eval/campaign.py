@@ -15,23 +15,21 @@ focus sets and runs every feature on every version -- the faithful but slow
 configuration.
 
 The per-bug jobs are completely independent -- each builds its own design,
-QED module and solver -- so :func:`run_campaign` can fan them out over a
-``ProcessPoolExecutor`` (``workers=N``).  The merge is deterministic: records
-come back in the order the bugs were selected regardless of which worker
-finished first, so a parallel campaign produces the same records as a serial
-one (modulo wall-clock fields).
+QED module and solver -- so :func:`run_campaign` runs them the way the
+serving layer runs any job: one :class:`~repro.serve.keys.JobSpec` per bug
+on an in-process :class:`~repro.serve.queue.JobQueue` (``workers=N`` local
+fleet workers), with its content-addressed result cache as the resume log.
+The merge is deterministic: records come back in the order the bugs were
+selected regardless of which worker finished first, so a parallel campaign
+produces the same records as a serial one (modulo wall-clock and provenance
+fields).
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import faults
 from repro.analysis.netlist_lint import check_version_design
 from repro.deadline import Deadline
 from repro.dist.scheduler import SplitConfig
@@ -119,9 +117,10 @@ class CampaignConfig:
 
     ``split`` routes every QED BMC query through the distributed proof
     engine (cube-and-conquer + portfolio, see :mod:`repro.dist`); it
-    composes with ``run_campaign(workers=N)``: the pool fans out over bugs,
-    and each bug's hard query can additionally fan out over cubes.  Leave it
-    ``None`` inside an outer process pool unless cores are plentiful.
+    composes with ``run_campaign(workers=N)``: the workers fan out over
+    bugs, and each bug's hard query can additionally fan out over cubes
+    from its worker's solver child.  With several workers, leave it
+    ``None`` unless cores are plentiful.
 
     ``preprocess`` and ``max_conflicts_per_query`` forward to
     :meth:`repro.qed.harness.SymbolicQED.check` (formula reduction on/off
@@ -397,11 +396,11 @@ def detect_bug(
     """Run every configured technique against one bug (a campaign *job*).
 
     Each job is self-contained -- it elaborates its own design and solver
-    state -- which is what makes the process-pool fan-out of
-    :func:`run_campaign` safe: workers share nothing.  ``on_bound`` is the
-    per-bound progress hook forwarded to the BMC engine (see
-    :meth:`repro.bmc.engine.BoundedModelChecker.run`); the serving layer
-    uses it to stream progress while a job runs.
+    state -- so any worker's solver child can run it: campaigns and served
+    jobs alike reach it through :func:`repro.serve.queue.execute_job_spec`.
+    ``on_bound`` is the per-bound progress hook forwarded to the BMC engine
+    (see :meth:`repro.bmc.engine.BoundedModelChecker.run`); the serving
+    layer uses it to stream progress while a job runs.
 
     ``deadline`` is the job's wall-clock budget (the serving layer
     forwards what is left of the submission's ``deadline_seconds``).  It
@@ -413,11 +412,11 @@ def detect_bug(
     config = config or CampaignConfig()
     bug = bug_by_id(bug_id)
     version = _version_with_bug(bug.bug_id)
-    # Direct runs get their own trace context here; served jobs and
-    # campaign workers arrive with a collector already installed (the
-    # queue's per-job trace or the campaign's, inherited across fork) and
-    # must not tear it down.  Tracing never touches the record, so the
-    # BugDetectionRecord is byte-identical with observability on or off.
+    # Direct calls get their own trace context here; a queued job (served
+    # or part of a campaign) arrives with the collector execute_job_spec
+    # installed and must not tear it down.  Tracing never touches the
+    # record, so the BugDetectionRecord is byte-identical with
+    # observability on or off.
     owned = obs_trace.active() is None
     if owned:
         obs_trace.start_trace()
@@ -480,213 +479,107 @@ def detect_bug(
             obs_trace.clear()
 
 
-def _detect_bug_job(
-    job: Tuple[str, CampaignConfig]
-) -> Tuple[BugDetectionRecord, obs_trace.ObsBatch]:
-    """Pool entry point (top-level so it pickles).
-
-    Returns the record plus the observability batch this job captured --
-    spans and events on the collector inherited across the fork, and the
-    metric delta -- since the campaign's "progress pipe" is the pool's
-    return channel.
-    """
-    bug_id, config = job
-    with obs_trace.capture() as batch:
-        record = detect_bug(bug_id, config)
-    return record, batch
+class CampaignError(RuntimeError):
+    """A campaign job ended without a record: its entry raised, or its
+    spec was quarantined after repeated solver crashes."""
 
 
-#: Format tag of the campaign journal's header line.
-JOURNAL_FORMAT = 1
+def selected_bug_ids(config: CampaignConfig) -> List[str]:
+    """The bugs a campaign runs, in selection order: ``config.bug_ids``
+    (each checked against the bug library), or every bug."""
+    if config.bug_ids is None:
+        return [bug.bug_id for bug in BUGS]
+    return [bug_by_id(str(bug_id)).bug_id for bug_id in config.bug_ids]
 
 
-def _read_journal(
-    path: str, config: Optional[CampaignConfig] = None
-) -> Tuple[List[BugDetectionRecord], int]:
-    """Replay a journal; returns (records, byte length of the valid prefix).
-
-    A line only counts when its terminating newline made it to disk — a
-    crash mid-append leaves a torn tail (no newline, or undecodable
-    bytes), and replay stops there.  The returned offset is where a
-    resuming writer must truncate before appending, so a new record is
-    never concatenated onto torn bytes (which would lose *both* lines on
-    the next replay).
-    """
-    records: List[BugDetectionRecord] = []
-    if not os.path.exists(path):
-        return records, 0
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    valid_end = 0
-    header_seen = False
-    cursor = 0
-    # The final split element is whatever follows the last newline:
-    # b"" after a clean append, torn bytes after a crash.  Either way it
-    # is not a journal line.
-    for chunk in raw.split(b"\n")[:-1]:
-        line_end = cursor + len(chunk) + 1
-        text = chunk.decode("utf-8", errors="replace").strip()
-        cursor = line_end
-        if not text:
-            valid_end = line_end
-            continue
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError:
-            break
-        if not header_seen:
-            header_seen = True
-            if data.get("journal") != JOURNAL_FORMAT:
-                raise ValueError(f"not a campaign journal (header {data!r})")
-            if (
-                config is not None
-                and data.get("config") != config.to_json_dict()
-            ):
-                raise ValueError(
-                    "campaign journal was written under a different "
-                    "config; refusing to merge records across configs"
-                )
-            valid_end = line_end
-            continue
-        records.append(record_from_json_dict(data))
-        valid_end = line_end
-    return records, valid_end
-
-
-def load_campaign_journal(
-    path: str, config: Optional[CampaignConfig] = None
-) -> List[BugDetectionRecord]:
-    """Replay an append-only campaign journal into completed records.
-
-    The journal is one JSON object per line: a header
-    ``{"journal": 1, "config": <canonical config dict>}`` followed by one
-    :func:`record_to_json_dict` line per completed bug.  Replay stops at
-    the first torn line — a crash mid-append corrupts only the tail, and
-    everything before it is intact by construction (records are only
-    appended, never rewritten).  A missing file, or a file whose header
-    is torn, replays to no records.
-
-    When *config* is given, a journal whose header was written under a
-    *different* canonical config raises ``ValueError``: resuming a
-    campaign under changed knobs would merge records that measured
-    different things.
-    """
-    records, _ = _read_journal(path, config)
-    return records
+def campaign_job_record(
+    bug_id: str,
+    state: str,
+    record: Optional[Dict[str, object]],
+    error: Optional[str],
+) -> BugDetectionRecord:
+    """The record of a terminal campaign job (its *state*, *record* and
+    *error* as the queue or the HTTP API reports them); a job that did
+    not end ``done`` with a record raises :class:`CampaignError`."""
+    if state != "done" or record is None:
+        raise CampaignError(
+            f"campaign job for bug {bug_id!r} ended {state}: "
+            f"{error or 'no record'}"
+        )
+    return record_from_json_dict(record)
 
 
 def run_campaign(
     config: Optional[CampaignConfig] = None,
     *,
     workers: int = 1,
-    journal_path: Optional[str] = None,
+    cache_dir: Optional[str] = None,
 ) -> CampaignResult:
     """Run the campaign and return the per-bug detection records.
 
-    ``workers`` > 1 fans the independent per-bug jobs out over a
-    ``ProcessPoolExecutor``.  Records are merged back in bug-selection order
-    (``pool.map`` preserves input order), so the result is deterministic and
-    identical to a serial run apart from the wall-clock fields.
+    Each selected bug becomes a :class:`~repro.serve.keys.JobSpec` on an
+    in-process :class:`~repro.serve.queue.JobQueue` with ``workers`` local
+    fleet workers, so every solve is a fenced lease in a worker's solver
+    child: a crashed solver is retried, a spec that keeps crashing is
+    quarantined.  Records come back in bug-selection order, identical to
+    a serial run apart from the wall-clock fields, and carry their
+    provenance: ``cache_key`` and ``served_from_cache``.
 
-    ``journal_path`` makes the campaign crash-safe: every completed
-    record is appended (and flushed) to the journal the moment it is
-    final, and a re-run against the same path *resumes* — bugs already
-    journaled are not re-solved, only the missing ones run, and the
-    merged result is identical (on every deterministic field) to an
-    uninterrupted run.  The journal header pins the canonical config;
-    resuming under a different config is refused.
+    ``cache_dir`` holds the result cache's append-only log (``None``: the
+    cache stays in memory).  Re-running with the same directory resumes:
+    every job that already finished is a cache hit
+    (``served_from_cache=True``) and only the rest are solved.  A changed
+    config changes the keys, so no record measured under other knobs is
+    ever reused.  A job that ends FAILED raises :class:`CampaignError`.
     """
+    # Imported here: repro.serve imports this module when it loads, and
+    # only a campaign run needs an event loop.
+    import asyncio
+
+    from repro.serve.cache import ResultCache
+    from repro.serve.keys import JobSpec
+    from repro.serve.queue import JobQueue
+
     if workers < 1:
         raise ValueError("workers must be at least 1")
     config = config or CampaignConfig()
-    selected_bugs = (
-        [bug_by_id(b) for b in config.bug_ids]
-        if config.bug_ids is not None
-        else list(BUGS)
-    )
+    bug_ids = selected_bug_ids(config)
+
+    async def run_jobs() -> List[BugDetectionRecord]:
+        specs = [JobSpec.from_campaign(bug_id, config) for bug_id in bug_ids]
+        queue = JobQueue(cache=ResultCache(cache_dir), workers=workers)
+        await queue.start()
+        try:
+            jobs = [queue.submit(spec) for spec in specs]
+            records = []
+            for bug_id, job in zip(bug_ids, jobs):
+                while not job.state.terminal:
+                    await queue.wait(job, since=job.version, timeout=60.0)
+                records.append(
+                    campaign_job_record(
+                        bug_id, job.state.value, job.record, job.error
+                    )
+                )
+            return records
+        finally:
+            await queue.stop()
+            for job_id in queue.traces.job_ids():
+                obs_trace.absorb(queue.traces.batch(job_id))
+            obs_metrics.process_metrics().merge(queue.metrics.snapshot())
+
     campaign = CampaignResult()
-    # Campaign entry is a trace root for direct runs (the serving layer
-    # never reaches this path with a collector of its own installed).
-    # Fork-pool workers inherit the installed collector and ship their
-    # observability batches back with each record.  The campaign's span
-    # is its wall clock, journal replay included.
+    # Campaign entry is a trace root for direct runs; each job's queue
+    # spans, and the solver child's subtree below them, join it under the
+    # campaign span.  The span is the campaign's wall clock.
     owned = obs_trace.active() is None
     if owned:
         obs_trace.start_trace()
-    campaign_span = obs_trace.span("run_campaign", workers=workers)
-
-    done: Dict[str, BugDetectionRecord] = {}
-    journal = None
-
-    def journal_record(record: BugDetectionRecord) -> None:
-        if journal is None:
-            return
-        payload = json.dumps(record_to_json_dict(record)).encode("utf-8")
-        # Chaos-harness write site: a seeded torn_write truncates the
-        # payload exactly as a crash mid-append would.
-        journal.write(faults.mangle_write("eval.campaign.journal", payload + b"\n"))
-        journal.flush()
-        os.fsync(journal.fileno())
-        # Chaos-harness injection point: a seeded kill right after the
-        # append is the worst-case SIGKILL mid-campaign — the record
-        # just journaled must survive, everything after must resume.
-        faults.crash_point("eval.campaign.record")
-
+    campaign_span = obs_trace.span(
+        "run_campaign", workers=workers, jobs=len(bug_ids)
+    )
     try:
-        if journal_path is not None:
-            loaded, valid_end = _read_journal(journal_path, config)
-            for record in loaded:
-                done[record.bug_id] = record
-            if loaded:
-                journal = open(journal_path, "r+b")
-                # Drop any torn tail before appending: concatenating a fresh
-                # record onto torn bytes would lose both on the next replay.
-                journal.truncate(valid_end)
-                journal.seek(0, os.SEEK_END)
-            else:
-                # Fresh journal (or one whose header itself was torn):
-                # start over so the header is guaranteed intact.
-                journal = open(journal_path, "wb")
-                header = {
-                    "journal": JOURNAL_FORMAT,
-                    "config": config.to_json_dict(),
-                }
-                journal.write(json.dumps(header).encode("utf-8") + b"\n")
-                journal.flush()
-                os.fsync(journal.fileno())
-
-        pending = [bug for bug in selected_bugs if bug.bug_id not in done]
-        campaign_span.set(jobs=len(pending))
-        if workers == 1 or len(pending) <= 1:
-            for bug in pending:
-                record = detect_bug(bug.bug_id, config)
-                done[bug.bug_id] = record
-                journal_record(record)
-        else:
-            # ``fork`` keeps the already-imported package (and sys.path) in
-            # the workers; the jobs are CPU-bound pure Python so processes,
-            # not threads, are required to use more than one core.
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else methods[0]
-            )
-            jobs = [(bug.bug_id, config) for bug in pending]
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs)), mp_context=context
-            ) as pool:
-                # ``pool.map`` yields in submission order, so records are
-                # journaled in bug-selection order even when a later-
-                # submitted job finishes first.
-                for record, obs_batch in pool.map(_detect_bug_job, jobs):
-                    obs_trace.absorb(obs_batch)
-                    done[record.bug_id] = record
-                    journal_record(record)
-        # Bug-selection order, resumed and fresh records interleaved exactly
-        # where an uninterrupted run would have put them.
-        campaign.records = [done[bug.bug_id] for bug in selected_bugs]
+        campaign.records = asyncio.run(run_jobs())
     finally:
-        if journal is not None:
-            journal.close()
         campaign_span.close()
         if owned:
             obs_trace.clear()

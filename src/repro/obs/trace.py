@@ -2,8 +2,9 @@
 
 The tracing layer follows the :mod:`repro.deadline` / :mod:`repro.faults`
 threading model exactly: one module-global :class:`ObsCollector` (or
-``None``), installed at a trace root -- ``POST /jobs`` job execution,
-:func:`repro.eval.campaign.detect_bug` or
+``None``), installed at a trace root -- queued job execution
+(:func:`repro.serve.queue.execute_job_spec`, for served and campaign jobs
+alike), :func:`repro.eval.campaign.detect_bug` or
 :func:`~repro.eval.campaign.run_campaign` for direct runs -- and inherited
 by forked workers through the copy-on-write memory snapshot.
 
@@ -20,17 +21,20 @@ sampled off the solver's cold branches through the active collector, so
 they share its bounded event ring, its drop counter and its shipping.
 
 **The capture/absorb contract.**  Every fork entry (a cube worker's loop,
-a portfolio racer, a campaign pool job, the serving layer's job entry)
-runs its work inside :func:`capture`, which yields one JSON-safe
-:data:`ObsBatch` -- completed spans, events, a ``dropped`` count and the
-process-metrics delta recorded inside it -- shipped home over whatever
-channel the worker already reports on and taken in with :func:`absorb`
-(on the server: :meth:`TraceStore.absorb` plus one metrics merge).  Span
-ids are prefixed with the recording pid, so batches from any number of
-children merge without collisions, and a child's spans parent under the
-span that was open at fork time.  ``capture(ship=...)`` also ships new
-events while the work runs, which keeps a served job's heartbeats live;
-only the process that opened a capture ever ships from it.
+a portfolio racer, the queue's job entry) runs its work inside
+:func:`capture`, which yields one JSON-safe :data:`ObsBatch` -- completed
+spans, events, a ``dropped`` count and the process-metrics delta recorded
+inside it -- shipped home over whatever channel the worker already reports
+on and taken in with :func:`absorb` (on the queue: :meth:`TraceStore.absorb`
+plus one metrics merge).  Span ids are the recording pid plus one
+process-wide sequence, so batches from any number of children, and any
+number of jobs of one child, merge without collisions.  A child's spans
+parent under the span that was open at fork time; spans that arrive
+without a parent (a job traced by a collector of its own, as a campaign
+takes its jobs' traces in) attach under the span open at absorb time.
+``capture(ship=...)`` also ships new events while the work runs, which
+keeps a served job's heartbeats live; only the process that opened a
+capture ever ships from it.
 
 No locks anywhere: collectors are single-writer by construction (one
 process, one logical job at a time), which is what lets this module sit
@@ -90,6 +94,8 @@ SHIP_INTERVAL_SECONDS = 0.25
 _PPS_WINDOW = 16
 
 _TRACE_SEQ = 0
+#: The one span-id sequence of this process (every collector and store).
+_SPAN_SEQ = 0
 
 
 def new_trace_id() -> str:
@@ -99,14 +105,21 @@ def new_trace_id() -> str:
     return f"t{os.getpid():08x}{_TRACE_SEQ:06d}"
 
 
+def _next_span_seq() -> int:
+    global _SPAN_SEQ
+    _SPAN_SEQ += 1
+    return _SPAN_SEQ
+
+
 class ObsCollector:
     """Per-trace span/event sink; one per process per logical job.
 
     Spans and events are bounded (oldest events are dropped ring-style,
     span recording stops at the cap) so a pathological run cannot grow
     memory without bound.  Span ids embed ``os.getpid()`` *at record
-    time*, so spans recorded by a forked child never collide with spans
-    the parent records after the fork.
+    time* and the process-wide span sequence, so spans recorded by a
+    forked child never collide with spans the parent records after the
+    fork, nor with the child's spans of an earlier job.
     """
 
     __slots__ = (
@@ -120,7 +133,6 @@ class ObsCollector:
         "dropped_events",
         "heartbeats",
         "_stack",
-        "_seq",
         "_beat_seq",
         "_last_beat",
         "_pps_window",
@@ -150,7 +162,6 @@ class ObsCollector:
         #: :data:`HEARTBEAT` events ever appended (the ``/telemetry`` cursor).
         self.heartbeats = 0
         self._stack: List[str] = []
-        self._seq = 0
         self._beat_seq = 0
         # -inf, not 0.0: ``time.monotonic()`` counts from boot, so a zero
         # start would refuse every sample on a host up for less than the
@@ -168,8 +179,7 @@ class ObsCollector:
     ) -> SpanDict:
         """Open a span as a child of the innermost open span, stamped
         *start* (default: now)."""
-        self._seq += 1
-        span_id = f"{os.getpid():x}.{self._seq}"
+        span_id = f"{os.getpid():x}.{_next_span_seq()}"
         record: SpanDict = {
             "span_id": span_id,
             "parent_id": self._stack[-1] if self._stack else None,
@@ -272,13 +282,19 @@ class ObsCollector:
 
         Child span ids are pid-prefixed and child parent ids point either
         at the child's own spans or at spans inherited from this very
-        collector, so a plain append reconstructs the tree.
+        collector, so a plain append reconstructs the tree.  A span with
+        no parent attaches under the innermost open span.
         """
         spans = batch.get("spans")
         if isinstance(spans, list):
             room = self.max_spans - len(self.spans)
             if room > 0:
-                self.spans.extend(spans[:room])
+                anchor = self._stack[-1] if self._stack else None
+                self.spans.extend(
+                    span if span.get("parent_id") is not None
+                    else dict(span, parent_id=anchor)
+                    for span in spans[:room]
+                )
         events = batch.get("events")
         if isinstance(events, list):
             for entry in events:
@@ -604,7 +620,6 @@ class TraceStore:
         self._jobs: Dict[str, ObsCollector] = {}
         #: Finished job ids, oldest-finished first (an ordered set).
         self._finished: Dict[str, None] = {}
-        self._seq = 0
 
     def ensure(self, job_id: str, trace_id: str) -> None:
         if job_id not in self._jobs:
@@ -646,8 +661,7 @@ class TraceStore:
         entry = self._jobs.get(job_id)
         if entry is None or len(entry.spans) >= self.max_spans:
             return None
-        self._seq += 1
-        span_id = f"q.{self._seq}"
+        span_id = f"q.{_next_span_seq()}"
         entry.spans.append(
             {
                 "span_id": span_id,
@@ -729,6 +743,18 @@ class TraceStore:
         if entry is None:
             return None
         return {"job_id": job_id, **entry.to_json_dict()}
+
+    def batch(self, job_id: str) -> Optional[ObsBatch]:
+        """The job's whole trace as one :data:`ObsBatch` for
+        :func:`absorb` (``None`` when untraced)."""
+        entry = self._jobs.get(job_id)
+        if entry is None:
+            return None
+        return {
+            "spans": list(entry.spans),
+            "events": list(entry.events),
+            "dropped": entry.dropped_events,
+        }
 
     def heartbeat_count(self, job_id: str) -> int:
         """Heartbeats the job's trace has received (0 when untraced)."""

@@ -88,7 +88,9 @@ Deployment shapes: :class:`~repro.serve.server.LocalServer` runs the whole
 stack on a background thread in-process (tests, quickstart, CLI spawn
 mode); ``scripts/serve_qed.py serve`` runs it standalone, and
 ``scripts/serve_qed.py worker --server URL`` joins its fleet from another
-host.  The invariant that matters: a definitive verdict is byte-identical
+host.  A direct campaign (:func:`repro.eval.campaign.run_campaign`) runs
+the same :class:`~repro.serve.queue.JobQueue` and local workers in
+process, without HTTP, with the result cache as its resume log.  The invariant that matters: a definitive verdict is byte-identical
 whether the solve ran on a local or a remote worker, or survived any
 schedule of solver kills, partitions and zombie commits -- fault
 tolerance changes *when* the answer arrives, never *what* it is.

@@ -193,6 +193,11 @@ class ResultCache:
                     stream.write(b"\n")
                     offset += 1
             stream.write(payload)
+            # Durable before anyone is answered from it: a host crash must
+            # not lose a verdict the queue already reported, nor a resumed
+            # campaign's finished jobs.
+            stream.flush()
+            os.fsync(stream.fileno())
         return offset
 
     def _append_log(self, entry: CacheEntry) -> None:

@@ -5,7 +5,7 @@
 behind typed calls, and :func:`run_campaign_via_server` rebuilds a full
 :class:`~repro.eval.campaign.CampaignResult` from served jobs, which is how
 the 16-version campaign runs through the service (``scripts/serve_qed.py
-campaign --via-server``).
+campaign``).
 
 Only ``http.client`` is used (one connection per request, matching the
 server's connection-per-request protocol); there are no third-party
@@ -26,8 +26,10 @@ from urllib.parse import urlencode, urlsplit
 from repro import faults
 from repro.eval.campaign import (
     CampaignConfig,
+    CampaignError,
     CampaignResult,
-    record_from_json_dict,
+    campaign_job_record,
+    selected_bug_ids,
 )
 from repro.obs import trace as obs_trace
 from repro.serve.keys import JobSpec
@@ -462,22 +464,17 @@ def run_campaign_via_server(
 ) -> CampaignResult:
     """Run the bug-detection campaign *through* the service.
 
-    Submits one job per selected bug (all up front, so the server's queue
-    and cache do the scheduling), waits for each in bug-selection order,
-    and rebuilds the same :class:`CampaignResult` a direct
-    :func:`~repro.eval.campaign.run_campaign` produces -- records match it
-    byte-for-byte on every deterministic field
-    (:func:`repro.eval.campaign.record_comparable_dict`), with serving
-    provenance (``served_from_cache``/``cache_key``) filled in on top.
+    The HTTP twin of :func:`~repro.eval.campaign.run_campaign`, on the
+    same bug selection and terminal-job check: submits one job per
+    selected bug (all up front, so the server's queue and cache do the
+    scheduling), waits for each in bug-selection order, and rebuilds the
+    same :class:`CampaignResult` -- records match it byte-for-byte on every
+    deterministic field (:func:`repro.eval.campaign.record_comparable_dict`),
+    serving provenance (``served_from_cache``/``cache_key``) included.  A
+    job that does not end ``done`` raises :class:`ServeError`.
     """
-    from repro.uarch.bugs import BUGS
-
     config = config or CampaignConfig()
-    bug_ids = (
-        [str(b) for b in config.bug_ids]
-        if config.bug_ids is not None
-        else [bug.bug_id for bug in BUGS]
-    )
+    bug_ids = selected_bug_ids(config)
     campaign = CampaignResult()
     with obs_trace.span("run_campaign_via_server", jobs=len(bug_ids)) as span:
         # Fingerprints stay unresolved client-side: the server resolves them
@@ -491,16 +488,18 @@ def run_campaign_via_server(
             )
             for bug_id in bug_ids
         ]
-        for view in submissions:
+        for bug_id, view in zip(bug_ids, submissions):
             final = (
                 view
                 if view.done
                 else client.wait_done(view.job_id, timeout=timeout_per_job)
             )
-            if final.state != "done" or final.record is None:
-                raise ServeError(
-                    f"job {final.job_id} ({final.state}): {final.error or 'no record'}"
+            try:
+                record = campaign_job_record(
+                    bug_id, final.state, final.record, final.error
                 )
-            campaign.records.append(record_from_json_dict(final.record))
+            except CampaignError as exc:
+                raise ServeError(f"job {final.job_id}: {exc}") from None
+            campaign.records.append(record)
     campaign.wall_clock_seconds = span.seconds
     return campaign

@@ -61,7 +61,7 @@ starving the farm.
 
 :class:`LocalServer` runs the full stack (loop, queue, server) on a
 background thread -- the in-process deployment used by tests, the CLI's
-``campaign --via-server`` mode and the quickstart example.
+``campaign`` subcommand and the quickstart example.
 """
 
 from __future__ import annotations

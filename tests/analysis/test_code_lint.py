@@ -356,7 +356,8 @@ class TestForkSafety:
 
     def test_real_worker_tree_stays_clean(self):
         # Regression over the real fork surfaces: scheduler/portfolio
-        # workers, the serve executor and the campaign job runner.
+        # workers, the fleet solver child and the queue's job entry, and
+        # the campaign job (detect_bug) those solver children run.
         paths = (
             sorted(glob.glob("src/repro/dist/*.py"))
             + sorted(glob.glob("src/repro/serve/*.py"))

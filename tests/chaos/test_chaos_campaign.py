@@ -1,26 +1,36 @@
-"""Chaos scenarios against the campaign journal: crash, resume, equality.
+"""Chaos scenarios against a campaign's resume log: crash, resume, equality.
 
+A campaign runs its jobs on the in-process job queue, and a re-run with
+the same ``cache_dir`` resumes from the result cache's append-only log.
 The acceptance bar from the fault-tolerance issue: a campaign SIGKILLed
-mid-run resumes from its journal with the already-journaled prefix
-byte-identical, and the merged records equal a fresh fault-free run on
-every deterministic field.  The kill happens in a *subprocess* because
+mid-run resumes with the log's prefix byte-identical, serves the finished
+jobs from the cache, and its records equal a fresh fault-free run on every
+deterministic field.  The kill happens in a *subprocess* because
 ``faults`` delivers it as ``os._exit`` -- the real thing, not an
 exception a ``finally`` could soften.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 from repro import faults
 from repro.eval.campaign import (
     CampaignConfig,
-    load_campaign_journal,
-    record_to_json_dict,
+    record_comparable_dict,
     run_campaign,
 )
+from repro.obs import trace as obs_trace
+from repro.serve.cache import ResultCache
+from repro.serve.keys import JobSpec
 
-#: Two journalable sub-second bugs (industrial flow and directed tests off).
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+#: Two sub-second bugs (industrial flow and directed tests off).
 BUG_IDS = ["sra_zero_fill", "cmpi_carry_spec"]
 
 
@@ -32,15 +42,21 @@ def _config():
     )
 
 
-def _comparable(record):
-    """Every deterministic field: wall-clock measurements stripped."""
-    data = record_to_json_dict(record)
-    deterministic = {
-        key: value
-        for key, value in data.items()
-        if not key.endswith("_seconds")
-    }
-    return json.dumps(deterministic, sort_keys=True)
+def _comparable(records):
+    """Every deterministic field: wall clocks and provenance stripped."""
+    return [
+        json.dumps(record_comparable_dict(record), sort_keys=True)
+        for record in records
+    ]
+
+
+def _replayed_keys(cache_dir):
+    """The keys a fresh cache over *cache_dir* replays from its log, in
+    bug-selection order."""
+    cache = ResultCache(str(cache_dir))
+    keys = [JobSpec.from_campaign(b, _config()).cache_key() for b in BUG_IDS]
+    assert len(cache) == sum(key in cache for key in keys)
+    return [bug_id for bug_id, key in zip(BUG_IDS, keys) if key in cache]
 
 
 _KILLED_CAMPAIGN = """
@@ -50,7 +66,7 @@ from repro.eval.campaign import CampaignConfig, run_campaign
 
 faults.install(
     faults.FaultInjector(
-        [faults.FaultSpec(site="eval.campaign.record", action="kill", at=1)],
+        [faults.FaultSpec(site="serve.cache.append", action="kill", at=2)],
         seed=29,
     )
 )
@@ -60,7 +76,7 @@ run_campaign(
         run_industrial_flow=False,
         run_directed_tests=False,
     ),
-    journal_path=sys.argv[1],
+    cache_dir=sys.argv[1],
 )
 raise SystemExit("unreachable: the kill must fire first")
 """
@@ -68,43 +84,42 @@ raise SystemExit("unreachable: the kill must fire first")
 
 class TestKilledCampaignResumes:
     def test_resume_preserves_prefix_and_matches_fault_free(self, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
+        cache_dir = tmp_path / "cache"
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
                 _KILLED_CAMPAIGN.format(bug_ids=BUG_IDS),
-                str(journal),
+                str(cache_dir),
             ],
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
+            env={
+                "PYTHONPATH": os.path.join(REPO_ROOT, "src"),
+                "PYTHONDONTWRITEBYTECODE": "1",
+                "PATH": "/usr/bin:/bin",
+            },
+            cwd=REPO_ROOT,
             capture_output=True,
             timeout=120,
         )
-        # The seeded SIGKILL fired right after the first record's append.
+        # The seeded SIGKILL fired at the second result's append, after
+        # the first result was durably logged.
         assert proc.returncode == faults.KILL_EXIT_CODE, proc.stderr.decode()
-        prefix = journal.read_bytes()
-        survivors = load_campaign_journal(str(journal), _config())
-        assert [r.bug_id for r in survivors] == BUG_IDS[:1]
+        log = pathlib.Path(ResultCache(str(cache_dir)).log_path)
+        prefix = log.read_bytes()
+        assert _replayed_keys(cache_dir) == BUG_IDS[:1]
 
-        # Resume in-process: only the missing bug runs, appended after
-        # the untouched prefix.
-        resumed = run_campaign(_config(), journal_path=str(journal))
-        assert journal.read_bytes().startswith(prefix)
+        # Resume in-process: the logged bug is a cache hit, only the
+        # missing one is solved, appended after the untouched prefix.
+        resumed = run_campaign(_config(), cache_dir=str(cache_dir))
         assert [r.bug_id for r in resumed.records] == BUG_IDS
+        assert [r.served_from_cache for r in resumed.records] == [True, False]
+        assert log.read_bytes().startswith(prefix)
+        assert _replayed_keys(cache_dir) == BUG_IDS
 
         # The merged result is indistinguishable from a run that never
         # crashed, on every deterministic field.
         fresh = run_campaign(_config())
-        assert [_comparable(r) for r in resumed.records] == [
-            _comparable(r) for r in fresh.records
-        ]
-
-        # And the journal itself now replays the complete campaign.
-        replayed = load_campaign_journal(str(journal), _config())
-        assert [_comparable(r) for r in replayed] == [
-            _comparable(r) for r in fresh.records
-        ]
+        assert _comparable(resumed.records) == _comparable(fresh.records)
 
 
 class TestDeadlineTruncatedDetection:
@@ -158,33 +173,60 @@ class TestDeadlineTruncatedDetection:
         assert record.crs_detected is False
 
 
-class TestTornJournalRecord:
+class TestTornCacheAppend:
     def test_torn_record_is_resolved_on_resume(self, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
         faults.install(
             faults.FaultInjector(
                 [
-                    # Tear the second record's append mid-line: the crash
+                    # Tear the second result's append mid-line: the crash
                     # window between write() and a completed fsync.
                     faults.FaultSpec(
-                        site="eval.campaign.journal", action="torn_write", at=2
+                        site="serve.cache.append", action="torn_write", at=2
                     )
                 ],
                 seed=31,
             )
         )
-        first = run_campaign(_config(), journal_path=str(journal))
+        first = run_campaign(_config(), cache_dir=str(tmp_path))
         faults.clear()
 
-        # Replay drops exactly the torn record; the healthy one survives.
-        survivors = load_campaign_journal(str(journal), _config())
-        assert [r.bug_id for r in survivors] == BUG_IDS[:1]
+        # Replay drops exactly the torn entry; the healthy one survives.
+        assert _replayed_keys(tmp_path) == BUG_IDS[:1]
 
-        # Resume re-solves only the torn bug and converges on the same
-        # records as the faulted run already returned in memory.
-        resumed = run_campaign(_config(), journal_path=str(journal))
-        assert [_comparable(r) for r in resumed.records] == [
-            _comparable(r) for r in first.records
+        # Resume re-solves only the torn bug, heals the log's tail, and
+        # converges on the records the faulted run returned in memory.
+        resumed = run_campaign(_config(), cache_dir=str(tmp_path))
+        assert [r.served_from_cache for r in resumed.records] == [True, False]
+        assert _comparable(resumed.records) == _comparable(first.records)
+        assert _replayed_keys(tmp_path) == BUG_IDS
+
+
+class TestKilledSolverRetried:
+    def test_campaign_completes_after_a_solver_crash(self, tmp_path):
+        faults.install(
+            faults.FaultInjector(
+                [
+                    # The first solve's child dies at job entry; the token
+                    # keeps the retried lease's fresh child alive.
+                    faults.FaultSpec(
+                        site="serve.queue.worker",
+                        action="kill",
+                        at=1,
+                        once=True,
+                    )
+                ],
+                seed=37,
+                token_dir=tmp_path,
+            )
+        )
+        crashed = run_campaign(_config(), workers=1)
+        faults.clear()
+
+        # The lost lease was retried once, and the campaign trace says so.
+        retries = [
+            e for e in obs_trace.last_trace().events
+            if e["name"] == "queue.retry"
         ]
-        replayed = load_campaign_journal(str(journal), _config())
-        assert [r.bug_id for r in replayed] == BUG_IDS
+        assert len(retries) == 1
+        fresh = run_campaign(_config())
+        assert _comparable(crashed.records) == _comparable(fresh.records)

@@ -12,7 +12,11 @@ from repro.eval import (
     runtime_statistics,
     setup_effort_table,
 )
-from repro.eval.campaign import BugDetectionRecord, CampaignResult
+from repro.eval.campaign import (
+    BugDetectionRecord,
+    CampaignError,
+    CampaignResult,
+)
 from repro.eval import CampaignConfig, detect_bug, run_campaign
 from repro.uarch.bugs import BUGS
 
@@ -83,7 +87,8 @@ class TestReports:
 
 
 class TestParallelCampaign:
-    """The process-pool fan-out must not change what the campaign records."""
+    """Fanning out over several workers must not change what the campaign
+    records."""
 
     BUG_IDS = ["sra_zero_fill", "cmpi_carry_spec"]
 
@@ -123,6 +128,25 @@ class TestParallelCampaign:
         ]
         # Deterministic merge: records come back in bug-selection order.
         assert [r.bug_id for r in parallel.records] == self.BUG_IDS
+
+    def test_failed_job_raises_naming_the_bug(self, monkeypatch):
+        from repro.serve import queue as serve_queue
+
+        def broken(bug_id, config, **kwargs):
+            raise ValueError(f"no harness for {bug_id}")
+
+        # The solver child forks after the patch, so it runs ``broken``.
+        monkeypatch.setattr(serve_queue, "detect_bug", broken)
+        config = CampaignConfig(
+            bug_ids=self.BUG_IDS[:1],
+            run_industrial_flow=False,
+            run_directed_tests=False,
+        )
+        with pytest.raises(CampaignError) as failure:
+            run_campaign(config)
+        message = str(failure.value)
+        assert repr(self.BUG_IDS[0]) in message
+        assert f"ValueError: no harness for {self.BUG_IDS[0]}" in message
 
     def test_detect_bug_matches_campaign_record(self):
         config = CampaignConfig(

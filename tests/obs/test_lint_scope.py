@@ -6,6 +6,7 @@ instrumentation must never touch a ``# hot-loop`` region -- both enforced
 here so a future edit cannot silently regress them.
 """
 
+import ast
 import glob
 import os
 
@@ -44,6 +45,31 @@ class TestOneClock:
             with open(path, "r", encoding="utf-8") as stream:
                 if "perf_counter" in stream.read():
                     offenders.append(os.path.relpath(path, REPO_ROOT))
+        assert offenders == []
+
+
+class TestOneDispatchPath:
+    def test_eval_imports_no_process_pool(self):
+        # Campaign jobs run on the job queue's leases; a pool of the eval
+        # package's own would be a second dispatch path without them.
+        paths = sorted(glob.glob(_src("eval", "*.py")))
+        assert paths, "eval package not found"
+        offenders = []
+        for path in paths:
+            with open(path, "r", encoding="utf-8") as stream:
+                tree = ast.parse(stream.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders.extend(
+                    (os.path.basename(path), name)
+                    for name in names
+                    if name.split(".")[0] in ("multiprocessing", "concurrent")
+                )
         assert offenders == []
 
 

@@ -167,13 +167,32 @@ class TestCampaignPropagation:
         assert len(by_name["run_campaign"]) == 1
         detects = by_name["detect_bug"]
         assert len(detects) == 2
-        # Both jobs ran in forked pool workers; their spans came home.
+        # Both jobs ran in the workers' solver children; their spans came
+        # home.
         prefixes = _pid_prefixes(detects)
         assert f"{os.getpid():x}" not in prefixes
+        # Each job reaches the campaign span through its lease attempt.
+        by_id = {s["span_id"]: s for s in collector.spans}
         campaign_id = by_name["run_campaign"][0]["span_id"]
-        assert all(d["parent_id"] == campaign_id for d in detects)
+        for detect in detects:
+            attempt = by_id[detect["parent_id"]]
+            assert attempt["name"] == "queue.attempt"
+            assert attempt["parent_id"] == campaign_id
         # BMC subtree spans survived the trip too.
         assert "bmc.bound" in by_name
+
+    def test_serial_campaign_trace_has_unique_span_ids(self):
+        # One worker solves every job in one solver child, then the jobs'
+        # traces merge into the campaign's.
+        config = CampaignConfig(
+            bug_ids=["sra_zero_fill", "cmpi_carry_spec"],
+            run_industrial_flow=False,
+            run_directed_tests=False,
+        )
+        run_campaign(config, workers=1)
+        ids = [s["span_id"] for s in obs_trace.last_trace().spans]
+        assert len(ids) > 3
+        assert len(ids) == len(set(ids))
 
 
 class TestByteIdenticalRecords:

@@ -62,6 +62,17 @@ class TestPersistence:
         entry = cache.get("k0")  # ...but still served from the log
         assert entry is not None and entry.record["bug_id"] == "b0"
 
+    def test_every_append_is_fsynced(self, tmp_path, monkeypatch):
+        """A put and a tombstone each reach the disk before returning: a
+        host crash must not lose a verdict the server already answered."""
+        cache = ResultCache(str(tmp_path))
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        cache.put("k1", record(), fingerprint=FP, definitive=True)
+        assert len(synced) == 1
+        cache.invalidate_fingerprint(FP)
+        assert len(synced) == 2
+
     def test_torn_tail_line_is_skipped(self, tmp_path):
         directory = str(tmp_path)
         cache = ResultCache(directory)

@@ -4,9 +4,16 @@ import asyncio
 import json
 import urllib.request
 
+from repro.eval.campaign import CampaignConfig
 from repro.obs.metrics import parse_prometheus
 from repro.serve.cache import ResultCache
-from repro.serve.queue import JobQueue, JobState, _selftest_entry
+from repro.serve.keys import JobSpec
+from repro.serve.queue import (
+    JobQueue,
+    JobState,
+    _selftest_entry,
+    execute_job_spec,
+)
 from repro.serve.server import LocalServer
 
 from serve_helpers import make_spec as spec
@@ -105,6 +112,42 @@ class TestQueueTraces:
             assert queue.flight.dumps == 1
 
         run(with_queue(body, flight_dir=str(tmp_path)))
+
+    def test_worker_span_ids_differ_across_jobs_of_one_solver_child(self):
+        # One worker, one persistent solver child: both jobs' spans carry
+        # the same pid, so only the process-wide span sequence keeps their
+        # ids apart when the two traces are merged (as a campaign does).
+        config = CampaignConfig(
+            run_industrial_flow=False, run_directed_tests=False
+        )
+
+        async def body(queue):
+            jobs = [
+                queue.submit(JobSpec.from_campaign(bug_id, config))
+                for bug_id in ("sra_zero_fill", "cmpi_carry_spec")
+            ]
+            ids = []
+            for job in jobs:
+                await wait_terminal(queue, job, timeout=120.0)
+                assert job.state is JobState.DONE, job.error
+                spans = queue.traces.to_json_dict(job.job_id)["spans"]
+                ids.append(
+                    {
+                        s["span_id"]
+                        for s in spans
+                        if not s["span_id"].startswith("q.")
+                    }
+                )
+            return ids
+
+        first, second = run(
+            with_queue(
+                body, entry=execute_job_spec, use_processes=True, workers=1
+            )
+        )
+        assert first and second
+        assert len({i.split(".")[0] for i in first | second}) == 1
+        assert first.isdisjoint(second)
 
     def test_tracing_disabled_leaves_no_trace(self):
         from repro.obs import trace as obs_trace
