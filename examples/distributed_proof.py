@@ -40,7 +40,6 @@ def main() -> None:
         single_query=False,  # dense schedule: one window per bound
         split=SplitConfig(
             workers=workers,
-            strategy="auto",          # window ladder x look-ahead tree
             cube_conflict_budget=2000,  # overruns re-split dynamically
         ),
     )

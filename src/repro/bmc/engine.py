@@ -33,9 +33,10 @@ pipeline; per bound the stages are:
 
 With :attr:`BMCProblem.split` set, stage 5 is replaced by the **distributed
 proof engine** (:mod:`repro.dist`): the window query is partitioned into
-cubes (by property-window position and look-ahead-scored split variables)
-and fanned over a worker-process pool with dynamic re-splitting and
-learned-clause sharing.  All cubes UNSAT retires the window exactly as a
+cubes -- the property-window ladder times a look-ahead tree over scored
+split variables -- which an inline cube loop (``workers=1``) or a
+worker-process pool with learned-clause sharing solves, re-splitting cubes
+that overrun their budget.  All cubes UNSAT retires the window exactly as a
 sequential UNSAT does; any SAT cube's model is replayed into a
 counterexample exactly as a sequential model is.  Stages 1-4 are shared
 between both paths.
@@ -84,13 +85,15 @@ from repro.obs import trace as obs_trace
 from repro.bmc.trace import CounterexampleTrace, property_holds_at, replay_inputs
 from repro.bmc.unroller import SYMBOLIC, Unroller
 from repro.dist.cubes import (
-    Cube,
     binary_cubes,
     ladder_cubes,
     product_cubes,
     select_split_variables,
 )
 from repro.dist.scheduler import (
+    LOOKAHEAD_DEPTH,
+    MAX_INITIAL_CUBES,
+    MAX_RESPLIT_DEPTH,
     DistResult,
     DistStats,
     SplitConfig,
@@ -229,7 +232,6 @@ class BoundStats:
         if self.dist is not None:
             row["dist"] = {
                 "workers": self.dist.workers,
-                "strategy": self.dist.strategy,
                 "cubes_total": self.dist.cubes_total,
                 "cubes_sat": self.dist.cubes_sat,
                 "cubes_unsat": self.dist.cubes_unsat,
@@ -237,7 +239,6 @@ class BoundStats:
                 "resplits": self.dist.resplits,
                 "clauses_shared": self.dist.clauses_shared,
                 "wall_seconds": round(self.dist.wall_seconds, 6),
-                "winner": self.dist.winner,
                 "cubes": [
                     {
                         "literals": list(cube.literals),
@@ -415,10 +416,6 @@ class BMCProblem:
     skipped frames into the next query's window rather than silently
     assuming them safe.
 
-    ``violation_mode`` (``"first"``/``"any"``) is retained for API
-    compatibility and as a label of intent -- it no longer changes the
-    encoding, which is determined by the schedule alone.
-
     ``bound_schedule`` optionally replaces the default ``1..max_bound``
     progression with an explicit (strictly increasing) list of bounds.
 
@@ -437,15 +434,15 @@ class BMCProblem:
     ablations measure reachable depth.
 
     ``split`` hands every bound's query to the distributed proof engine
-    (:mod:`repro.dist`): the query is partitioned into cubes by QED
-    property-window position and look-ahead-scored split variables, fanned
-    over a worker pool with dynamic re-splitting and learned-clause sharing,
-    and the per-cube verdicts are merged (all UNSAT -> the window is proven
-    exactly as in sequential mode; any SAT -> the model is replayed into a
-    counterexample exactly as in sequential mode).  ``split=None`` (the
-    default) keeps the single-process incremental path;
-    ``SplitConfig(workers=1)`` runs the cube decomposition inline and stays
-    byte-for-byte deterministic.
+    (:mod:`repro.dist`): the query is partitioned into cubes (the QED
+    property-window ladder times a look-ahead tree over scored split
+    variables), solved with dynamic re-splitting, and the per-cube verdicts
+    are merged (all UNSAT -> the window is proven exactly as in sequential
+    mode; any SAT -> the model is replayed into a counterexample exactly as
+    in sequential mode).  ``split=None`` (the default) keeps the
+    single-process incremental path; ``SplitConfig(workers=1)`` solves the
+    cubes inline and stays byte-for-byte deterministic, and
+    ``workers=N`` fans them over a worker pool with learned-clause sharing.
     """
 
     design: Design
@@ -454,7 +451,6 @@ class BMCProblem:
     initial_state: Optional[Dict[str, object]] = None
     max_bound: int = 12
     use_design_assumptions: bool = True
-    violation_mode: str = "first"
     bound_schedule: Optional[Sequence[int]] = None
     preprocess: bool = True
     coi_assumptions: bool = True
@@ -464,8 +460,6 @@ class BMCProblem:
     def __post_init__(self) -> None:
         if self.max_bound < 1:
             raise ValueError("max_bound must be at least 1")
-        if self.violation_mode not in ("first", "any"):
-            raise ValueError("violation_mode must be 'first' or 'any'")
         if self.bound_schedule is not None:
             if not self.bound_schedule:
                 raise ValueError("bound_schedule must not be empty")
@@ -484,31 +478,6 @@ class BMCProblem:
         if self.bound_schedule is not None:
             return list(self.bound_schedule)
         return list(range(1, self.max_bound + 1))
-
-    def knobs_dict(self) -> Dict[str, object]:
-        """Canonical, versioned JSON form of the *engine knobs*.
-
-        The design/property/assumption payload is deliberately excluded --
-        it is identified by content (see
-        :meth:`repro.rtl.design.Design.structural_hash`) rather than by
-        value.  Two problems with equal knobs produce the same dict, which
-        is the contract the serving layer's cache keys rely on.
-        """
-        return {
-            "format": 1,
-            "max_bound": self.max_bound,
-            "use_design_assumptions": self.use_design_assumptions,
-            "violation_mode": self.violation_mode,
-            "bound_schedule": (
-                None
-                if self.bound_schedule is None
-                else [int(b) for b in self.bound_schedule]
-            ),
-            "preprocess": self.preprocess,
-            "coi_assumptions": self.coi_assumptions,
-            "max_conflicts_per_query": self.max_conflicts_per_query,
-            "split": None if self.split is None else self.split.to_json_dict(),
-        }
 
 
 class BoundedModelChecker:
@@ -757,13 +726,15 @@ class BoundedModelChecker:
     ) -> SplitQuery:
         """Prepare this bound's query for the distributed proof engine.
 
-        The cube axes follow the split strategy: the QED property-window
+        The cubes are the product of two axes: the QED property-window
         position ("the first violated frame is i", a ladder partition over
-        the per-frame violation literals) and/or look-ahead-scored split
-        variables from the window cone (preferring the instruction-port
-        inputs, i.e. the focus-set opcode choice, when the config names
-        them).  Variables not consumed by the initial cubes are kept as the
-        ranked re-split sequence for cubes that overrun their budget.
+        the per-frame violation literals) and a binary tree over
+        look-ahead-scored split variables from the window cone (preferring
+        the instruction-port inputs, i.e. the focus-set opcode choice, when
+        the config names them), its depth capped so the product stays
+        within :data:`~repro.dist.scheduler.MAX_INITIAL_CUBES`.  Variables
+        not consumed by the initial cubes are kept as the ranked re-split
+        sequence for cubes that overrun their budget.
         """
         split = self.problem.split
         assert split is not None
@@ -780,28 +751,15 @@ class BoundedModelChecker:
             aig,
             builder,
             window_cone,
-            limit=split.lookahead_depth + split.max_resplit_depth + 4,
+            limit=LOOKAHEAD_DEPTH + MAX_RESPLIT_DEPTH + 4,
             exclude=root_vars | {activation_var} | builder.eliminated_vars,
             prefer_input_prefixes=split.prefer_input_prefixes,
         )
-        used = 0
-        if split.strategy == "portfolio":
-            cubes = [Cube(())]
-        elif split.strategy == "window":
-            cubes = ladder_cubes(violated)
-        elif split.strategy == "lookahead":
-            depth = min(split.lookahead_depth, len(lookahead))
-            while depth > 0 and (1 << depth) > split.max_initial_cubes:
-                depth -= 1
-            cubes = binary_cubes(lookahead, depth)
-            used = depth
-        else:  # "auto": window ladder x look-ahead tree, capped
-            ladder = ladder_cubes(violated)
-            depth = min(split.lookahead_depth, len(lookahead))
-            while depth > 0 and len(ladder) * (1 << depth) > split.max_initial_cubes:
-                depth -= 1
-            cubes = product_cubes(ladder, binary_cubes(lookahead, depth))
-            used = depth
+        ladder = ladder_cubes(violated)
+        depth = min(LOOKAHEAD_DEPTH, len(lookahead))
+        while depth > 0 and len(ladder) * (1 << depth) > MAX_INITIAL_CUBES:
+            depth -= 1
+        cubes = product_cubes(ladder, binary_cubes(lookahead, depth))
         frozen = self._frozen_interface_vars(activation_var, window_roots)
         frozen.update(root_vars)
         frozen.update(lookahead)
@@ -810,7 +768,7 @@ class BoundedModelChecker:
             num_vars=self._cnf.num_vars,
             assumptions=[activation_var],
             cubes=cubes,
-            resplit_vars=lookahead[used:],
+            resplit_vars=lookahead[depth:],
             frozen=frozenset(frozen),
             max_conflicts=self.problem.max_conflicts_per_query,
             incremental=True,

@@ -17,10 +17,10 @@ Design notes
   without any clock hand-off protocol.
 * **Not part of cache keys.**  A deadline is a property of one
   *submission*, not of the problem: two jobs for the same spec with
-  different budgets must share a cache entry.  ``JobSpec`` /
-  ``BMCProblem.knobs_dict`` therefore never embed deadlines; callers
-  pass them alongside the spec (``deadline_seconds`` on ``POST /jobs``)
-  and the serving layer keeps them out of the canonical dicts.
+  different budgets must share a cache entry.  ``JobSpec`` therefore
+  never embeds deadlines; callers pass them alongside the spec
+  (``deadline_seconds`` on ``POST /jobs``) and the serving layer keeps
+  them out of the canonical dicts.
 * **Degrade, never lie.**  Expiry turns a run into UNKNOWN — which the
   result cache stores as non-definitive and monotonically upgrades
   when a later, luckier (or budget-less) run completes.  Expiry never

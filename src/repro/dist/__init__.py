@@ -1,4 +1,4 @@
-"""Distributed proof engine: cube-and-conquer + portfolio for one BMC query.
+"""Distributed proof engine: cube-and-conquer for one BMC query.
 
 The hardest Symbolic QED instances are single deep detection queries (the
 QED-CF check at bound 8 in the case study); a per-bug campaign fan-out
@@ -6,9 +6,9 @@ cannot touch them because the wall-clock is one SAT call.  This package
 splits that *single* query into independently solvable sub-problems -- the
 pre-silicon analogue of the cube-and-conquer decompositions that "Boosting
 the Bounds of Symbolic QED" and "Breaking the Bounds of Symbolic QED" use to
-break the BMC depth wall -- and fans them over processes::
+break the BMC depth wall -- and solves them inline or over processes::
 
-    BoundedModelChecker (bound k, split strategy)
+    BoundedModelChecker (bound k, SplitConfig)
         |
         |  clauses + activation assumption        repro.dist.cubes
         |  ------------------------------>  +------------------------+
@@ -21,10 +21,11 @@ break the BMC depth wall -- and fans them over processes::
         |                                               |  disjoint, covering)
         v                                               v
     +-------------------------------- repro.dist.scheduler ---------------+
-    |  task queue (work stealing)   <--- re-split on budget overrun       |
+    |  workers=1: inline cube loop, one incremental solver, no processes  |
+    |  workers>1: task queue (work stealing) <--- re-split on overrun     |
     |     |            |        |                                         |
     |  worker 0     worker 1   worker N    each: own CDCL solver, built   |
-    |  (baseline)  (pos-phase) (rapid-..)  once, diverse personality      |
+    |  (baseline)  (preproc.)  (...)       once, diverse personality      |
     |     |            |        |          (repro.dist.portfolio configs) |
     |     +---- shared clause queue ----+  short (LBD<=3) learned clauses |
     +------------------+---------------------------------------------------+
@@ -44,9 +45,7 @@ property-style in ``tests/dist``:
   never by cube assumptions, so importing them into any worker is sound.
 
 ``workers=1`` runs the cube loop inline (no processes) and is bit-for-bit
-deterministic; ``strategy="portfolio"`` races the unsplit query across
-diverse solver configurations and cancels the losers
-(:mod:`repro.dist.portfolio`).
+deterministic.
 """
 
 from repro.dist.cubes import (
@@ -58,12 +57,7 @@ from repro.dist.cubes import (
     split_cube,
     validate_partition,
 )
-from repro.dist.portfolio import (
-    DIVERSE_CONFIGS,
-    PortfolioConfig,
-    PortfolioOutcome,
-    solve_portfolio,
-)
+from repro.dist.portfolio import DIVERSE_CONFIGS, PortfolioConfig
 from repro.dist.scheduler import (
     CubeStats,
     DistResult,
@@ -83,8 +77,6 @@ __all__ = [
     "validate_partition",
     "DIVERSE_CONFIGS",
     "PortfolioConfig",
-    "PortfolioOutcome",
-    "solve_portfolio",
     "CubeStats",
     "DistResult",
     "DistStats",

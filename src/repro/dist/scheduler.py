@@ -25,50 +25,50 @@ identical.  ``workers > 1`` forks a process pool:
 * a cube whose per-cube conflict budget expires is **re-split** on the next
   ranked look-ahead variable into two child cubes that go back on the queue
   (dynamic cube-and-conquer: hard regions of the space get progressively
-  finer cubes); at ``max_resplit_depth`` the cube is solved to completion
-  instead;
-* workers broadcast short learned clauses (LBD <= ``share_max_lbd``) into
-  every peer's bounded inbox queue and drain their own inbox before each
-  cube.  Shared clauses are implied by the common formula alone -- never by
-  cube assumptions -- so importing them is sound for every cube;
+  finer cubes); at :data:`MAX_RESPLIT_DEPTH` the cube is solved to
+  completion instead;
+* workers broadcast short learned clauses (LBD <= :data:`SHARE_MAX_LBD`)
+  into every peer's bounded inbox queue and drain their own inbox before
+  each cube.  Shared clauses are implied by the common formula alone --
+  never by cube assumptions -- so importing them is sound for every cube;
 * each worker gets a different :data:`~repro.dist.portfolio.DIVERSE_CONFIGS`
-  personality, adding portfolio-style diversity to the fan-out.
-
-``strategy="portfolio"`` skips the cube machinery entirely and races the
-whole query across diverse configurations via
-:func:`repro.dist.portfolio.solve_portfolio`.
+  personality, adding heuristic diversity to the fan-out.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import queue as queue_module
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.deadline import Deadline
 from repro.dist.cubes import Cube, split_cube
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.dist.portfolio import (
-    DIVERSE_CONFIGS,
-    PortfolioConfig,
-    solve_portfolio,
-)
+from repro.dist.portfolio import DIVERSE_CONFIGS, PortfolioConfig
 from repro.sat.cnf import Literal, var_of
-from repro.sat.solver import SolverStats, SolverStatus
+from repro.sat.solver import CDCLSolver, SolverStats, SolverStatus
 
-_STRATEGIES = ("auto", "window", "lookahead", "portfolio")
+#: Depth of the initial look-ahead tree, before :data:`MAX_INITIAL_CUBES`
+#: caps it.
+LOOKAHEAD_DEPTH = 2
+#: Cap on the initial cube count (window ladder x look-ahead tree).
+MAX_INITIAL_CUBES = 32
+#: Re-split depth at which a cube that overruns its budget is solved to
+#: completion instead of split again.
+MAX_RESPLIT_DEPTH = 4
+#: Learned clauses up to this LBD are shared between pool workers.
+SHARE_MAX_LBD = 3
+#: Capacity of each pool worker's clause inbox.
+SHARE_QUEUE_SIZE = 1024
+
+#: Personality of the inline ``workers=1`` cube loop: the preprocess-free
+#: baseline, so its solver can absorb appended clauses across bounds.
+_INLINE_PERSONALITY = DIVERSE_CONFIGS[0]
 
 #: Crash-recovery policy of the parallel path.  Not ``SplitConfig`` knobs:
 #: the config's canonical dict feeds content-addressed cache keys, and a
@@ -81,29 +81,37 @@ _CRASH_RESPLIT_AFTER = 2
 _MAX_RESPAWNS_FACTOR = 2
 
 
+#: Keys of the canonical dict that name removed settings, at the one value
+#: each may still carry: its old default, which the module constants above
+#: (and the window-ladder x look-ahead-tree split) now fix.  A dict written
+#: before the settings went still loads; any other value would silently
+#: mean something else, so it is refused.
+_REMOVED_KEYS: Dict[str, object] = {
+    "strategy": "auto",
+    "lookahead_depth": LOOKAHEAD_DEPTH,
+    "max_initial_cubes": MAX_INITIAL_CUBES,
+    "max_resplit_depth": MAX_RESPLIT_DEPTH,
+    "share_max_lbd": SHARE_MAX_LBD,
+    "share_queue_size": SHARE_QUEUE_SIZE,
+    "configs": [
+        {"format": 1, **dataclasses.asdict(config)} for config in DIVERSE_CONFIGS
+    ],
+}
+
+
 @dataclass
 class SplitConfig:
     """How to split and schedule one hard BMC query.
 
     ``workers`` is the process count (1 = inline and deterministic).
-    ``strategy`` picks the cube axes: ``"window"`` splits by QED
-    property-window position only, ``"lookahead"`` by scored split variables
-    only, ``"auto"`` combines both, ``"portfolio"`` races the unsplit query
-    across diverse solver configurations.  ``cube_conflict_budget`` is the
-    per-cube solver budget before a cube is re-split (``None`` disables
-    re-splitting); ``max_resplit_depth`` bounds the dynamic splitting depth.
+    ``cube_conflict_budget`` is the per-cube solver budget before a cube is
+    re-split (``None`` disables re-splitting).  ``share_clauses`` turns
+    learned-clause sharing between pool workers on or off.
     """
 
     workers: int = 1
-    strategy: str = "auto"
-    lookahead_depth: int = 2
-    max_initial_cubes: int = 32
     cube_conflict_budget: Optional[int] = 4000
-    max_resplit_depth: int = 4
     share_clauses: bool = True
-    share_max_lbd: int = 3
-    share_queue_size: int = 1024
-    configs: Tuple[PortfolioConfig, ...] = DIVERSE_CONFIGS
     #: Primary-input name prefixes preferred as split variables -- the QED
     #: harness passes the instruction-port prefix here so cubes partition by
     #: focus-set opcode choice (see
@@ -113,69 +121,46 @@ class SplitConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}"
-            )
-        if self.lookahead_depth < 0:
-            raise ValueError("lookahead_depth must be non-negative")
-        if self.max_initial_cubes < 1:
-            raise ValueError("max_initial_cubes must be at least 1")
-        if not self.configs:
-            raise ValueError("configs must not be empty")
 
     # -- canonical serialization ---------------------------------------
     def to_json_dict(self) -> dict:
         """Canonical, versioned JSON form.
 
-        Every knob is explicit (defaults included), nested
-        :class:`~repro.dist.portfolio.PortfolioConfig` entries serialize
-        through their own canonical form, and tuple fields become lists --
-        so two equal configs always produce the same dict and the dict
-        round-trips through JSON (``pickle`` already worked; cache keys
+        Every knob is explicit (defaults included) and tuple fields become
+        lists -- so two equal configs always produce the same dict and the
+        dict round-trips through JSON (``pickle`` already worked; cache keys
         need JSON).
         """
         return {
             "format": 1,
             "workers": self.workers,
-            "strategy": self.strategy,
-            "lookahead_depth": self.lookahead_depth,
-            "max_initial_cubes": self.max_initial_cubes,
             "cube_conflict_budget": self.cube_conflict_budget,
-            "max_resplit_depth": self.max_resplit_depth,
             "share_clauses": self.share_clauses,
-            "share_max_lbd": self.share_max_lbd,
-            "share_queue_size": self.share_queue_size,
-            "configs": [config.to_json_dict() for config in self.configs],
             "prefer_input_prefixes": list(self.prefer_input_prefixes),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SplitConfig":
-        """Inverse of :meth:`to_json_dict` (validates the format tag)."""
+        """Inverse of :meth:`to_json_dict` (validates the format tag).
+
+        A removed key is accepted only at its old default
+        (:data:`_REMOVED_KEYS`); any other value raises ``ValueError``.
+        """
         if data.get("format", 1) != 1:
             raise ValueError(
                 f"unsupported SplitConfig format {data.get('format')!r}"
             )
+        for key, default in _REMOVED_KEYS.items():
+            if key in data and data[key] != default:
+                raise ValueError(
+                    f"SplitConfig has no setting {key!r} any more; only its "
+                    f"old default is accepted, got {data[key]!r}"
+                )
         budget = data.get("cube_conflict_budget", 4000)
-        configs = data.get("configs")
         return cls(
             workers=int(data.get("workers", 1)),
-            strategy=str(data.get("strategy", "auto")),
-            lookahead_depth=int(data.get("lookahead_depth", 2)),
-            max_initial_cubes=int(data.get("max_initial_cubes", 32)),
             cube_conflict_budget=None if budget is None else int(budget),
-            max_resplit_depth=int(data.get("max_resplit_depth", 4)),
             share_clauses=bool(data.get("share_clauses", True)),
-            share_max_lbd=int(data.get("share_max_lbd", 3)),
-            share_queue_size=int(data.get("share_queue_size", 1024)),
-            configs=(
-                DIVERSE_CONFIGS
-                if configs is None
-                else tuple(
-                    PortfolioConfig.from_json_dict(entry) for entry in configs
-                )
-            ),
             prefer_input_prefixes=tuple(
                 str(prefix) for prefix in data.get("prefer_input_prefixes", ())
             ),
@@ -184,7 +169,7 @@ class SplitConfig:
 
 @dataclass
 class CubeStats:
-    """Solver work spent on one cube (or one portfolio race)."""
+    """Solver work spent on one cube."""
 
     literals: Tuple[Literal, ...]
     verdict: str
@@ -194,7 +179,7 @@ class CubeStats:
     propagations: int = 0
     learned_clauses: int = 0
     #: Duration of the ``dist.cube`` span (a pool worker's covers solve,
-    #: clause export and model extension) or the ``portfolio.race`` span.
+    #: clause export and model extension).
     runtime_seconds: float = 0.0
     worker: int = 0
     config: str = "baseline"
@@ -207,14 +192,11 @@ class DistStats:
     """Aggregate statistics of one scheduled query."""
 
     workers: int
-    strategy: str
     cubes: List[CubeStats] = field(default_factory=list)
     resplits: int = 0
     clauses_shared: int = 0
     #: Duration of the query's ``dist.solve`` span.
     wall_seconds: float = 0.0
-    #: Winning configuration of a portfolio race (``None`` otherwise).
-    winner: Optional[str] = None
 
     @property
     def cubes_total(self) -> int:
@@ -290,7 +272,7 @@ class DistResult:
 
     status: SolverStatus
     model: Optional[List[bool]] = None
-    stats: DistStats = field(default_factory=lambda: DistStats(1, "auto"))
+    stats: DistStats = field(default_factory=lambda: DistStats(1))
 
     @property
     def is_sat(self) -> bool:
@@ -360,12 +342,8 @@ class WorkScheduler:
         # The dist.solve span is open while workers fork, so every cube
         # worker inherits it on its collector stack -- shipped worker
         # spans parent under it with the same trace id.
-        with obs_trace.span(
-            "dist.solve", strategy=config.strategy, workers=config.workers
-        ) as dist_span:
-            if config.strategy == "portfolio":
-                result = self._solve_portfolio(query, deadline)
-            elif config.workers == 1:
+        with obs_trace.span("dist.solve", workers=config.workers) as dist_span:
+            if config.workers == 1:
                 result = self._solve_sequential(query, deadline)
             else:
                 result = self._solve_parallel(query, deadline)
@@ -382,47 +360,12 @@ class WorkScheduler:
         return result
 
     # ------------------------------------------------------------------
-    def _solve_portfolio(
-        self, query: SplitQuery, deadline: Optional[Deadline] = None
-    ) -> DistResult:
-        config = self.config
-        outcome = solve_portfolio(
-            query.clauses,
-            query.num_vars,
-            query.assumptions,
-            configs=config.configs,
-            workers=config.workers,
-            frozen=query.frozen,
-            max_conflicts=query.max_conflicts,
-            deadline=deadline,
-        )
-        stats = DistStats(
-            workers=config.workers,
-            strategy="portfolio",
-            winner=outcome.winner,
-        )
-        stats.cubes.append(
-            CubeStats(
-                literals=(),
-                verdict=outcome.status.value,
-                conflicts=outcome.conflicts,
-                decisions=outcome.decisions,
-                propagations=outcome.propagations,
-                learned_clauses=outcome.learned_clauses,
-                runtime_seconds=outcome.runtime_seconds,
-                config=outcome.winner or "portfolio",
-            )
-        )
-        return DistResult(
-            status=outcome.status, model=outcome.model, stats=stats
-        )
-
-    # ------------------------------------------------------------------
     def _solve_sequential(
         self, query: SplitQuery, deadline: Optional[Deadline] = None
     ) -> DistResult:
         """Inline cube loop: one solver, deterministic order, no processes.
 
+        The solver runs the baseline personality (``DIVERSE_CONFIGS[0]``).
         Clause sharing is implicit -- every learned clause (not just the
         short ones) stays in the shared database for the following cubes,
         which is strictly stronger than the parallel sharing protocol.
@@ -430,10 +373,8 @@ class WorkScheduler:
         reused (only the appended clause tail is fed), so the sharing also
         spans bounds.
         """
-        config = self.config
-        personality = config.configs[0]
-        solver, reduction = self._inline_solver_for(query, personality)
-        stats = DistStats(workers=1, strategy=config.strategy)
+        solver = self._inline_solver_for(query)
+        stats = DistStats(workers=1)
         pending = deque((cube, False) for cube in query.cubes)
         spent = 0
         unknown_final = 0
@@ -443,10 +384,7 @@ class WorkScheduler:
                 # is incomplete, so the only sound merge is UNKNOWN.
                 return DistResult(SolverStatus.UNKNOWN, stats=stats)
             cube, unbudgeted = pending.popleft()
-            budget = None if unbudgeted else config.cube_conflict_budget
-            if query.max_conflicts is not None:
-                remaining = max(0, query.max_conflicts - spent)
-                budget = remaining if budget is None else min(budget, remaining)
+            budget = None if unbudgeted else self._dispatch_budget(query, spent)
             cube_span = obs_trace.span(
                 "dist.cube", depth=cube.depth, literals=len(cube.literals)
             )
@@ -469,14 +407,13 @@ class WorkScheduler:
                 propagations=result.stats.propagations,
                 learned_clauses=result.stats.learned_clauses,
                 runtime_seconds=cube_span.seconds,
-                config=personality.name,
+                config=_INLINE_PERSONALITY.name,
             )
             stats.cubes.append(record)
             if result.is_sat:
-                model = result.model
-                if model is not None and reduction is not None:
-                    model = reduction.extend_model(model)
-                return DistResult(SolverStatus.SAT, model=model, stats=stats)
+                return DistResult(
+                    SolverStatus.SAT, model=result.model, stats=stats
+                )
             if result.is_unsat:
                 # A proof stands even when this cube's conflicts exhausted
                 # the global budget (the remaining cubes, if any, get a
@@ -487,7 +424,7 @@ class WorkScheduler:
                 return DistResult(SolverStatus.UNKNOWN, stats=stats)
             variable = (
                 _next_resplit_var(cube, query.resplit_vars)
-                if cube.depth < config.max_resplit_depth
+                if cube.depth < MAX_RESPLIT_DEPTH
                 else None
             )
             if variable is not None:
@@ -511,23 +448,20 @@ class WorkScheduler:
         return DistResult(SolverStatus.UNSAT, stats=stats)
 
     # ------------------------------------------------------------------
-    def _inline_solver_for(self, query: SplitQuery, personality):
+    def _inline_solver_for(self, query: SplitQuery) -> CDCLSolver:
         """Build the inline-path solver, or reuse the previous query's.
 
         Reuse requires the query to declare the append-only clause contract
-        (:attr:`SplitQuery.incremental`) and the personality to not run
-        whole-formula preprocessing (a preprocessed solver's variable space
-        is reduction-specific, so it cannot absorb raw appended clauses).
-        The reused solver is grown with ``ensure_num_vars`` and fed the
-        clause tail through the incremental ``add_clause`` path; everything
-        it learned in earlier queries is implied by the (monotonically
-        growing) clause database, so carrying it over is sound.
+        (:attr:`SplitQuery.incremental`).  The reused solver is grown with
+        ``ensure_num_vars`` and fed the clause tail through the incremental
+        ``add_clause`` path; everything it learned in earlier queries is
+        implied by the (monotonically growing) clause database, so carrying
+        it over is sound.
         """
         solver = self._inline_solver
         if (
             query.incremental
             and solver is not None
-            and not personality.preprocess
             and len(query.clauses) >= self._inline_clauses_fed
         ):
             solver.ensure_num_vars(query.num_vars)
@@ -535,11 +469,11 @@ class WorkScheduler:
             for index in range(self._inline_clauses_fed, len(clauses)):
                 solver.add_clause(clauses[index])
             self._inline_clauses_fed = len(clauses)
-            return solver, None
-        solver, reduction = personality.build_solver(
-            query.clauses, query.num_vars, query.frozen
+            return solver
+        solver, _ = _INLINE_PERSONALITY.build_solver(
+            query.clauses, query.num_vars
         )
-        if query.incremental and not personality.preprocess:
+        if query.incremental:
             self._inline_solver = solver
             self._inline_clauses_fed = len(query.clauses)
         else:
@@ -549,7 +483,7 @@ class WorkScheduler:
             # from, so reusing the stale solver could mix two formulas.
             self._inline_solver = None
             self._inline_clauses_fed = 0
-        return solver, reduction
+        return solver
 
     # ------------------------------------------------------------------
     def _dispatch_budget(self, query: SplitQuery, spent: int) -> Optional[int]:
@@ -620,7 +554,7 @@ class WorkScheduler:
         # every *peer's* inbox (single shared queue semantics would deliver
         # each clause to exactly one consumer -- possibly the exporter).
         inboxes: Optional[List["multiprocessing.Queue"]] = (
-            [context.Queue(config.share_queue_size) for _ in range(workers)]
+            [context.Queue(SHARE_QUEUE_SIZE) for _ in range(workers)]
             if config.share_clauses and workers > 1
             else None
         )
@@ -640,9 +574,9 @@ class WorkScheduler:
                 target=_pool_worker,
                 args=(
                     worker_id,
-                    config.configs[worker_id % len(config.configs)],
+                    DIVERSE_CONFIGS[worker_id % len(DIVERSE_CONFIGS)],
                     query,
-                    config.share_max_lbd if config.share_clauses else None,
+                    SHARE_MAX_LBD if config.share_clauses else None,
                     tasks,
                     results,
                     inboxes,
@@ -667,7 +601,7 @@ class WorkScheduler:
         for worker_id in range(workers):
             spawn(worker_id)
 
-        stats = DistStats(workers=workers, strategy=config.strategy)
+        stats = DistStats(workers=workers)
         outstanding = len(query.cubes)
         spent = 0
         unknown_final = 0
@@ -721,7 +655,7 @@ class WorkScheduler:
                     variable = (
                         _next_resplit_var(cube, query.resplit_vars)
                         if crash_counts[key] >= _CRASH_RESPLIT_AFTER
-                        and depth < config.max_resplit_depth
+                        and depth < MAX_RESPLIT_DEPTH
                         else None
                     )
                     if variable is not None:
@@ -846,7 +780,7 @@ class WorkScheduler:
                     cube = Cube(literals, depth)
                     variable = (
                         _next_resplit_var(cube, query.resplit_vars)
-                        if depth < config.max_resplit_depth
+                        if depth < MAX_RESPLIT_DEPTH
                         else None
                     )
                     if variable is not None:

@@ -116,7 +116,7 @@ class CampaignConfig:
     """Configuration of a campaign run.
 
     ``split`` routes every QED BMC query through the distributed proof
-    engine (cube-and-conquer + portfolio, see :mod:`repro.dist`); it
+    engine (cube-and-conquer, see :mod:`repro.dist`); it
     composes with ``run_campaign(workers=N)``: the workers fan out over
     bugs, and each bug's hard query can additionally fan out over cubes
     from its worker's solver child.  With several workers, leave it

@@ -21,7 +21,7 @@ sampled off the solver's cold branches through the active collector, so
 they share its bounded event ring, its drop counter and its shipping.
 
 **The capture/absorb contract.**  Every fork entry (a cube worker's loop,
-a portfolio racer, the queue's job entry) runs its work inside
+the queue's job entry) runs its work inside
 :func:`capture`, which yields one JSON-safe :data:`ObsBatch` -- completed
 spans, events, a ``dropped`` count and the process-metrics delta recorded
 inside it -- shipped home over whatever channel the worker already reports

@@ -17,8 +17,8 @@ The package implements the full Symbolic QED stack used in the case study:
   extension: original and duplicate results are spilled to disjoint memory
   regions and compared there, allowing instructions with fixed destination
   registers to participate in QED sequences.
-* :mod:`repro.qed.consistency` -- QED-consistent start state and the
-  register/memory pair consistency property.
+* :mod:`repro.qed.consistency` -- the register/memory pair consistency
+  property, checked from the (QED-consistent) reset state.
 * :mod:`repro.qed.single_i` -- Single-Instruction properties generated from
   the ISA catalogue (the architectural intent), with symbolic operands.
 * :mod:`repro.qed.harness` -- the user-facing :class:`SymbolicQED` harness
@@ -27,7 +27,7 @@ The package implements the full Symbolic QED stack used in the case study:
 """
 
 from repro.qed.eddiv import EDDIVMapping, QEDMode, allowed_instructions
-from repro.qed.consistency import qed_consistency_property, qed_consistent_start_state
+from repro.qed.consistency import qed_consistency_property
 from repro.qed.single_i import SingleIChecker, SingleIResult, single_i_property
 from repro.qed.harness import QEDCheckResult, SymbolicQED
 from repro.qed.counterexample import QEDCounterexample, interpret_counterexample
@@ -37,7 +37,6 @@ __all__ = [
     "QEDMode",
     "allowed_instructions",
     "qed_consistency_property",
-    "qed_consistent_start_state",
     "SingleIChecker",
     "SingleIResult",
     "single_i_property",

@@ -1,11 +1,11 @@
-"""QED-consistent start states and the QED consistency property.
+"""The QED consistency property.
 
 A *QED-consistent* architectural state is one in which every original /
 duplicate register pair and memory pair holds equal values and no instruction
 is left in flight.  The case study starts every BMC run from the core's
 operating mode with the pipeline empty and all registers and memory locations
 equal to zero -- which is exactly the reset state of our cores, so the
-default (concrete reset) initial state is already QED-consistent.
+harness runs BMC from reset with no initial-state overrides.
 
 The property checked by the BMC tool is the one from the paper's appendix::
 
@@ -18,35 +18,12 @@ drained.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
 from repro.bmc.property import SafetyProperty
 from repro.expr.bitvec import BV, BVConst, BVVar
 from repro.isa.arch import ArchParams
 from repro.qed.qed_mem import PHASE_DONE, _PHASE_WIDTH, QEDMemHandles
 from repro.qed.qed_module import QEDModuleHandles
 from repro.uarch.core import dmem_word_name, register_word_name
-
-
-def qed_consistent_start_state(
-    *, symbolic: bool = False, arch: Optional[ArchParams] = None
-) -> Dict[str, object]:
-    """Initial-state overrides for a QED run.
-
-    The concrete reset state (everything zero) is QED-consistent, so the
-    default run needs no overrides.  With ``symbolic=True`` the architectural
-    registers and data memory start symbolic-but-pairwise-equal would be
-    required; that extension ("Symbolic QED with symbolic starting state",
-    [Fadiheh 18, Ganesan 18]) is listed by the paper as future work and is
-    not exercised by the case-study harness, so requesting it raises
-    ``NotImplementedError`` to make the scope explicit.
-    """
-    if symbolic:
-        raise NotImplementedError(
-            "symbolic QED-consistent start states are future work in the "
-            "paper and are not part of the case-study reproduction"
-        )
-    return {}
 
 
 def _register_pairs_equal(arch: ArchParams) -> BV:

@@ -23,7 +23,6 @@ from repro.isa.arch import ArchParams, TINY_PROFILE
 from repro.obs import trace as obs_trace
 from repro.qed.consistency import (
     qed_consistency_property,
-    qed_consistent_start_state,
     qed_memory_consistency_property,
 )
 from repro.qed.counterexample import QEDCounterexample, interpret_counterexample
@@ -232,7 +231,7 @@ class SymbolicQED:
         ``split`` routes every bound's query through the distributed proof
         engine (:mod:`repro.dist`): cube-and-conquer over the QED property
         window and the instruction-port bits (the focus-set opcode choice),
-        raced over ``split.workers`` processes.  Unless the config already
+        fanned over ``split.workers`` processes.  Unless the config already
         names preferred split inputs, the harness points it at the core's
         instruction port so cubes partition by injected opcode.
 
@@ -251,9 +250,7 @@ class SymbolicQED:
             design=self.design,
             prop=self.prop,
             assumptions=(),
-            initial_state=qed_consistent_start_state(),
             max_bound=max_bound,
-            violation_mode="any" if single_query else "first",
             bound_schedule=[max_bound] if single_query else None,
             preprocess=preprocess,
             max_conflicts_per_query=max_conflicts_per_query,

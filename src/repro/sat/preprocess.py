@@ -701,7 +701,7 @@ def preprocess(
     preserves satisfiability when *clauses* is the complete formula --
     a clause outside the slab can produce a non-tautological resolvent on
     the blocking literal -- so only enable it for whole-formula
-    preprocessing (e.g. a portfolio worker building its own solver), never
+    preprocessing (e.g. a cube worker building its own solver), never
     for the incremental engine's per-bound slabs.  BCE also changes the
     model: use :meth:`PreprocessResult.extend_model` (which repairs blocked
     clauses before re-deriving eliminated variables) rather than the

@@ -229,8 +229,9 @@ class CDCLSolver:
         self._var_decay = var_decay
         self._clause_decay = clause_decay
         #: Initial saved phase of fresh variables.  ``False`` (negative
-        #: first) is the MiniSat default; portfolio solving flips it on some
-        #: workers so their search trees diverge from the first decision.
+        #: first) is the MiniSat default; the cube workers' personalities flip
+        #: it on some workers so their search trees diverge from the first
+        #: decision.
         self._default_phase = default_phase
 
         # Learned-clause export (cube-and-conquer clause sharing): when

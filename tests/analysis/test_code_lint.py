@@ -355,7 +355,7 @@ class TestForkSafety:
         assert report.ok
 
     def test_real_worker_tree_stays_clean(self):
-        # Regression over the real fork surfaces: scheduler/portfolio
+        # Regression over the real fork surfaces: the scheduler's cube
         # workers, the fleet solver child and the queue's job entry, and
         # the campaign job (detect_bug) those solver children run.
         paths = (

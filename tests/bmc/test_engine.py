@@ -72,7 +72,6 @@ class TestEngine:
             design=design,
             prop=prop,
             max_bound=8,
-            violation_mode="any",
             bound_schedule=[8],
         )
         result = BoundedModelChecker(problem).run()
@@ -91,12 +90,6 @@ class TestEngine:
         assert result.found_violation
         assert result.counterexample_length == 3
 
-    def test_invalid_violation_mode_rejected(self):
-        design = _counter_design()
-        prop = SafetyProperty("p", BVVar("count", 4).ne(BVConst(4, 1)))
-        with pytest.raises(ValueError):
-            BMCProblem(design=design, prop=prop, violation_mode="sometimes")
-
     def test_sparse_schedule_covers_skipped_frames(self):
         # Regression: with the per-bound "property holds before the last
         # frame" units, a sparse schedule of [2, 8] silently skipped the
@@ -108,7 +101,6 @@ class TestEngine:
             design=design,
             prop=prop,
             max_bound=8,
-            violation_mode="first",
             bound_schedule=[2, 8],
         )
         result = BoundedModelChecker(problem).run()
@@ -160,9 +152,7 @@ class TestIncrementalEngine:
     def test_first_mode_uses_one_solver_and_builder(self, construction_counters):
         design = _counter_design()
         prop = SafetyProperty("never9", BVVar("count", 4).ne(BVConst(4, 9)))
-        problem = BMCProblem(
-            design=design, prop=prop, max_bound=6, violation_mode="first"
-        )
+        problem = BMCProblem(design=design, prop=prop, max_bound=6)
         result = BoundedModelChecker(problem).run()
         assert result.status is BMCStatus.NO_VIOLATION_WITHIN_BOUND
         assert construction_counters["solver"] == 1
@@ -171,9 +161,7 @@ class TestIncrementalEngine:
     def test_violating_run_uses_one_solver_and_builder(self, construction_counters):
         design = _counter_design()
         prop = SafetyProperty("never3", BVVar("count", 4).ne(BVConst(4, 3)))
-        problem = BMCProblem(
-            design=design, prop=prop, max_bound=8, violation_mode="first"
-        )
+        problem = BMCProblem(design=design, prop=prop, max_bound=8)
         result = BoundedModelChecker(problem).run()
         assert result.status is BMCStatus.VIOLATION
         assert construction_counters["solver"] == 1

@@ -1,7 +1,5 @@
 """BMC engine + distributed proof engine: verdict equivalence, stats, replay."""
 
-import pytest
-
 from repro.bmc import BMCProblem, BMCStatus, BoundedModelChecker, SafetyProperty
 from repro.dist import SplitConfig
 from repro.expr import BVConst, BVVar, mux
@@ -27,15 +25,10 @@ def _problem(prop_value, width=6, **kwargs):
 
 
 class TestVerdictEquivalence:
-    @pytest.mark.parametrize("strategy", ["auto", "window", "lookahead", "portfolio"])
-    def test_violating_run_matches_sequential(self, strategy):
+    def test_violating_run_matches_sequential(self):
         sequential = BoundedModelChecker(_problem(5, max_bound=8)).run()
         distributed = BoundedModelChecker(
-            _problem(
-                5,
-                max_bound=8,
-                split=SplitConfig(workers=1, strategy=strategy),
-            )
+            _problem(5, max_bound=8, split=SplitConfig(workers=1))
         ).run()
         assert sequential.status is BMCStatus.VIOLATION
         assert distributed.status is BMCStatus.VIOLATION
@@ -50,15 +43,10 @@ class TestVerdictEquivalence:
             == sequential.counterexample_length
         )
 
-    @pytest.mark.parametrize("strategy", ["auto", "window", "lookahead", "portfolio"])
-    def test_safe_run_matches_sequential(self, strategy):
+    def test_safe_run_matches_sequential(self):
         sequential = BoundedModelChecker(_problem(63, max_bound=6)).run()
         distributed = BoundedModelChecker(
-            _problem(
-                63,
-                max_bound=6,
-                split=SplitConfig(workers=1, strategy=strategy),
-            )
+            _problem(63, max_bound=6, split=SplitConfig(workers=1))
         ).run()
         assert sequential.status is BMCStatus.NO_VIOLATION_WITHIN_BOUND
         assert distributed.status is BMCStatus.NO_VIOLATION_WITHIN_BOUND

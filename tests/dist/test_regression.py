@@ -105,9 +105,7 @@ class TestDynamicResplitting:
         reference = harness.check(max_bound=SMALL_BOUND)
         squeezed = harness.check(
             max_bound=SMALL_BOUND,
-            split=SplitConfig(
-                workers=1, cube_conflict_budget=10, max_resplit_depth=3
-            ),
+            split=SplitConfig(workers=1, cube_conflict_budget=10),
         )
         assert squeezed.found_violation == reference.found_violation
         assert squeezed.cubes_resplit > 0

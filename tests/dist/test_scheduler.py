@@ -1,15 +1,12 @@
-"""Work scheduler, portfolio runner and split-variable selection."""
+"""Work scheduler and worker personalities."""
 
 import dataclasses
 
 import pytest
 
 from repro.dist.cubes import Cube, binary_cubes, ladder_cubes
-from repro.dist.portfolio import (
-    DIVERSE_CONFIGS,
-    PortfolioConfig,
-    solve_portfolio,
-)
+from repro.dist import scheduler as scheduler_module
+from repro.dist.portfolio import DIVERSE_CONFIGS, PortfolioConfig
 from repro.dist.scheduler import (
     SplitConfig,
     SplitQuery,
@@ -36,14 +33,6 @@ class TestSplitConfigValidation:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
             SplitConfig(workers=0)
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            SplitConfig(strategy="divine-intervention")
-
-    def test_rejects_empty_configs(self):
-        with pytest.raises(ValueError, match="configs"):
-            SplitConfig(configs=())
 
 
 class TestSequentialScheduler:
@@ -161,7 +150,14 @@ class TestParallelScheduler:
         for clause in SAT_CLAUSES:
             assert any((l > 0) == result.model[abs(l)] for l in clause)
 
-    def test_parallel_resplit_terminates(self):
+    def test_parallel_resplit_terminates(self, monkeypatch):
+        # The "preprocessed" personality refutes this formula before its
+        # first conflict, so whether the cube overruns its zero budget
+        # would depend on which worker steals it: pin every worker to the
+        # baseline so the re-split path always runs.
+        monkeypatch.setattr(
+            scheduler_module, "DIVERSE_CONFIGS", DIVERSE_CONFIGS[:1]
+        )
         query = _query(
             UNSAT_CLAUSES, 4, [Cube(())], resplit_vars=[1, 2, 3, 4]
         )
@@ -177,87 +173,15 @@ class TestParallelScheduler:
         assert result.status is SolverStatus.UNSAT
 
 
-class TestPortfolio:
-    def test_race_finds_unsat(self):
-        outcome = solve_portfolio(
-            [list(c) for c in UNSAT_CLAUSES], 4, workers=2
-        )
-        assert outcome.status is SolverStatus.UNSAT
-        assert outcome.winner in {c.name for c in DIVERSE_CONFIGS}
-
-    def test_race_finds_sat_model(self):
-        outcome = solve_portfolio(
-            [list(c) for c in SAT_CLAUSES], 3, workers=3
-        )
-        assert outcome.status is SolverStatus.SAT
-        for clause in SAT_CLAUSES:
-            assert any((l > 0) == outcome.model[abs(l)] for l in clause)
-
-    def test_single_worker_race_is_inline_and_deterministic(self):
-        def run():
-            return solve_portfolio(
-                [list(c) for c in UNSAT_CLAUSES], 4, workers=1
-            )
-
-        first, second = run(), run()
-        assert first.status is SolverStatus.UNSAT
-        assert first.conflicts == second.conflicts
-        assert first.winner == second.winner == DIVERSE_CONFIGS[0].name
-
-    def test_preprocessed_personality_extends_models(self):
-        config = PortfolioConfig("pre", preprocess=True)
-        # Freeze nothing: Tseitin-style var 3 gets eliminated, and the
-        # returned model must still assign it correctly.
-        outcome = solve_portfolio(
-            [list(c) for c in SAT_CLAUSES],
-            3,
-            configs=(config,),
-            workers=1,
-        )
-        assert outcome.status is SolverStatus.SAT
-        for clause in SAT_CLAUSES:
-            assert any((l > 0) == outcome.model[abs(l)] for l in clause)
-
-    def test_unknown_only_when_every_config_exhausts(self):
-        # Preprocess-free personalities only: the default set's
-        # "preprocessed" entry refutes this tiny formula during variable
-        # elimination, before the conflict budget is ever consulted.
-        outcome = solve_portfolio(
-            [list(c) for c in UNSAT_CLAUSES],
-            4,
-            configs=[c for c in DIVERSE_CONFIGS if not c.preprocess],
-            workers=2,
-            max_conflicts=0,
-        )
-        assert outcome.status is SolverStatus.UNKNOWN
-
-    def test_preprocessed_personality_raced_at_two_workers(self):
-        # Regression for the default order: index 1 must be the (only)
-        # preprocessing personality so BCE/BVE run in every >=2-worker
-        # race, and index 0 must stay preprocess-free for the inline
-        # scheduler path's incremental solver reuse.
+class TestWorkerPersonalities:
+    def test_default_order(self):
+        # Index 0 must stay preprocess-free for the inline scheduler path's
+        # incremental solver reuse, and index 1 must be the (only)
+        # preprocessing personality so BVE/BCE run in every >=2-worker
+        # fan-out.
         assert not DIVERSE_CONFIGS[0].preprocess
         assert DIVERSE_CONFIGS[1].preprocess and DIVERSE_CONFIGS[1].blocked
-        outcome = solve_portfolio(
-            [list(c) for c in UNSAT_CLAUSES],
-            4,
-            workers=2,
-            max_conflicts=0,
-        )
-        # The zero-budget race is decided by preprocessing alone.
-        assert outcome.status is SolverStatus.UNSAT
-        assert outcome.winner == "preprocessed"
 
-    def test_scheduler_portfolio_strategy(self):
-        query = _query(UNSAT_CLAUSES, 4, [Cube(())])
-        result = WorkScheduler(
-            SplitConfig(workers=2, strategy="portfolio")
-        ).solve(query)
-        assert result.status is SolverStatus.UNSAT
-        assert result.stats.winner is not None
-
-
-class TestWorkerPersonalities:
     def test_personalities_are_distinct(self):
         names = [c.name for c in DIVERSE_CONFIGS]
         assert len(names) == len(set(names))
@@ -270,14 +194,21 @@ class TestWorkerPersonalities:
             }
         ) == len(DIVERSE_CONFIGS)
 
+    def test_preprocessed_personality_extends_models(self):
+        # Freeze nothing: Tseitin-style var 3 gets eliminated, and the
+        # extended model must still assign it correctly.
+        _assert_extended_model_satisfies(PortfolioConfig("pre", preprocess=True))
+
     def test_blocked_clause_personality_repairs_models(self):
-        config = PortfolioConfig("pre-bce", preprocess=True, blocked=True)
-        outcome = solve_portfolio(
-            [list(c) for c in SAT_CLAUSES],
-            3,
-            configs=(config,),
-            workers=1,
+        _assert_extended_model_satisfies(
+            PortfolioConfig("pre-bce", preprocess=True, blocked=True)
         )
-        assert outcome.status is SolverStatus.SAT
-        for clause in SAT_CLAUSES:
-            assert any((l > 0) == outcome.model[abs(l)] for l in clause)
+
+
+def _assert_extended_model_satisfies(config):
+    solver, reduction = config.build_solver([list(c) for c in SAT_CLAUSES], 3)
+    result = solver.solve()
+    assert result.status is SolverStatus.SAT
+    model = reduction.extend_model(result.model)
+    for clause in SAT_CLAUSES:
+        assert any((l > 0) == model[abs(l)] for l in clause)

@@ -73,6 +73,31 @@ class TestOneDispatchPath:
         assert offenders == []
 
 
+class TestOneSplitPath:
+    def test_dist_forks_in_one_place(self):
+        # Cube-and-conquer is the one way to split a proof: its pool worker
+        # is the package's only fork entry and only process it starts.
+        entries, spawns = [], []
+        for path in sorted(glob.glob(_src("dist", "*.py"))):
+            name = os.path.basename(path)
+            with open(path, "r", encoding="utf-8") as stream:
+                for line in stream:
+                    if "# fork-entry" in line:
+                        entries.append((name, line.strip()))
+                    if ".Process(" in line:
+                        spawns.append(name)
+        assert entries == [("scheduler.py", "def _pool_worker(  # fork-entry")]
+        assert spawns == ["scheduler.py"]
+
+    def test_dist_exports_no_second_solve_entry(self):
+        # WorkScheduler.solve is the one way in; a module-level solve
+        # function next to it would be a second split path (the removed
+        # portfolio race was one).
+        import repro.dist
+
+        assert [n for n in repro.dist.__all__ if "solve" in n.lower()] == []
+
+
 class TestObsInForkScope:
     def test_obs_package_passes_fork_safety_lint(self):
         paths = sorted(glob.glob(_src("obs", "*.py")))

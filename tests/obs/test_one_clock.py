@@ -10,15 +10,11 @@ import pytest
 
 from repro.bmc import BMCProblem, BMCStatus, BoundedModelChecker, SafetyProperty
 from repro.bmc.property import Assumption
-from repro.dist.portfolio import solve_portfolio
 from repro.dist.scheduler import SplitConfig
 from repro.expr import BVConst, BVVar, mux
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.rtl import Circuit, elaborate
-
-# x1|x2 and x3|x4 but every cross pair forbidden: UNSAT.
-UNSAT_CLAUSES = [[1, 2], [3, 4], [-1, -3], [-1, -4], [-2, -3], [-2, -4]]
 
 
 def _duration(span):
@@ -187,14 +183,6 @@ class TestTracedFieldsEqualTheirSpans:
                 for s in cube_spans
             )
 
-    def test_two_racer_portfolio(self):
-        outcome, collector = _traced(
-            lambda: solve_portfolio(UNSAT_CLAUSES, 4, workers=2)
-        )
-        assert outcome.status.value == "unsat"
-        [race_span] = _named(collector, "portfolio.race")
-        assert outcome.runtime_seconds == _duration(race_span)
-
 
 class TestUntracedFieldsStillTime:
     @pytest.fixture(autouse=True)
@@ -218,7 +206,3 @@ class TestUntracedFieldsStillTime:
         assert stats.runtime_seconds > 0.0
         assert stats.solve_seconds == stats.dist.wall_seconds > 0.0
         assert all(c.runtime_seconds > 0.0 for c in stats.dist.cubes)
-
-    def test_two_racer_portfolio(self):
-        outcome = solve_portfolio(UNSAT_CLAUSES, 4, workers=2)
-        assert outcome.runtime_seconds > 0.0

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.dist.cubes import binary_cubes
-from repro.dist.portfolio import solve_portfolio
 from repro.dist.scheduler import SplitConfig, SplitQuery, WorkScheduler
 from repro.eval.campaign import (
     CampaignConfig,
@@ -104,13 +103,6 @@ class TestMetricsParity:
         obs_trace.clear()
         _assert_restart_parity(collector)
 
-    def test_racers_ship_metric_deltas(self):
-        obs_metrics.reset_process_metrics()
-        collector = obs_trace.start_trace()
-        solve_portfolio(_random_3cnf(120, 516), 120, workers=2)
-        obs_trace.clear()
-        _assert_restart_parity(collector)
-
     def test_campaign_workers_ship_metric_deltas(self):
         obs_metrics.reset_process_metrics()
         config = CampaignConfig(
@@ -120,39 +112,6 @@ class TestMetricsParity:
         )
         run_campaign(config, workers=2)
         _assert_restart_parity(obs_trace.last_trace())
-
-
-class TestPortfolioPropagation:
-    def test_racers_never_call_the_parents_shipper(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(obs_trace, "HEARTBEAT_INTERVAL_SECONDS", 0.0)
-        monkeypatch.setattr(obs_trace, "SHIP_INTERVAL_SECONDS", 0.0)
-        log = tmp_path / "ship.log"
-
-        def ship(batch):
-            with open(log, "a", encoding="utf-8") as stream:
-                stream.write(f"{os.getpid()} {len(batch['events'])}\n")
-
-        collector = obs_trace.start_trace()
-        with obs_trace.capture(ship=ship):
-            solve_portfolio(_random_3cnf(120, 516), 120, workers=2)
-        obs_trace.clear()
-        # The racers sampled heartbeats (they came home in their batches)...
-        assert any(
-            e["name"] == "heartbeat" and e["attrs"]["pid"] != os.getpid()
-            for e in collector.events
-        )
-        # ...but only this process ever ran the shipper.
-        pids = {line.split()[0] for line in log.read_text().splitlines()}
-        assert pids == {str(os.getpid())}
-
-    def test_racers_ship_spans_back(self):
-        collector = obs_trace.start_trace()
-        outcome = solve_portfolio(UNSAT_CLAUSES, 4, workers=2)
-        obs_trace.clear()
-        racers = [s for s in collector.spans if s["name"] == "portfolio.racer"]
-        # Every *finished* racer shipped its span (a cancelled loser may not).
-        assert len(racers) >= len(outcome.finished) >= 1
-        assert f"{os.getpid():x}" not in _pid_prefixes(racers)
 
 
 class TestCampaignPropagation:

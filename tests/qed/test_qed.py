@@ -148,7 +148,29 @@ class TestDetection:
         assert "LDIL" in report
 
 
+class TestCleanDesignQEDMem:
+    def test_qed_mem_has_no_false_failures(self):
+        harness = SymbolicQED(
+            "B.v6",
+            mode=QEDMode.EDDIV_MEM,
+            arch=TINY_PROFILE,
+            tracked_registers=(0,),
+        )
+        result = harness.check(max_bound=8)
+        assert not result.found_violation
+        assert result.bmc_result.frames_proven == 8
+
+
 class TestSingleI:
+    @pytest.mark.parametrize(
+        "version, expected",
+        [("A.v6", ["SRA"]), ("A.v8", ["CMPI"]), ("B.v6", [])],
+        ids=["A.v6", "A.v8", "B.v6"],
+    )
+    def test_full_catalogue_flags_exactly_the_spec_bugs(self, version, expected):
+        checker = SingleIChecker(version, arch=TINY_PROFILE)
+        assert checker.violated_instructions(checker.check_all()) == expected
+
     def test_clean_design_satisfies_representative_properties(self):
         checker = SingleIChecker("B.v6", arch=TINY_PROFILE)
         results = checker.check_all(

@@ -1,18 +1,15 @@
 """Canonical job specs, cache keys, fingerprints, config round-trips."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.bmc.engine import BMCProblem
-from repro.bmc.property import SafetyProperty
-from repro.dist.portfolio import PortfolioConfig
+from repro.dist.portfolio import DIVERSE_CONFIGS
 from repro.dist.scheduler import SplitConfig
 from repro.eval.campaign import CampaignConfig
-from repro.expr import BVConst, BVVar
 from repro.indverif.crs import CRSConfig
 from repro.isa.arch import SMALL_PROFILE, TINY_PROFILE, ArchParams
-from repro.rtl import Circuit, elaborate
 from repro.serve.keys import JobSpec, canonical_json
 from repro.uarch.versions import version_by_name
 
@@ -30,23 +27,54 @@ class TestConfigRoundTrips:
         data = json.loads(json.dumps(config.to_json_dict()))
         assert CRSConfig.from_json_dict(data) == config
 
-    def test_portfolio_config(self):
-        config = PortfolioConfig(
-            "probe", var_decay=0.9, default_phase=True, preprocess=True
-        )
-        data = json.loads(json.dumps(config.to_json_dict()))
-        assert PortfolioConfig.from_json_dict(data) == config
-
-    def test_split_config_with_nested_portfolio(self):
+    def test_split_config(self):
         config = SplitConfig(
             workers=3,
-            strategy="lookahead",
             cube_conflict_budget=None,
-            configs=(PortfolioConfig("a"), PortfolioConfig("b", blocked=True)),
+            share_clauses=False,
             prefer_input_prefixes=("instr_in",),
         )
         data = json.loads(json.dumps(config.to_json_dict()))
         assert SplitConfig.from_json_dict(data) == config
+
+    def test_split_config_with_nested_portfolio(self):
+        # The canonical dict of a config written before SplitConfig lost
+        # its strategy, tuning and personality settings: all 11 keys, at
+        # their defaults, the personalities nested in their JSON form.
+        data = {
+            "format": 1,
+            "workers": 1,
+            "strategy": "auto",
+            "lookahead_depth": 2,
+            "max_initial_cubes": 32,
+            "cube_conflict_budget": 4000,
+            "max_resplit_depth": 4,
+            "share_clauses": True,
+            "share_max_lbd": 3,
+            "share_queue_size": 1024,
+            "configs": [
+                {"format": 1, **dataclasses.asdict(c)} for c in DIVERSE_CONFIGS
+            ],
+            "prefer_input_prefixes": [],
+        }
+        assert SplitConfig.from_json_dict(json.loads(json.dumps(data))) == (
+            SplitConfig()
+        )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("strategy", "portfolio"),
+            ("max_resplit_depth", 3),
+            ("configs", [{"format": 1, **dataclasses.asdict(DIVERSE_CONFIGS[0])}]),
+        ],
+    )
+    def test_split_config_refuses_a_removed_setting_off_its_default(
+        self, key, value
+    ):
+        # Loading it as the default would silently run a different query.
+        with pytest.raises(ValueError, match=key):
+            SplitConfig.from_json_dict({"workers": 2, key: value})
 
     def test_campaign_config_defaults_and_nested(self):
         config = CampaignConfig(
@@ -59,23 +87,6 @@ class TestConfigRoundTrips:
         assert CampaignConfig.from_json_dict(data) == config
         # Defaults round-trip too (the empty dict is a valid wire form).
         assert CampaignConfig.from_json_dict({}) == CampaignConfig()
-
-    def test_bmc_problem_knobs_are_json_stable(self):
-        circuit = Circuit("knobs")
-        count = circuit.register("count", 4, reset=0)
-        count.next = count.q + BVConst(4, 1)
-        problem = BMCProblem(
-            design=elaborate(circuit),
-            prop=SafetyProperty("p", BVVar("count", 4).ne(BVConst(4, 9))),
-            max_bound=6,
-            bound_schedule=[2, 6],
-            max_conflicts_per_query=100,
-            split=SplitConfig(workers=2),
-        )
-        knobs = problem.knobs_dict()
-        assert json.loads(json.dumps(knobs)) == knobs
-        assert knobs["bound_schedule"] == [2, 6]
-        assert knobs["split"]["workers"] == 2
 
 
 class TestFingerprint:

@@ -100,6 +100,21 @@ class TestProtocolRobustness:
         assert excinfo.value.status == 400
         assert server.healthy()
 
+    def test_removed_split_strategy_is_refused(self, server):
+        # SplitConfig has one split now; a job asking for another one must
+        # be refused, not silently run as the one there is.
+        split = {"workers": 1, "strategy": "window"}
+        for body in (
+            {"bug_id": "wrport_collision", "config": {"split": split}},
+            {"spec": spec("__echo__", split=split).canonical_dict()},
+        ):
+            with pytest.raises(ServeError, match="strategy") as excinfo:
+                server._request("POST", "/jobs", body)
+            assert excinfo.value.status == 400
+        assert server.jobs() == []
+        assert server.stats()["queue"]["jobs_submitted"] == 0
+        assert server.healthy()
+
 
 class TestJobsOverHttp:
     def test_submit_poll_result_roundtrip(self, server):

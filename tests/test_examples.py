@@ -1,9 +1,9 @@
 """Smoke tests for the ``examples/`` scripts.
 
 The examples are the documented entry points of the reproduction; this keeps
-them runnable under the tier-1 profile.  Only the quickstart is executed --
-the other examples run multi-minute campaigns and are exercised indirectly
-through the modules they call.
+them runnable under the tier-1 profile.  Only the seconds-scale examples are
+executed -- the others run multi-minute campaigns and are exercised
+indirectly through the modules they call.
 """
 
 import os
@@ -32,6 +32,15 @@ def test_serve_quickstart_hits_the_cache(capsys):
     assert "bug detected by ['single_i']" in output
     assert "cache hit" in output
     assert "1 executed, 1 cache hits" in output
+
+
+def test_distributed_proof_proves_five_frames(capsys, monkeypatch):
+    monkeypatch.delenv("WORKERS", raising=False)
+    path = os.path.join(EXAMPLES_DIR, "distributed_proof.py")
+    runpy.run_path(path, run_name="__main__")
+    output = capsys.readouterr().out
+    assert "no QED failure within bound 5" in output
+    assert "frames proven safe        : 5" in output
 
 
 def test_examples_importable_without_side_effects():
