@@ -14,7 +14,12 @@ pipeline; per bound the stages are:
 1. **AIG rewrite** -- the unroller blasts the new time-frames into the shared
    :class:`~repro.expr.aig.AIG`, where constant folding, structural hashing
    and local two-level rewriting (contradiction, absorption, substitution,
-   shared-child merging) shrink the graph as it is built.
+   shared-child merging) shrink the graph as it is built.  Input pins are
+   applied before this stage: every input bit that a single-cycle
+   assumption (``only_cycle``) fixes through a top-level conjunct (see
+   :func:`~repro.bmc.property.input_pins`) is unrolled as a constant, so
+   it folds through the logic it drives.  The assumption is still asserted
+   below like any other; only its encoding moves.
 2. **Cone of influence** -- only the cone of the violation-window roots (plus
    the environmental assumptions whose support intersects it, computed via
    :meth:`~repro.expr.aig.AIG.cone_inputs` to a fixpoint) is carried further;
@@ -78,7 +83,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.bmc.property import Assumption, SafetyProperty
+from repro.bmc.property import Assumption, InputPins, SafetyProperty, input_pins
 from repro.deadline import Deadline
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -493,7 +498,9 @@ class BoundedModelChecker:
         check_design(problem.design, prop=problem.prop.expr)
         self.problem = problem
         self._unroller = Unroller(
-            problem.design, initial_state=problem.initial_state
+            problem.design,
+            initial_state=problem.initial_state,
+            input_pins=self._frame_pins(problem),
         )
         self._cnf = CNF()
         self._builder = CNFBuilder(self._unroller.aig, self._cnf)
@@ -522,6 +529,25 @@ class BoundedModelChecker:
         #: solver incrementally -- the engine's clause list only ever grows,
         #: which is the contract ``SplitQuery.incremental`` declares.
         self._dist_scheduler: Optional[WorkScheduler] = None
+
+    @staticmethod
+    def _frame_pins(problem: BMCProblem) -> Dict[int, InputPins]:
+        """Per frame, the input bits the single-cycle assumptions fix.
+
+        All-cycle assumptions pin nothing: they stay under cone-of-influence
+        deferral.  Where two assumptions disagree on a bit the first wins
+        and the other folds to false, so the verdict is unchanged.
+        """
+        pins: Dict[int, InputPins] = {}
+        for assumption in problem.assumptions:
+            if assumption.only_cycle is None:
+                continue
+            frame_pins = pins.setdefault(assumption.only_cycle, {})
+            for bit, value in input_pins(
+                assumption.expr, problem.design.inputs
+            ).items():
+                frame_pins.setdefault(bit, value)
+        return pins
 
     # ------------------------------------------------------------------
     def _sync_solver(self) -> CDCLSolver:
@@ -812,8 +838,10 @@ class BoundedModelChecker:
     ) -> List[Dict[str, int]]:
         """Read back the input values the solver chose for each frame.
 
-        Input bits without a CNF variable were outside every encoded cone
-        (unconstrained) and default to 0.
+        A pinned input bit is a constant literal and reads back as its
+        constant (node 0 has no CNF variable, and the literal's sign gives
+        the value); any other input bit without a CNF variable was outside
+        every encoded cone (unconstrained) and defaults to 0.
         """
         inputs: List[Dict[str, int]] = []
         for frame_index in range(bound):

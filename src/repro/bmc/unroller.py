@@ -10,6 +10,8 @@ directions).
 Because the initial state of Symbolic QED runs is fully concrete, constant
 folding inside the AIG collapses much of the early frames; this is the main
 reason the pure-Python BMC stays fast enough for the benchmark harness.
+Input bits pinned by a single-cycle assumption fold the same way (see
+:class:`Unroller`).
 
 Unrolling itself only *builds* AIG literals -- nothing is committed to CNF
 here.  Downstream, the engine walks the cone of influence of the property
@@ -23,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Union
 
-from repro.expr.aig import AIG
+from repro.bmc.property import InputPins
+from repro.expr.aig import AIG, AIG_FALSE, AIG_TRUE
 from repro.expr.bitblast import BitBlaster, Bits
 from repro.expr.bitvec import BV
 from repro.rtl.design import Design
@@ -44,7 +47,16 @@ class UnrolledFrame:
 
 
 class Unroller:
-    """Unroll a design over successive time frames into a shared AIG."""
+    """Unroll a design over successive time frames into a shared AIG.
+
+    ``input_pins`` maps a frame index to the input bits fixed at that frame
+    (``(name, bit) -> 0 or 1``); each such bit is the constant
+    ``AIG_TRUE``/``AIG_FALSE`` in the frame's ``inputs`` instead of a fresh
+    AIG input, so it folds through the logic it drives (Single-I's pinned
+    instruction reduces decode and the ALU select to the one operation
+    under test).  The caller must still assert whatever constraint implies
+    the pins -- the unroller only changes how they are encoded.
+    """
 
     def __init__(
         self,
@@ -52,11 +64,13 @@ class Unroller:
         *,
         initial_state: Optional[Mapping[str, InitialState]] = None,
         aig: Optional[AIG] = None,
+        input_pins: Optional[Mapping[int, InputPins]] = None,
     ) -> None:
         self.design = design
         self.aig = aig if aig is not None else AIG()
         self.frames: List[UnrolledFrame] = []
         self._initial_overrides: Dict[str, InitialState] = dict(initial_state or {})
+        self._input_pins: Dict[int, InputPins] = dict(input_pins or {})
         # State literals entering the *next* frame to be built.
         self._incoming_state: Optional[Dict[str, Bits]] = None
         #: AIG input literals of the state elements that start symbolic;
@@ -99,11 +113,14 @@ class Unroller:
         for name, bits in state_bits.items():
             blaster.bind(name, bits)
 
-        # Fresh symbolic inputs for this frame.
+        # Fresh symbolic inputs for this frame, constants where pinned.
+        pins = self._input_pins.get(frame_index, {})
         input_bits: Dict[str, Bits] = {}
         for name, width in self.design.inputs.items():
             input_bits[name] = [
-                self.aig.add_input(f"{name}@{frame_index}[{i}]")
+                (AIG_TRUE if pins[(name, i)] else AIG_FALSE)
+                if (name, i) in pins
+                else self.aig.add_input(f"{name}@{frame_index}[{i}]")
                 for i in range(width)
             ]
             blaster.bind(name, input_bits[name])

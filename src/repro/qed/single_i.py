@@ -456,11 +456,10 @@ class SingleIChecker:
         instructions: Optional[Sequence[str]] = None,
     ) -> List[SingleIResult]:
         """Check every instruction (or the named subset) and return results."""
-        selected = (
-            [i for i in self.instructions if i.name in set(instructions)]
-            if instructions is not None
-            else self.instructions
-        )
+        selected = self.instructions
+        if instructions is not None:
+            names = set(instructions)
+            selected = [i for i in self.instructions if i.name in names]
         return [
             self.check_instruction(instr, max_bound=max_bound)
             for instr in selected

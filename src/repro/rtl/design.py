@@ -75,12 +75,13 @@ class Design:
 
     def free_variables(self) -> Set[str]:
         """Names of all variables referenced by any expression."""
-        names: Set[str] = set()
-        for expr in list(self.next_state.values()) + list(self.outputs.values()) + list(
-            self.assumptions.values()
-        ):
-            names |= _collect_variables(expr)
-        return names
+        return _collect_variables(
+            [
+                *self.next_state.values(),
+                *self.outputs.values(),
+                *self.assumptions.values(),
+            ]
+        )
 
     def validate(self) -> None:
         """Check internal consistency; raise :class:`RTLBuildError` on error."""
@@ -171,9 +172,10 @@ class Design:
         )
 
 
-def _collect_variables(expr: BV) -> Set[str]:
+def _collect_variables(roots: Iterable[BV]) -> Set[str]:
+    """Variable names under *roots*; logic shared between roots is walked once."""
     names: Set[str] = set()
-    stack = [expr]
+    stack = list(roots)
     seen: Set[int] = set()
     while stack:
         node = stack.pop()

@@ -170,14 +170,27 @@ def _assert_slabs_match_reference(slabs):
         _assert_matches_reference(clauses, **options, enable_blocked=True)
 
 
-def test_single_i_slab_matches_reference(monkeypatch):
+def _detection_slabs(monkeypatch, bug_id):
     config = campaign.CampaignConfig(
         run_industrial_flow=False, run_directed_tests=False
     )
-    slabs = _capture_slabs(
-        monkeypatch, lambda: campaign.detect_bug("sra_zero_fill", config)
+    return _capture_slabs(
+        monkeypatch, lambda: campaign.detect_bug(bug_id, config)
     )
-    assert slabs and max(len(clauses) for clauses, _ in slabs) > 2000
+
+
+def test_single_i_slab_matches_reference(monkeypatch):
+    # The pinned instruction under test constant-folds decode and the ALU
+    # select, so this slab is a few hundred clauses.
+    slabs = _detection_slabs(monkeypatch, "sra_zero_fill")
+    assert slabs
+    _assert_slabs_match_reference(slabs)
+
+
+def test_eddiv_detection_slab_matches_reference(monkeypatch):
+    # A whole EDDI-V detection window: tens of thousands of clauses.
+    slabs = _detection_slabs(monkeypatch, "consecutive_sub")
+    assert max(len(clauses) for clauses, _ in slabs) > 2000
     _assert_slabs_match_reference(slabs)
 
 

@@ -43,6 +43,17 @@ def test_distributed_proof_proves_five_frames(capsys, monkeypatch):
     assert "frames proven safe        : 5" in output
 
 
+def test_spec_bug_only_single_i_reports(capsys):
+    # Fig. 8's spec-bug row: CRS and OCS-FV miss CMPI's carry deviation.
+    path = os.path.join(EXAMPLES_DIR, "spec_bug_and_single_i.py")
+    runpy.run_path(path, run_name="__main__")
+    output = capsys.readouterr().out
+    assert "mismatches: 0" in output
+    assert "OCS-FV:  failing properties: none" in output
+    assert "Single-I: CMPI property violated = True" in output
+    assert "1-instruction counterexample" in output
+
+
 def test_examples_importable_without_side_effects():
     """Importing (not running) an example must not start a campaign."""
     for name in (
