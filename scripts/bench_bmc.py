@@ -109,8 +109,7 @@ TREND_STEP_TOLERANCE = 0.95
 
 
 def _bound_stats_rows(result: BMCResult) -> List[Dict[str, object]]:
-    # The canonical serialization lives on BoundStats itself (the serving
-    # layer streams the same dicts as progress events).
+    # The canonical serialization lives on BoundStats itself.
     return [stats.to_json_dict() for stats in result.per_bound_stats]
 
 

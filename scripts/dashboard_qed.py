@@ -311,8 +311,8 @@ def render_frame(
             metrics = parse_prometheus(metrics_text)
         except ValueError:
             metrics = {}
-        cache_hits = metrics.get("qed_cache_hits", 0.0)
-        cache_misses = metrics.get("qed_cache_misses", 0.0)
+        cache_hits = metrics.get("qed_cache_hits_total", 0.0)
+        cache_misses = metrics.get("qed_cache_misses_total", 0.0)
         lines.append(
             f"metrics   : qed_cache {cache_hits:.0f} hit / "
             f"{cache_misses:.0f} miss, "

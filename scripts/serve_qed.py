@@ -16,9 +16,11 @@ Subcommands::
                  job, check the verdict against a direct detect_bug() call,
                  check that an identical resubmission is a cache hit, and
                  check all three observability channels of the solved job
-                 (its trace, its heartbeats, the /metrics it fed), and
-                 check that each bmc.bound span lasted the runtime_seconds
-                 its progress event reports (one clock across the fork).
+                 (its trace, its heartbeats, the /metrics it fed), check
+                 that each bmc.bound span lasted the bound_seconds its
+                 per-bound heartbeat reports (one clock across the fork),
+                 and that /stats and /metrics count the same submissions
+                 and cache hits (one counter store).
     worker    -- join a server's fleet from this host: pull jobs under
                  leases, heartbeat, commit with the fence token:
                  ... serve_qed.py worker --server 127.0.0.1:8123
@@ -144,13 +146,9 @@ def cmd_submit(args) -> int:
         + (" (cache hit)" if view.cache_hit else "")
     )
     if args.wait and not view.done:
-        view = client.wait_done(
-            view.job_id,
-            timeout=args.timeout,
-            on_progress=lambda e: print(
-                f"  bound {e.get('bound')}: {e.get('verdict')}"
-            ),
-        )
+        view = client.wait_done(view.job_id, timeout=args.timeout)
+        for beat in _bound_heartbeats(client, view.job_id):
+            print(f"  bound {beat.get('bound')}: {beat.get('verdict')}")
     print(json.dumps(view.record if view.record else {"state": view.state}, indent=2))
     return 0 if view.state in ("queued", "running", "done") else 1
 
@@ -174,6 +172,12 @@ def cmd_campaign(args) -> int:
     return 0
 
 
+def _bound_heartbeats(client, job_id: str) -> List[dict]:
+    """The engine's per-bound heartbeats of a job, from ``/telemetry``."""
+    heartbeats = client.telemetry(job_id).get("heartbeats") or []
+    return [hb for hb in heartbeats if hb.get("site") == "bound"]
+
+
 def _obs_failures(client, job_id: str, metrics) -> List[str]:
     """Spans, heartbeats and metrics of a solved job all reached the server.
 
@@ -182,8 +186,8 @@ def _obs_failures(client, job_id: str, metrics) -> List[str]:
     ``/jobs/<id>/telemetry``, and a worker metric delta (bounds searched)
     merged into ``/metrics`` -- one run guarding the one capture protocol
     end to end.  It also guards the one clock across the fork and lease
-    boundary: each ``bmc.bound`` span lasted exactly the ``runtime_seconds``
-    that the same bound's progress event reports (both rounded to 1 us).
+    boundary: each ``bmc.bound`` span lasted exactly the ``bound_seconds``
+    that the same bound's heartbeat reports (both rounded to 1 us).
     """
     failures: List[str] = []
     spans = client.trace(job_id).get("spans") or []
@@ -193,24 +197,30 @@ def _obs_failures(client, job_id: str, metrics) -> List[str]:
         for s in spans
     ):
         failures.append("trace lacks a detect_bug span under queue.attempt")
-    reported = {
-        event.get("bound"): event.get("runtime_seconds")
-        for event in client.job(job_id).progress
-    }
-    bound_spans = [s for s in spans if s.get("name") == "bmc.bound"]
+    beats = _bound_heartbeats(client, job_id)
+    if not beats:
+        failures.append("/telemetry lists no per-bound heartbeat")
+    bound_spans = sorted(
+        (s for s in spans if s.get("name") == "bmc.bound"),
+        key=lambda s: s["start"],
+    )
     if not bound_spans:
         failures.append("trace lacks a bmc.bound span")
-    for span in bound_spans:
+    elif len(bound_spans) != len(beats):
+        failures.append(
+            f"{len(bound_spans)} bmc.bound spans, {len(beats)} per-bound "
+            f"heartbeats"
+        )
+    # A job may run several BMC searches: pair spans and beats in order.
+    for span, beat in zip(bound_spans, beats):
         bound = span["attrs"].get("bound")
         lasted = round(span["end"] - span["start"], 6)
-        if lasted != reported.get(bound):
+        reported = round(beat.get("bound_seconds", -1.0), 6)
+        if (bound, lasted) != (beat.get("bound"), reported):
             failures.append(
                 f"bmc.bound span of bound {bound} lasted {lasted} s, its "
-                f"progress event reports {reported.get(bound)} s"
+                f"heartbeat (bound {beat.get('bound')}) reports {reported} s"
             )
-    heartbeats = client.telemetry(job_id).get("heartbeats") or []
-    if not any(hb.get("site") == "bound" for hb in heartbeats):
-        failures.append("/telemetry lists no per-bound heartbeat")
     if not metrics.get("qed_bounds_total"):
         failures.append("/metrics reports zero qed_bounds_total")
     return failures
@@ -255,6 +265,17 @@ def cmd_smoke(args) -> int:
             failures.append("/metrics reports zero qed_cache_hits_total")
         if not metrics.get("qed_jobs_submitted_total"):
             failures.append("/metrics reports zero qed_jobs_submitted_total")
+        # /stats reads the registry /metrics renders: the two must agree.
+        payload = client.stats()
+        for key, series in (
+            ("jobs_submitted", "qed_jobs_submitted_total"),
+            ("cache_hits", "qed_cache_hits_total"),
+        ):
+            if payload["queue"].get(key) != metrics.get(series, 0):
+                failures.append(
+                    f"/stats {key} is {payload['queue'].get(key)}, /metrics "
+                    f"{series} is {metrics.get(series, 0)}"
+                )
         if not view.cache_hit:
             failures.extend(_obs_failures(client, view.job_id, metrics))
         if args.trace_out:
@@ -262,15 +283,15 @@ def cmd_smoke(args) -> int:
             with open(args.trace_out, "w", encoding="utf-8") as stream:
                 json.dump(trace, stream, indent=2, sort_keys=True)
             print(f"wrote {args.trace_out} (smoke job trace)")
-        stats = serving_statistics(client.stats())
-        print(json.dumps(stats, indent=2))
+        print(json.dumps(serving_statistics(payload), indent=2))
     if failures:
         for failure in failures:
             print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
         return 1
     print(
         "serve smoke OK: served verdict matches direct, resubmission hit "
-        "cache, spans/heartbeats/metrics arrived, bound spans match progress"
+        "cache, spans/heartbeats/metrics arrived, bound spans match their "
+        "heartbeats, /stats agrees with /metrics"
     )
     return 0
 

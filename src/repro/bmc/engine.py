@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bmc.property import Assumption, InputPins, SafetyProperty, input_pins
 from repro.deadline import Deadline
@@ -200,9 +200,10 @@ class BoundStats:
     def to_json_dict(self) -> Dict[str, object]:
         """JSON-serializable form of this bound's statistics.
 
-        Used verbatim by the bench report (``scripts/bench_bmc.py``) and by
-        the serving layer (:mod:`repro.serve`), which streams these dicts to
-        HTTP clients as per-bound progress events.
+        Used verbatim by the bench report (``scripts/bench_bmc.py``).  A
+        served job's clients see each bound as the engine's ``bound``
+        heartbeat on ``/jobs/<id>/telemetry`` and as its ``bmc.bound`` span
+        in ``/jobs/<id>/trace``, not as this dict.
         """
         row: Dict[str, object] = {
             "bound": self.bound,
@@ -455,7 +456,6 @@ class BMCProblem:
     assumptions: Sequence[Assumption] = ()
     initial_state: Optional[Dict[str, object]] = None
     max_bound: int = 12
-    use_design_assumptions: bool = True
     bound_schedule: Optional[Sequence[int]] = None
     preprocess: bool = True
     coi_assumptions: bool = True
@@ -584,9 +584,8 @@ class BoundedModelChecker:
         pending = self._pending_assumptions
         for frame_index in range(self._frames_encoded, bound):
             frame = self._unroller.frames[frame_index]
-            if problem.use_design_assumptions:
-                for literal in frame.assumption_bits.values():
-                    pending.append((literal, None))
+            for literal in frame.assumption_bits.values():
+                pending.append((literal, None))
             for assumption in problem.assumptions:
                 if assumption.applies_at(frame_index):
                     literal = self._unroller.blast_bit_at_frame(
@@ -923,16 +922,15 @@ class BoundedModelChecker:
     def run(
         self,
         *,
-        on_bound: Optional[Callable[[BoundStats], None]] = None,
         deadline: Optional[Deadline] = None,
     ) -> BMCResult:
         """Execute the incremental-bound search.
 
-        ``on_bound`` is an optional progress hook invoked with each bound's
-        :class:`BoundStats` the moment it is final (including ``skipped``
-        bounds and the violating bound).  The serving layer uses it to
-        stream per-bound progress to HTTP clients while a long query runs;
-        exceptions it raises propagate and abort the run.
+        Each bound's :class:`BoundStats` is final the moment its
+        ``bmc.bound`` span closes; with a collector installed it is also
+        recorded as a ``bound`` heartbeat (verdict, ``bound_seconds`` and
+        the run's cumulative solver counters), which is how a served job
+        reports per-bound progress while a long query runs.
 
         ``deadline`` is a wall-clock budget: it is checked before each
         bound and threaded into the solver (and distributed scheduler),
@@ -990,8 +988,6 @@ class BoundedModelChecker:
                     "qed_stage_seconds_total", stats.solve_seconds,
                     stage="solve",
                 )
-            if on_bound is not None:
-                on_bound(stats)
 
         for bound in problem.bounds():
             if deadline is not None and deadline.expired():

@@ -28,7 +28,7 @@ fields).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.netlist_lint import check_version_design
 from repro.deadline import Deadline
@@ -328,7 +328,6 @@ def _run_qed_feature(
     version: DesignVersion,
     config: CampaignConfig,
     record: BugDetectionRecord,
-    on_bound: Optional[Callable] = None,
     deadline: Optional[Deadline] = None,
 ) -> None:
     plan = FOCUS_SETS[bug.bug_id]
@@ -358,7 +357,6 @@ def _run_qed_feature(
         preprocess=config.preprocess,
         max_conflicts_per_query=config.max_conflicts_per_query,
         split=config.split,
-        on_bound=on_bound,
         deadline=deadline,
     )
     feature = {
@@ -390,17 +388,14 @@ def detect_bug(
     bug_id: str,
     config: Optional[CampaignConfig] = None,
     *,
-    on_bound: Optional[Callable] = None,
     deadline: Optional[Deadline] = None,
 ) -> BugDetectionRecord:
     """Run every configured technique against one bug (a campaign *job*).
 
     Each job is self-contained -- it elaborates its own design and solver
     state -- so any worker's solver child can run it: campaigns and served
-    jobs alike reach it through :func:`repro.serve.queue.execute_job_spec`.
-    ``on_bound`` is the per-bound progress hook forwarded to the BMC engine
-    (see :meth:`repro.bmc.engine.BoundedModelChecker.run`); the serving
-    layer uses it to stream progress while a job runs.
+    jobs alike reach it through :func:`repro.serve.queue.execute_job_spec`,
+    whose trace carries the engine's per-bound heartbeats while it runs.
 
     ``deadline`` is the job's wall-clock budget (the serving layer
     forwards what is left of the submission's ``deadline_seconds``).  It
@@ -433,7 +428,7 @@ def detect_bug(
         )
 
         with obs_trace.span("detect.qed"):
-            _run_qed_feature(bug, version, config, record, on_bound, deadline)
+            _run_qed_feature(bug, version, config, record, deadline)
 
         expired = deadline is not None and deadline.expired()
         if expired:

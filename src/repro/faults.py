@@ -2,7 +2,8 @@
 
 The chaos harness (``tests/chaos/``) needs to *reproducibly* kill a
 worker at the nth progress event, tear a cache-log write mid-record,
-drop or duplicate a progress message, slow a solver down, or reset a
+drop or duplicate an observability batch (``serve.queue.progress``, one
+hit per batch an entry ships), slow a solver down, or reset a
 client connection — and then assert that the stack still reaches a
 terminal state with a fault-free-consistent verdict.  This module is
 the single switchboard those injection points talk to.

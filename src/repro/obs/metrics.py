@@ -16,8 +16,11 @@ Two registries matter in practice:
 * the **process registry** (:func:`process_metrics`): bumped by the
   instrumented engine/solver/scheduler wherever they run, and the source
   of worker deltas;
-* the serve queue's **own registry**: queue-side counters plus every
-  merged worker delta -- what ``GET /metrics`` renders.
+* the serve queue's **own registry**: every queue, fleet-coordinator and
+  HTTP counter plus every merged worker delta -- what ``GET /metrics``
+  renders, and the one store ``GET /stats`` reads its counters from
+  (:meth:`~MetricsRegistry.counter_value`,
+  :meth:`~MetricsRegistry.histogram_count_sum`), so the two views agree.
 
 Rendering is the Prometheus text exposition format, deterministically
 ordered (sorted metric names, sorted label sets) so scrapes diff cleanly;
@@ -125,6 +128,12 @@ class MetricsRegistry:
     def counter_value(self, name: str, **labels: str) -> float:
         """Current value of one counter series (0.0 when absent)."""
         return self._counters.get(name, {}).get(_label_key(labels), 0.0)
+
+    def histogram_count_sum(self, name: str, **labels: str) -> Tuple[int, float]:
+        """Observation count and sum of one histogram series ((0, 0.0)
+        when absent)."""
+        cells = self._histograms.get(name, {}).get(_label_key(labels))
+        return (0, 0.0) if cells is None else (int(cells[0]), cells[1])
 
     # -- snapshots ------------------------------------------------------
     def snapshot(self) -> Snapshot:

@@ -12,7 +12,7 @@ consistency property are the whole specification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bmc.engine import BMCProblem, BMCResult, BMCStatus, BoundedModelChecker
 from repro.bmc.property import SafetyProperty
@@ -211,7 +211,6 @@ class SymbolicQED:
         preprocess: bool = True,
         max_conflicts_per_query: Optional[int] = None,
         split: Optional[SplitConfig] = None,
-        on_bound: Optional[Callable] = None,
         deadline: Optional[Deadline] = None,
     ) -> QEDCheckResult:
         """Run BMC from the QED-consistent start state up to *max_bound*.
@@ -235,10 +234,6 @@ class SymbolicQED:
         names preferred split inputs, the harness points it at the core's
         instruction port so cubes partition by injected opcode.
 
-        ``on_bound`` streams each bound's
-        :class:`~repro.bmc.engine.BoundStats` to the caller as it is final
-        (the serving layer's progress hook).
-
         ``deadline`` forwards a wall-clock budget to the engine (and from
         there into the solver and cube workers); an expired deadline
         degrades the check to UNKNOWN at the current bound, never to a
@@ -256,9 +251,7 @@ class SymbolicQED:
             max_conflicts_per_query=max_conflicts_per_query,
             split=split,
         )
-        result = BoundedModelChecker(problem).run(
-            on_bound=on_bound, deadline=deadline
-        )
+        result = BoundedModelChecker(problem).run(deadline=deadline)
 
         counterexample: Optional[QEDCounterexample] = None
         if result.status is BMCStatus.VIOLATION and result.counterexample:
@@ -275,18 +268,3 @@ class SymbolicQED:
             bmc_result=result,
             counterexample=counterexample,
         )
-
-
-def run_symbolic_qed(
-    design: Union[CoreConfig, DesignVersion, str],
-    *,
-    mode: QEDMode = QEDMode.EDDIV,
-    arch: ArchParams = TINY_PROFILE,
-    max_bound: int = DEFAULT_MAX_BOUND,
-    tracked_registers: Sequence[int] = (0,),
-) -> QEDCheckResult:
-    """One-call convenience wrapper around :class:`SymbolicQED`."""
-    harness = SymbolicQED(
-        design, mode=mode, arch=arch, tracked_registers=tracked_registers
-    )
-    return harness.check(max_bound=max_bound)

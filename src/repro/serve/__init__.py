@@ -14,7 +14,9 @@ Architecture
 
     client / CLI (repro.serve.client, scripts/serve_qed.py)
         |  POST /jobs {bug_id | spec, deadline_seconds?}
-        |  GET /jobs/<id>?wait= (long-poll, streams per-bound BoundStats)
+        |  GET /jobs/<id>?wait= (long-poll: state changes)
+        |  GET /jobs/<id>/telemetry (heartbeats; per-bound progress),
+        |      /jobs/<id>/trace (spans), /metrics + /stats (one registry)
         |  [transport error -> retry w/ capped, seed-jittered exponential
         v   backoff; safe: submissions are content-addressed / idempotent]
     +------------------ QEDServer (repro.serve.server) ------------------+
@@ -45,7 +47,7 @@ Architecture
                                 v  every solve is a lease
     +--- dispatch: FleetCoordinator + FleetWorker (repro.serve.fleet) ----+
     |  verbs: register -> lease (waits <= 1 heartbeat for work) ->        |
-    |  heartbeat (renews the lease, ships progress + __obs__ batches) ->  |
+    |  heartbeat (renews the lease, ships the entry's ObsBatches) ->      |
     |  complete {lease_id, fence, events, result | crashed | error}       |
     |    local workers (workers=N): threads of the server calling the     |
     |        verbs in-process on the loop (no HTTP, no JSON)              |

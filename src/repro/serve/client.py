@@ -19,7 +19,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, TypedDict, cast
 from urllib.parse import urlencode, urlsplit
 
@@ -58,6 +58,7 @@ class QueueStats(TypedDict, total=False):
     retried: int
     deadline_expired: int
     quarantined: int
+    quarantines: int
     quarantine_rejections: int
     queue_full_rejections: int
     max_queue_depth: Optional[int]
@@ -117,8 +118,6 @@ class JobView:
     coalesced: int = 0
     record: Optional[Dict[str, object]] = None
     error: Optional[str] = None
-    progress: List[Dict[str, object]] = field(default_factory=list)
-    progress_total: int = 0
     version: int = 0
     trace_id: Optional[str] = None
 
@@ -136,8 +135,6 @@ class JobView:
             coalesced=int(data.get("coalesced", 0)),
             record=data.get("record"),
             error=data.get("error"),
-            progress=list(data.get("progress") or []),
-            progress_total=int(data.get("progress_total", 0)),
             version=int(data.get("version", 0)),
             trace_id=(
                 str(data["trace_id"])
@@ -331,15 +328,12 @@ class ServeClient:
         *,
         wait: Optional[float] = None,
         since: Optional[int] = None,
-        progress_since: int = 0,
     ) -> JobView:
         query: Dict[str, object] = {}
         if wait is not None:
             query["wait"] = wait
         if since is not None:
             query["since"] = since
-        if progress_since:
-            query["progress_since"] = progress_since
         path = f"/jobs/{job_id}"
         if query:
             path += "?" + urlencode(query)
@@ -351,27 +345,17 @@ class ServeClient:
         *,
         timeout: float = 600.0,
         poll: float = 30.0,
-        on_progress=None,
     ) -> JobView:
-        """Long-poll *job_id* until it is terminal.
-
-        ``on_progress`` receives each new per-bound progress dict exactly
-        once as the polls stream them in.
-        """
+        """Long-poll *job_id* until it is terminal (its per-bound progress
+        is the ``bound`` heartbeats of :meth:`telemetry`)."""
         deadline = time.monotonic() + timeout
         version = -1
-        seen_progress = 0
         while True:
             view = self.job(
                 job_id,
                 wait=min(poll, max(0.0, deadline - time.monotonic())),
                 since=version,
-                progress_since=seen_progress,
             )
-            if on_progress is not None:
-                for event in view.progress:
-                    on_progress(event)
-            seen_progress = view.progress_total
             version = view.version
             if view.done:
                 return view

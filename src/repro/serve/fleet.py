@@ -32,13 +32,12 @@ Four pieces, all stdlib-only:
 :class:`FleetWorker`
     Worker-side pull loop: register, lease, solve, heartbeat while
     solving (each beat renews the lease and ships the buffered events --
-    per-bound progress and ``__obs__`` batches -- upstream), then commit
-    with the fence token
-    and the remaining events.  Each worker owns one persistent solver
-    child, forked at its first lease and reused (killed on revocation or
-    stop, forked again after it dies); events and the outcome come back
-    over a pipe, in order.  ``use_processes=False`` solves on a thread.
-    Chaos sites ``fleet.worker.heartbeat`` (drop a beat) and
+    the entry's observability batches, which carry its heartbeats --
+    upstream), then commit with the fence token and the remaining events.
+    Each worker owns one persistent solver child, forked at its first
+    lease and reused (killed on revocation or stop, forked again after it
+    dies); events and the outcome come back over a pipe, in order.
+    ``use_processes=False`` solves on a thread.  Chaos sites ``fleet.worker.heartbeat`` (drop a beat) and
     ``fleet.worker.commit`` (delay into zombiehood, drop, duplicate) make
     the failure schedules of :mod:`tests.chaos` reproducible.
 
@@ -193,19 +192,6 @@ class FleetCoordinator:
         self._local: List[Tuple["FleetWorker", threading.Thread]] = []
         #: Set by :meth:`stop`: no lease is granted or waited for any more.
         self._stopping = False
-        # Counters for /stats and /metrics.
-        self.workers_registered = 0
-        self.workers_died = 0
-        self.workers_revived = 0
-        self.leases_granted = 0
-        self.leases_expired = 0
-        self.lease_reassignments = 0
-        self.heartbeats_received = 0
-        self.commits_received = 0
-        self.commits_accepted = 0
-        self.fenced_rejections = 0
-        self.duplicate_commits = 0
-        self.crash_reports = 0
         queue.fleet = self
 
     # -- lifecycle ---------------------------------------------------
@@ -314,7 +300,6 @@ class FleetCoordinator:
             self._prune_workers()
             info = WorkerInfo(worker_id=worker_id)
             self._workers[worker_id] = info
-            self.workers_registered += 1
             self.queue.metrics.inc("qed_fleet_workers_registered_total")
         info.pid = int(body.get("pid") or 0)
         info.host = str(body.get("host") or "")
@@ -356,7 +341,6 @@ class FleetCoordinator:
         )
         self._leases[lease.lease_id] = lease
         info.lease_ids.add(lease.lease_id)
-        self.leases_granted += 1
         self.queue.metrics.inc("qed_fleet_leases_granted_total")
         self.queue.traces.add_event(
             job.job_id,
@@ -379,11 +363,10 @@ class FleetCoordinator:
         """``POST /fleet/heartbeat``: renew a lease, ship buffered events.
 
         A valid beat pushes the lease expiry out by a full lease window,
-        so a healthy-but-slow solve is never reassigned.  Events -- per-bound
-        progress dicts plus ``{"__obs__": batch}`` observability batches,
-        which carry the heartbeats -- are forwarded into the queue's
-        normal progress pipeline, but only while the lease is live, so a
-        zombie cannot pollute the trace of a reassigned attempt.
+        so a healthy-but-slow solve is never reassigned.  Events -- the
+        entry's observability batches, which carry its heartbeats -- are
+        absorbed into the job's trace, but only while the lease is live,
+        so a zombie cannot pollute the trace of a reassigned attempt.
         """
         worker_id = self._worker_id(body)
         now = time.monotonic()
@@ -391,7 +374,6 @@ class FleetCoordinator:
         if info is not None:
             self._touch(info, now)
             info.heartbeats += 1
-        self.heartbeats_received += 1
         self.queue.metrics.inc("qed_fleet_heartbeats_total")
         status = "none"
         lease_id = str(body.get("lease_id") or "")
@@ -432,7 +414,6 @@ class FleetCoordinator:
         info = self._workers.get(worker_id)
         if info is not None:
             self._touch(info, now)  # a committing zombie is at least alive
-        self.commits_received += 1
         self.queue.metrics.inc("qed_fleet_commits_total")
         lease = self._leases.get(lease_id)
         job = self.queue.jobs.get(job_id)
@@ -451,12 +432,10 @@ class FleetCoordinator:
             return self._apply_outcome(job, info, body)
         # -- rejection taxonomy (only stale fences count as fenced) --
         if lease_id in self._completed:
-            self.duplicate_commits += 1
             self.queue.metrics.inc("qed_fleet_duplicate_commits_total")
             return {"accepted": False, "reason": "duplicate_commit"}
         if job is None:
             return {"accepted": False, "reason": "unknown_job"}
-        self.fenced_rejections += 1
         self.queue.metrics.inc("qed_fleet_fenced_commits_total")
         self.queue.traces.add_event(
             job_id,
@@ -494,7 +473,7 @@ class FleetCoordinator:
 
     def _touch(self, info: WorkerInfo, now: float) -> None:
         if info.state is WorkerState.DEAD:
-            self.workers_revived += 1
+            self.queue.metrics.inc("qed_fleet_workers_revived_total")
         info.state = WorkerState.LIVE
         info.last_seen_mono = now
 
@@ -511,12 +490,11 @@ class FleetCoordinator:
                 del self._workers[info.worker_id]
 
     def _forward_events(self, job_id: str, events: object) -> None:
-        """Feed worker-shipped events through the queue's progress path.
+        """Absorb worker-shipped events into the job's trace.
 
-        Each event is what the entry handed its ``progress`` callable: a
-        per-bound stats dict, or one ``{"__obs__": batch}`` observability
-        batch (:func:`repro.obs.trace.capture`) -- trace re-rooting,
-        heartbeats and metrics merging all happen in
+        Each event is one :data:`~repro.obs.trace.ObsBatch` the entry
+        handed its ``progress`` callable (:func:`repro.obs.trace.capture`)
+        -- trace re-rooting, heartbeats and metrics merging all happen in
         :meth:`JobQueue._on_progress`.
         """
         if not isinstance(events, list):
@@ -542,7 +520,6 @@ class FleetCoordinator:
             # The *solver* died under the worker: retryable, so it goes
             # back through the capped-backoff/quarantine machinery instead
             # of failing the job on a deterministic-error path.
-            self.crash_reports += 1
             self.queue.metrics.inc("qed_fleet_crash_reports_total")
             requeued = self.queue.fleet_requeue(
                 job,
@@ -550,7 +527,7 @@ class FleetCoordinator:
                 error=str(body.get("error") or "") or None,
             )
             return {"accepted": True, "reason": "crash_reported", "requeued": requeued}
-        self.commits_accepted += 1
+        self.queue.metrics.inc("qed_fleet_commits_accepted_total")
         error = str(body.get("error") or "worker reported no result")
         result = body.get("result")
         if isinstance(result, dict) and isinstance(result.get("record"), dict):
@@ -577,7 +554,6 @@ class FleetCoordinator:
     def _expire(self, lease: Lease, *, reason: str) -> None:
         """Invalidate a lease and hand its job back to the queue."""
         self._release(lease, completed=False)
-        self.leases_expired += 1
         self.queue.metrics.inc("qed_fleet_leases_expired_total")
         self.queue.traces.add_event(
             lease.job_id,
@@ -589,7 +565,6 @@ class FleetCoordinator:
         )
         job = self.queue.jobs.get(lease.job_id)
         if job is not None and job.state is JobState.RUNNING:
-            self.lease_reassignments += 1
             self.queue.metrics.inc("qed_fleet_lease_reassignments_total")
             self.queue.fleet_requeue(job, reason=reason)
 
@@ -599,7 +574,6 @@ class FleetCoordinator:
             age = now - info.last_seen_mono
             if info.state is not WorkerState.DEAD and age > self.dead_after:
                 info.state = WorkerState.DEAD
-                self.workers_died += 1
                 self.queue.metrics.inc("qed_fleet_worker_deaths_total")
                 for lease_id in list(info.lease_ids):
                     lease = self._leases.get(lease_id)
@@ -629,26 +603,30 @@ class FleetCoordinator:
         return bool(self._leases)
 
     def stats_dict(self) -> Dict[str, object]:
-        """Fleet section of ``GET /stats`` (and ``GET /fleet``)."""
+        """Fleet section of ``GET /stats`` (and ``GET /fleet``); counters
+        are read off the queue's registry."""
         now = time.monotonic()
         counts = self.worker_counts()
+        counter = self.queue.counter
         return {
             "lease_seconds": self.lease_seconds,
             "heartbeat_seconds": self.heartbeat_seconds,
             "workers": counts,
-            "workers_registered": self.workers_registered,
-            "workers_died": self.workers_died,
-            "workers_revived": self.workers_revived,
+            "workers_registered": counter("qed_fleet_workers_registered_total"),
+            "workers_died": counter("qed_fleet_worker_deaths_total"),
+            "workers_revived": counter("qed_fleet_workers_revived_total"),
             "leases_outstanding": len(self._leases),
-            "leases_granted": self.leases_granted,
-            "leases_expired": self.leases_expired,
-            "lease_reassignments": self.lease_reassignments,
-            "heartbeats_received": self.heartbeats_received,
-            "commits_received": self.commits_received,
-            "commits_accepted": self.commits_accepted,
-            "fenced_commits_rejected": self.fenced_rejections,
-            "duplicate_commits": self.duplicate_commits,
-            "crash_reports": self.crash_reports,
+            "leases_granted": counter("qed_fleet_leases_granted_total"),
+            "leases_expired": counter("qed_fleet_leases_expired_total"),
+            "lease_reassignments": counter(
+                "qed_fleet_lease_reassignments_total"
+            ),
+            "heartbeats_received": counter("qed_fleet_heartbeats_total"),
+            "commits_received": counter("qed_fleet_commits_total"),
+            "commits_accepted": counter("qed_fleet_commits_accepted_total"),
+            "fenced_commits_rejected": counter("qed_fleet_fenced_commits_total"),
+            "duplicate_commits": counter("qed_fleet_duplicate_commits_total"),
+            "crash_reports": counter("qed_fleet_crash_reports_total"),
             "workers_table": [
                 info.to_json_dict(now)
                 for info in sorted(

@@ -17,9 +17,10 @@ Lifecycle of a submission
    *same* job: N submitters, one solve, everyone long-polls the same id.
 4. Otherwise the job is queued by ``(priority, arrival)``, waking idle
    workers' lease requests.  The first to pop it (:meth:`fleet_lease_pop`)
-   runs :func:`execute_job_spec` in its solver child; per-bound
-   :class:`~repro.bmc.engine.BoundStats` ride its heartbeats into
-   :attr:`Job.progress`.
+   runs :func:`execute_job_spec` in its solver child, whose observability
+   batches ride the worker's heartbeats into the job's trace -- among
+   them the engine's per-bound ``bound`` heartbeats (``GET
+   /jobs/<id>/telemetry``).
 5. The fenced commit applies the solve's last events, then the one success
    path (:meth:`_finish_success`) admits the record to the result cache
    under monotone upgrade semantics.  A lease that never commits (crashed
@@ -46,20 +47,32 @@ Fault tolerance
 Observability
 =============
 
-Every job owns a trace (:class:`repro.obs.trace.TraceStore` entry keyed by
-job id): the queue records its own spans (cache read/write, queue-wait,
-each lease attempt), and each solve is a trace root whose
-:func:`~repro.obs.trace.capture` ships tagged ``{"__obs__": batch}``
-payloads with its events: new events (heartbeats included) every 0.25 s
-while it runs, then the completed spans and the process-metrics delta.
-:meth:`JobQueue._on_progress` absorbs each batch into the store
-(re-rooted under the attempt span) and merges its delta into the queue's
-:class:`~repro.obs.metrics.MetricsRegistry`; ``GET /jobs/<id>/telemetry``
-is the heartbeat view of the trace.  Traces of queued and running jobs
-are never evicted; finished ones age out oldest-finished first.  Jobs
-that FAIL, are quarantined, or expire their deadline dump a
-flight-recorder JSON artifact (:class:`repro.obs.flight.FlightRecorder`)
-with the trace attached.
+One trace, one metrics registry, one event stream -- no side channels:
+
+* Every job owns a trace (:class:`repro.obs.trace.TraceStore` entry keyed
+  by job id): the queue records its own spans (cache read/write,
+  queue-wait, each lease attempt), and each solve is a trace root whose
+  :func:`~repro.obs.trace.capture` ships every event as an
+  :data:`~repro.obs.trace.ObsBatch` -- new events (heartbeats included)
+  every 0.25 s while it runs, then the completed spans and the
+  process-metrics delta.  :meth:`JobQueue._on_progress` absorbs each
+  batch into the store (re-rooted under the attempt span) and merges its
+  delta into the queue's registry.  ``GET /jobs/<id>/telemetry`` is the
+  heartbeat view of the trace, so a job's per-bound progress is its
+  engine's ``bound`` heartbeats there; after the solve each bound's
+  verdict and duration also stay in its ``bmc.bound`` span.  The trace's
+  event ring holds :attr:`TraceStore.max_events` (1,024) events, so a job
+  that solves for minutes can lose its early heartbeats; the ring counts
+  them in ``dropped``.
+* Every queue, coordinator and HTTP event is one ``inc`` (or
+  ``observe``) on the queue's :class:`~repro.obs.metrics.MetricsRegistry`,
+  which ``GET /metrics`` renders and :meth:`JobQueue.stats_dict` (``GET
+  /stats``) reads back: the two views cannot drift.
+
+Traces of queued and running jobs are never evicted; finished ones age
+out oldest-finished first.  Jobs that FAIL, are quarantined, or expire
+their deadline dump a flight-recorder JSON artifact
+(:class:`repro.obs.flight.FlightRecorder`) with the trace attached.
 
 ``use_processes=False`` runs each local solve on a thread instead of the
 worker's solver child -- same contract, no fork -- which in-process demos
@@ -150,8 +163,6 @@ class Job:
     #: Leases handed back so far (crash, expiry, dead worker); the retry
     #: budget counts these.
     attempts: int = 0
-    #: Per-bound progress events (:meth:`BoundStats.to_json_dict` dicts).
-    progress: List[Dict[str, object]] = field(default_factory=list)
     #: Bumped on every observable change; long-poll waits for it to move.
     version: int = 0
     submitted_at: float = 0.0
@@ -166,12 +177,8 @@ class Job:
     _attempt_span_id: Optional[str] = field(default=None, repr=False)
     _event: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 
-    def to_json_dict(self, *, since: int = 0) -> Dict[str, object]:
-        """Wire form for ``GET /jobs/<id>``.
-
-        ``since`` trims the progress list to events a long-polling client
-        has not seen yet (it passes the count it already holds).
-        """
+    def to_json_dict(self) -> Dict[str, object]:
+        """Wire form for ``GET /jobs/<id>``."""
         return {
             "job_id": self.job_id,
             "cache_key": self.cache_key,
@@ -183,8 +190,6 @@ class Job:
             "record": self.record,
             "error": self.error,
             "attempts": self.attempts,
-            "progress": self.progress[since:],
-            "progress_total": len(self.progress),
             "version": self.version,
             "cancel_requested": self.cancel_requested,
             "submitted_at": self.submitted_at,
@@ -197,7 +202,7 @@ class Job:
 def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
     spec_dict: Dict[str, object],
     job_id: str = "",
-    progress: Optional[Callable[[Dict[str, object]], None]] = None,
+    progress: Optional[Callable[[obs_trace.ObsBatch], None]] = None,
     *,
     deadline_seconds: Optional[float] = None,
 ) -> Dict[str, object]:
@@ -206,9 +211,10 @@ def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
     Returns ``{"record": <record json dict>, "definitive": bool}``.  Runs
     in a fleet worker's solver child (``progress`` then writes to the
     child's pipe) or on a thread (``progress`` buffers for the next
-    heartbeat); either way events ship through ``progress``.  The design
-    fingerprint is re-verified against the current content so a stale spec
-    fails loudly instead of caching a result under the wrong key.
+    heartbeat); either way every event ships through ``progress`` as an
+    :data:`~repro.obs.trace.ObsBatch`.  The design fingerprint is
+    re-verified against the current content so a stale spec fails loudly
+    instead of caching a result under the wrong key.
 
     ``deadline_seconds`` is the budget *remaining* at dispatch time; it is
     rebased onto this process's monotonic clock and propagated through
@@ -230,23 +236,6 @@ def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
                 f"fingerprint {spec.fingerprint[:12]}.., current is "
                 f"{current[:12]}.."
             )
-    send = progress
-    on_bound = ship = None
-    if send is not None:
-        def ship(batch: obs_trace.ObsBatch) -> None:
-            send({"__obs__": batch})
-
-        def on_bound(stats) -> None:
-            # Chaos-harness message site: progress is best-effort, so a
-            # seeded drop must be invisible to the verdict and a seeded
-            # duplicate must be tolerated by consumers.
-            fate = faults.message_fate("serve.queue.progress")
-            if fate == "drop":
-                return
-            send(stats.to_json_dict())
-            if fate == "duplicate":
-                send(stats.to_json_dict())
-
     # The job is a trace root with its own collector (solver children are
     # long-lived, so a fork-inherited one would mix jobs).  Its capture
     # ships new events -- heartbeats included -- while the solve runs,
@@ -255,11 +244,10 @@ def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
     # queue re-roots the spans under this dispatch's attempt span.
     collector = obs_trace.start_trace()
     try:
-        with obs_trace.capture(ship):
+        with obs_trace.capture(_shipper(progress)):
             record = detect_bug(
                 spec.bug_id,
                 config,
-                on_bound=on_bound,
                 deadline=Deadline.from_seconds(deadline_seconds),
             )
     finally:
@@ -271,10 +259,33 @@ def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
     }
 
 
+def _shipper(
+    progress: Optional[Callable[[obs_trace.ObsBatch], None]],
+) -> Optional[Callable[[obs_trace.ObsBatch], None]]:
+    """An entry's batch sender: ``progress`` behind the chaos message site.
+
+    Batches are best-effort, so a seeded ``drop`` on
+    ``serve.queue.progress`` must be invisible to the verdict and a seeded
+    ``duplicate`` must be tolerated by the queue.
+    """
+    if progress is None:
+        return None
+
+    def ship(batch: obs_trace.ObsBatch) -> None:
+        fate = faults.message_fate("serve.queue.progress")
+        if fate == "drop":
+            return
+        progress(batch)
+        if fate == "duplicate":
+            progress(batch)
+
+    return ship
+
+
 def _selftest_entry(  # fork-entry: runs in a fleet worker's solver child
     spec_dict: Dict[str, object],
     job_id: str = "",
-    progress: Optional[Callable[[Dict[str, object]], None]] = None,
+    progress: Optional[Callable[[obs_trace.ObsBatch], None]] = None,
     *,
     deadline_seconds: Optional[float] = None,
 ) -> Dict[str, object]:
@@ -283,8 +294,10 @@ def _selftest_entry(  # fork-entry: runs in a fleet worker's solver child
     Behaviour is keyed on the (synthetic) ``bug_id``: ``__crash__`` kills
     the solver process outright (the ``FAILED``-not-hung regression hook),
     ``__sleep:S__`` holds the slot for ``S`` seconds (the coalescing hook);
-    anything else echoes a canned record.  A received ``deadline_seconds``
-    is echoed into the record so tests can assert budget propagation.
+    anything else echoes a canned record.  Like a real solve it ships one
+    batch with one ``bound`` heartbeat (bound 1, ``unsat``).  A received
+    ``deadline_seconds`` is echoed into the record so tests can assert
+    budget propagation.
     """
     faults.crash_point("serve.queue.worker")
     bug_id = str(spec_dict.get("bug_id", ""))
@@ -292,12 +305,13 @@ def _selftest_entry(  # fork-entry: runs in a fleet worker's solver child
         os._exit(1)
     if bug_id.startswith("__sleep:"):
         time.sleep(float(bug_id[len("__sleep:"):].rstrip("_")))
-    if progress is not None:
-        fate = faults.message_fate("serve.queue.progress")
-        if fate != "drop":
-            progress({"bound": 1, "verdict": "unsat", "selftest": True})
-            if fate == "duplicate":
-                progress({"bound": 1, "verdict": "unsat", "selftest": True})
+    ship = _shipper(progress)
+    if ship is not None:
+        # A private collector: thread-mode workers share the module-global
+        # one, so the double neither installs nor captures.
+        beats = obs_trace.ObsCollector()
+        beats.heartbeat("bound", bound=1, verdict="unsat", selftest=True)
+        ship({"spans": [], "events": beats.events, "dropped": 0})
     record: Dict[str, object] = {
         "bug_id": bug_id,
         "version_name": str(spec_dict.get("version", "X")),
@@ -389,21 +403,9 @@ class JobQueue:
         #: operator clears the key with ``force=True``.
         self.quarantined: Dict[str, Dict[str, object]] = {}
         self._draining = False
-        # Counters for /stats.
-        self.submitted = 0
-        self.cache_hits = 0
-        self.coalesced = 0
-        self.executed = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.retried = 0
-        self.deadline_expired = 0
-        self.quarantine_rejections = 0
-        self.queue_full_rejections = 0
-        self.queue_latency_total = 0.0
-        self.queue_latency_jobs = 0
-        # Observability: the queue-owned registry (what GET /metrics
-        # renders -- queue counters plus merged worker deltas), the
+        # Observability: the queue-owned registry (the one counter store:
+        # queue, coordinator and HTTP events plus merged worker deltas;
+        # GET /metrics renders it and GET /stats reads it back), the
         # per-job trace store, and the failure flight recorder.  The
         # flight directory defaults to living next to the result cache.
         self.metrics = MetricsRegistry()
@@ -428,32 +430,20 @@ class JobQueue:
         wake, self._wake = self._wake, asyncio.Event()
         wake.set()
 
-    def _on_progress(self, job_id: str, stats: Dict[str, object]) -> None:
-        if isinstance(stats, dict) and "__obs__" in stats:
-            # Tagged observability batch, not a per-bound progress event:
-            # worker spans re-root under the dispatch attempt, events
-            # (heartbeats included) join the job's trace, the metrics
-            # delta merges into the queue registry.  Never shown to
-            # long-pollers and never bumps the long-poll version (progress
-            # stays the per-bound stream; telemetry is a plain poll).
-            payload = stats["__obs__"]
-            if isinstance(payload, dict):
-                job = self.jobs.get(job_id)
-                self.traces.absorb(
-                    job_id,
-                    payload,
-                    attach_to=(
-                        None if job is None else job._attempt_span_id
-                    ),
-                )
-                delta = payload.get("metrics")
-                if isinstance(delta, dict):
-                    self.metrics.merge(delta)
-            return
+    def _on_progress(self, job_id: str, batch: obs_trace.ObsBatch) -> None:
+        """Absorb one batch an entry shipped: worker spans re-root under
+        the dispatch attempt, events (heartbeats included) join the job's
+        trace, the metrics delta merges into the queue registry.  Never
+        bumps the long-poll version (telemetry is a plain poll)."""
         job = self.jobs.get(job_id)
-        if job is not None and not job.state.terminal:
-            job.progress.append(stats)
-            self._bump(job)
+        self.traces.absorb(
+            job_id,
+            batch,
+            attach_to=None if job is None else job._attempt_span_id,
+        )
+        delta = batch.get("metrics")
+        if isinstance(delta, dict):
+            self.metrics.merge(delta)
 
     # ------------------------------------------------------------------
     def _bump(self, job: Job) -> None:
@@ -522,7 +512,6 @@ class JobQueue:
             )
         spec = spec.resolved()
         key = spec.cache_key()
-        self.submitted += 1
         self.metrics.inc("qed_jobs_submitted_total")
 
         cache_read: Optional[Tuple[float, float]] = None
@@ -531,7 +520,6 @@ class JobQueue:
             entry = self.cache.get(key, fingerprint=spec.fingerprint)
             cache_read = (read_start, time.monotonic())
             if entry is not None:
-                self.cache_hits += 1
                 self.metrics.inc("qed_cache_hits_total")
                 record = dict(entry.record)
                 record["served_from_cache"] = True
@@ -561,7 +549,6 @@ class JobQueue:
             if force:
                 del self.quarantined[key]  # operator override: try again
             else:
-                self.quarantine_rejections += 1
                 self.metrics.inc("qed_quarantine_rejections_total")
                 now = time.time()
                 job = self._new_job(
@@ -596,7 +583,6 @@ class JobQueue:
         existing = self._inflight.get(key)
         if existing is not None:
             existing.coalesced += 1
-            self.coalesced += 1
             self.metrics.inc("qed_jobs_coalesced_total")
             self.traces.add_event(
                 existing.job_id, "queue.coalesced", priority=priority
@@ -616,7 +602,6 @@ class JobQueue:
         if self.max_queue_depth is not None:
             depth = self._count(JobState.QUEUED)
             if depth >= self.max_queue_depth:
-                self.queue_full_rejections += 1
                 self.metrics.inc(
                     "qed_admission_rejections_total", reason="queue_full"
                 )
@@ -686,12 +671,10 @@ class JobQueue:
                 continue
             job.state = JobState.RUNNING
             job.started_at = time.time()
-            # Latency counter, histogram and queue.wait span all take this
+            # The latency histogram and the queue.wait span both take this
             # pop's monotonic wait, never the time since first submission.
             now_mono = time.monotonic()
             wait = max(0.0, now_mono - job._queued_mono)
-            self.queue_latency_total += wait
-            self.queue_latency_jobs += 1
             self.metrics.observe("qed_queue_wait_seconds", wait)
             self.traces.add_span(
                 job.job_id, "queue.wait", job._queued_mono, now_mono
@@ -732,7 +715,6 @@ class JobQueue:
     ) -> None:
         """Count, trace and flight-dump a job that ended on its deadline
         (*scope* labels the metric, *phase* the trace event)."""
-        self.deadline_expired += 1
         self.metrics.inc("qed_deadline_expiries_total", scope=scope)
         self.traces.add_event(job.job_id, "deadline.expired", scope=phase)
         self.flight.dump(
@@ -768,7 +750,6 @@ class JobQueue:
                 job.job_id, "cache.write", write_start, time.monotonic()
             )
         job.record = record
-        self.executed += 1
         self.metrics.inc("qed_jobs_executed_total")
         self.traces.close_span(
             job.job_id, job._attempt_span_id, time.monotonic(),
@@ -829,7 +810,6 @@ class JobQueue:
             )
             return False
         if job.attempts <= self.max_retries:
-            self.retried += 1
             self.metrics.inc("qed_job_retries_total")
             delay = self._backoff_delay(job.attempts, key=job.cache_key)
             self.traces.add_event(
@@ -864,7 +844,6 @@ class JobQueue:
 
     def _fail(self, job: Job, error: str, *, flight_reason: str) -> None:
         """The one fail path: mark *job* FAILED and dump its flight record."""
-        self.failed += 1
         self.metrics.inc("qed_jobs_failed_total")
         self._finish_terminal(job, JobState.FAILED, error)
         self.flight.dump(
@@ -885,7 +864,7 @@ class JobQueue:
         if error is not None:
             job.error = error
         if state is JobState.CANCELLED:
-            self.cancelled += 1
+            self.metrics.inc("qed_jobs_cancelled_total")
         job.finished_at = time.time()
         if self._inflight.get(job.cache_key) is job:
             del self._inflight[job.cache_key]
@@ -910,10 +889,8 @@ class JobQueue:
 
     def _retry_after_hint(self) -> float:
         """Seconds a 429'd client should wait, from observed queue latency."""
-        if self.queue_latency_jobs:
-            avg = self.queue_latency_total / self.queue_latency_jobs
-        else:
-            avg = 1.0
+        waited, total = self.metrics.histogram_count_sum("qed_queue_wait_seconds")
+        avg = total / waited if waited else 1.0
         return max(0.5, min(30.0, avg))
 
     async def _requeue_after(self, job: Job, delay: float) -> None:
@@ -1045,8 +1022,7 @@ class JobQueue:
     def jobs_summary(self) -> List[Dict[str, object]]:
         """Compact per-job rows for ``GET /jobs`` (dashboard discovery).
 
-        Deliberately small -- no records, progress events or heartbeats,
-        just enough for a poller to find the jobs worth drilling into via
+        Deliberately small -- no records or heartbeats, just enough for a poller to find the jobs worth drilling into via
         ``GET /jobs/<id>`` and ``GET /jobs/<id>/telemetry``.
         """
         rows: List[Dict[str, object]] = []
@@ -1061,7 +1037,6 @@ class JobQueue:
                     "cache_hit": job.cache_hit,
                     "attempts": job.attempts,
                     "submitted_at": job.submitted_at,
-                    "progress_events": len(job.progress),
                     "telemetry_total": self.traces.heartbeat_count(job.job_id),
                 }
             )
@@ -1072,31 +1047,46 @@ class JobQueue:
     def _count(self, state: JobState) -> int:
         return sum(1 for job in self.jobs.values() if job.state is state)
 
+    def counter(self, name: str, **labels: str) -> int:
+        """One counter series of the queue's registry, as an integer."""
+        return int(self.metrics.counter_value(name, **labels))
+
     def stats_dict(self) -> Dict[str, object]:
         """Counters for ``GET /stats`` and
-        :func:`repro.eval.report.serving_statistics`."""
+        :func:`repro.eval.report.serving_statistics`, read off the
+        registry ``GET /metrics`` renders (no counter lives anywhere else)."""
+        counter = self.counter
+        waited, waited_seconds = self.metrics.histogram_count_sum(
+            "qed_queue_wait_seconds"
+        )
         return {
             "workers": self.workers,
             "use_processes": self.use_processes,
-            "jobs_submitted": self.submitted,
-            "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
-            "executed": self.executed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "retried": self.retried,
-            "deadline_expired": self.deadline_expired,
+            "jobs_submitted": counter("qed_jobs_submitted_total"),
+            "cache_hits": counter("qed_cache_hits_total"),
+            "coalesced": counter("qed_jobs_coalesced_total"),
+            "executed": counter("qed_jobs_executed_total"),
+            "failed": counter("qed_jobs_failed_total"),
+            "cancelled": counter("qed_jobs_cancelled_total"),
+            "retried": counter("qed_job_retries_total"),
+            "deadline_expired": (
+                counter("qed_deadline_expiries_total", scope="queue")
+                + counter("qed_deadline_expiries_total", scope="worker")
+            ),
             "quarantined": len(self.quarantined),
-            "quarantine_rejections": self.quarantine_rejections,
-            "queue_full_rejections": self.queue_full_rejections,
+            "quarantines": counter("qed_quarantines_total"),
+            "quarantine_rejections": counter("qed_quarantine_rejections_total"),
+            "queue_full_rejections": counter(
+                "qed_admission_rejections_total", reason="queue_full"
+            ),
             "max_queue_depth": self.max_queue_depth,
             "draining": self._draining,
             "fleet": self.fleet.stats_dict(),
             "running": self._count(JobState.RUNNING),
             "queued": self._count(JobState.QUEUED),
             "jobs_tracked": len(self.jobs),
-            "queue_latency_seconds_total": self.queue_latency_total,
-            "queue_latency_jobs": self.queue_latency_jobs,
+            "queue_latency_seconds_total": waited_seconds,
+            "queue_latency_jobs": waited,
             "traced_jobs": len(self.traces.job_ids()),
             "flight_dumps": self.flight.dumps,
             "flight_write_errors": self.flight.write_errors,

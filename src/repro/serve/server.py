@@ -16,8 +16,8 @@ Endpoints
     ``202`` with the job view (``200`` when answered from cache).
 ``GET /jobs/<id>[?wait=SECS&since=VERSION]``
     Job view.  With ``wait``, long-polls until the job's version counter
-    passes ``since`` (progress event, state change) or the timeout lapses
-    -- repeated calls stream per-bound ``BoundStats`` as they arrive.
+    passes ``since`` (a state change, a coalesced submitter, a cancel
+    request) or the timeout lapses.
 ``DELETE /jobs/<id>``
     Cancel (queued jobs only; running solves finish and are cached).
 ``GET /results/<cache-key>``
@@ -25,12 +25,16 @@ Endpoints
 ``GET /jobs/<id>/trace``
     The job's span tree (queue-side spans plus re-rooted worker batches)
     as JSON -- the :class:`repro.obs.trace.TraceStore` view rendered by
-    ``scripts/trace_qed.py``.
+    ``scripts/trace_qed.py``; each solved bound is a ``bmc.bound`` span.
+``GET /jobs/<id>/telemetry[?since=N]``
+    The heartbeat view of the same trace: solver heartbeats and the
+    engine's per-bound ``bound`` heartbeats, live while the job runs.
 ``GET /stats``
-    Queue + cache counters (input of
+    Queue, fleet and HTTP counters -- read off the same registry
+    ``GET /metrics`` renders -- plus the cache's own (input of
     :func:`repro.eval.report.serving_statistics`).
 ``GET /metrics``
-    Prometheus text exposition: queue/cache/retry counters, solver work
+    Prometheus text exposition: queue/fleet/HTTP counters, solver work
     counters merged up from worker processes, stage-seconds histograms.
 ``GET /healthz``
     Liveness + readiness probe: ``200`` when at least one worker, local
@@ -41,8 +45,8 @@ Endpoints
 ``POST /fleet/register|lease|heartbeat|complete|deregister``
     The remote-worker protocol (:mod:`repro.serve.fleet`): pull jobs
     under time-bounded, fence-epoch leases, heartbeat to renew them and
-    ship progress and observability batches, commit with the fence
-    token -- the same verbs the server's own workers call in-process.
+    ship observability batches, commit with the fence token -- the same
+    verbs the server's own workers call in-process.
     404 unless the server accepts remote workers (``fleet=True``).
     ``GET /fleet`` is the coordinator's worker/lease table, local workers
     included.
@@ -155,8 +159,6 @@ class QEDServer:
         #: queue's own ``max_queue_depth``).
         self.admission = admission
         self._server: Optional[asyncio.base_events.Server] = None
-        self.requests_served = 0
-        self.requests_rejected = 0
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -206,7 +208,7 @@ class QEDServer:
             try:
                 method, path, headers, body = await self._read_request(reader)
             except _BadRequest as exc:
-                self.requests_rejected += 1
+                self._rejected()
                 await self._respond(writer, 400, {"error": str(exc)})
                 return
             client_id = headers.get("x-client-id")
@@ -221,7 +223,7 @@ class QEDServer:
                 else:
                     status, payload = result
             except _BadRequest as exc:
-                self.requests_rejected += 1
+                self._rejected()
                 status, payload = 400, {"error": str(exc)}
             except KeyError as exc:
                 status, payload = 404, {"error": f"not found: {exc}"}
@@ -229,7 +231,7 @@ class QEDServer:
                 status, payload = 500, {
                     "error": f"{type(exc).__name__}: {exc}"
                 }
-            self.requests_served += 1
+            self.queue.metrics.inc("qed_http_requests_total")
             await self._respond(writer, status, payload, extra_headers)
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass  # client went away mid-exchange; nothing to answer
@@ -418,7 +420,7 @@ class QEDServer:
         if self.admission is not None:
             retry_after = self.admission.admit(client_id)
             if retry_after is not None:
-                self.requests_rejected += 1
+                self._rejected()
                 self.queue.metrics.inc(
                     "qed_admission_rejections_total", reason="client_rate"
                 )
@@ -470,7 +472,7 @@ class QEDServer:
         try:
             await loop.run_in_executor(None, _lint_spec_design, spec)
         except DesignLintError as exc:
-            self.requests_rejected += 1
+            self._rejected()
             return 400, {"error": str(exc), "lint": exc.report.to_json_dict()}
         except (KeyError, ValueError) as exc:
             raise _BadRequest(f"invalid job spec: {exc}")
@@ -488,10 +490,10 @@ class QEDServer:
                 deadline_seconds=deadline_seconds,
             )
         except QueueDraining as exc:
-            self.requests_rejected += 1
+            self._rejected()
             return 503, {"error": str(exc), "draining": True}
         except QueueFull as exc:
-            self.requests_rejected += 1
+            self._rejected()
             return (
                 429,
                 {"error": str(exc), "retry_after": exc.retry_after},
@@ -516,11 +518,7 @@ class QEDServer:
             except ValueError:
                 raise _BadRequest("wait/since must be numeric")
             await self.queue.wait(job, since=since, timeout=timeout)
-        try:
-            progress_since = int(query.get("progress_since", 0))
-        except ValueError:
-            raise _BadRequest("progress_since must be an integer")
-        return 200, {"job": job.to_json_dict(since=progress_since)}
+        return 200, {"job": job.to_json_dict()}
 
     def _get_trace(self, job_id: str) -> Tuple[int, dict]:
         """``GET /jobs/<id>/trace``: the job's aggregated span tree."""
@@ -596,6 +594,9 @@ class QEDServer:
             return 404, {"error": f"no cached result for {key!r}"}
         return 200, {"result": entry.to_json_dict(), "hits": entry.hits}
 
+    def _rejected(self) -> None:
+        self.queue.metrics.inc("qed_http_requests_rejected_total")
+
     def _stats(self) -> dict:
         return {
             "queue": self.queue.stats_dict(),
@@ -605,8 +606,10 @@ class QEDServer:
                 else None
             ),
             "http": {
-                "requests_served": self.requests_served,
-                "requests_rejected": self.requests_rejected,
+                "requests_served": self.queue.counter("qed_http_requests_total"),
+                "requests_rejected": self.queue.counter(
+                    "qed_http_requests_rejected_total"
+                ),
                 "admission": (
                     self.admission.stats_dict()
                     if self.admission is not None

@@ -76,9 +76,9 @@ class TestWorkerKillRetry:
             assert job.state is JobState.DONE
             assert_fault_free_verdict(job.record)
             assert job.attempts == 1  # exactly one crash, one retry
-            assert queue.retried == 1
-            assert queue.fleet.crash_reports == 1
-            assert queue.failed == 0
+            assert queue.stats_dict()["retried"] == 1
+            assert queue.fleet.stats_dict()["crash_reports"] == 1
+            assert queue.stats_dict()["failed"] == 0
             assert not queue.quarantined
 
         run(with_queue(body, use_processes=True))
@@ -113,12 +113,12 @@ class TestPoisonQuarantine:
             assert reason["attempts"] == doomed.attempts
 
             # Resubmission fails fast: no lease, no solver fork burned.
-            granted = queue.fleet.leases_granted
+            granted = queue.fleet.stats_dict()["leases_granted"]
             rejected = queue.submit(spec("__echo__", tag="poison"))
             assert rejected.state is JobState.FAILED
             assert "quarantined" in rejected.error
-            assert queue.fleet.leases_granted == granted
-            assert queue.quarantine_rejections == 1
+            assert queue.fleet.stats_dict()["leases_granted"] == granted
+            assert queue.stats_dict()["quarantine_rejections"] == 1
 
             # The operator override: clear the fault, force a re-run.
             faults.clear()
@@ -132,7 +132,9 @@ class TestPoisonQuarantine:
 
 
 class TestProgressMessageFaults:
-    """Scenarios: progress events dropped or duplicated in flight."""
+    """Scenarios: the entry's observability batches (its one event stream,
+    shipped through the ``serve.queue.progress`` site) dropped or
+    duplicated in flight."""
 
     def test_dropped_progress_does_not_change_verdict(self):
         faults.install(
@@ -151,7 +153,8 @@ class TestProgressMessageFaults:
             await wait_terminal(queue, job)
             assert job.state is JobState.DONE
             assert_fault_free_verdict(job.record)
-            assert job.progress == []  # lost, and that must be fine
+            # Lost, and that must be fine: no heartbeat from the entry.
+            assert queue.telemetry_dict(job.job_id)["total"] == 0
 
         run(with_queue(body))
 
@@ -172,8 +175,8 @@ class TestProgressMessageFaults:
             await wait_terminal(queue, job)
             assert job.state is JobState.DONE
             assert_fault_free_verdict(job.record)
-            assert len(job.progress) == 2
-            assert job.progress[0] == job.progress[1]
+            first, second = queue.telemetry_dict(job.job_id)["heartbeats"]
+            assert first == second and first["verdict"] == "unsat"
 
         run(with_queue(body))
 
@@ -192,7 +195,7 @@ class TestDeadlines:
             assert doomed.state is JobState.DONE
             assert doomed.record["deadline_expired"] is True
             assert doomed.record["qed_definitive"] is False
-            assert queue.deadline_expired == 1
+            assert queue.stats_dict()["deadline_expired"] == 1
             # The zero-work synthetic record must never enter the cache.
             assert doomed.cache_key not in queue.cache
             assert blocker.cache_key in queue.cache

@@ -84,7 +84,7 @@ class TestLeaseFence:
             assert resp["accepted"] is True
             assert job.state is JobState.DONE
             assert job.record["detected_by"] == {"eddiv": True}
-            assert queue.executed == 1
+            assert queue.stats_dict()["executed"] == 1
             assert not fleet.has_active_leases()
 
         run(with_fleet(body))
@@ -98,8 +98,8 @@ class TestLeaseFence:
             assert fleet.complete(commit_body(lease, result=result))["accepted"]
             again = fleet.complete(commit_body(lease, result=result))
             assert again == {"accepted": False, "reason": "duplicate_commit"}
-            assert queue.executed == 1
-            assert fleet.duplicate_commits == 1
+            assert queue.stats_dict()["executed"] == 1
+            assert fleet.stats_dict()["duplicate_commits"] == 1
 
         run(with_fleet(body))
 
@@ -112,16 +112,16 @@ class TestLeaseFence:
             # The worker goes silent past the lease TTL: the job goes back
             # to the queue (one reassignment) and the lease token dies.
             fleet.sweep(time.monotonic() + 60.0)
-            assert fleet.lease_reassignments == 1
+            assert fleet.stats_dict()["lease_reassignments"] == 1
             assert job.state is JobState.QUEUED
             assert job.attempts == 1
             # The zombie resumes and commits its (correct!) result -- too
             # late: the fence comparison rejects it, nothing is recorded.
             late = fleet.complete(commit_body(lease, result=result))
             assert late == {"accepted": False, "reason": "stale_fence"}
-            assert fleet.fenced_rejections == 1
+            assert fleet.stats_dict()["fenced_commits_rejected"] == 1
             assert job.state is JobState.QUEUED
-            assert queue.executed == 0
+            assert queue.stats_dict()["executed"] == 0
             # A second worker picks the job up under a *newer* fence and
             # its commit lands normally.
             fleet.register({"worker_id": "w2"})
@@ -145,7 +145,7 @@ class TestLeaseFence:
             )
             assert resp["accepted"] is True
             assert job.state is JobState.DONE
-            assert queue.executed == 1
+            assert queue.stats_dict()["executed"] == 1
 
         run(with_fleet(body))
 
@@ -161,7 +161,7 @@ class TestLeaseFence:
                 assert resp["lease"] == "ok"
                 fleet.sweep(time.monotonic())
             assert job.state is JobState.RUNNING
-            assert fleet.lease_reassignments == 0
+            assert fleet.stats_dict()["lease_reassignments"] == 0
             assert fleet.has_active_leases()
 
         run(with_fleet(body, lease_seconds=0.5))
@@ -185,8 +185,8 @@ class TestLeaseFence:
             resp = fleet.complete(commit_body(lease, crashed=True))
             assert resp["accepted"] is True and resp["requeued"] is True
             assert job.state is JobState.QUEUED
-            assert queue.retried == 1
-            assert fleet.crash_reports == 1
+            assert queue.stats_dict()["retried"] == 1
+            assert fleet.stats_dict()["crash_reports"] == 1
 
         run(with_fleet(body))
 
@@ -203,7 +203,8 @@ class TestLeaseFence:
             assert job.state is JobState.CANCELLED
             assert job.attempts == 1
             assert not queue.quarantined
-            assert queue.cancelled == 1 and queue.failed == 0
+            stats = queue.stats_dict()
+            assert stats["cancelled"] == 1 and stats["failed"] == 0
             again = queue.submit(spec())
             assert again is not job and again.state is JobState.QUEUED
 
@@ -221,7 +222,7 @@ class TestLeaseFence:
             # A coalesced twin still waits on the answer: retry as usual.
             assert resp["requeued"] is True
             assert job.state is JobState.QUEUED
-            assert queue.retried == 1
+            assert queue.stats_dict()["retried"] == 1
             assert not queue.quarantined
 
         run(with_fleet(body))
@@ -309,7 +310,7 @@ class TestLocalCalls:
             await queue.stop()  # ... but the stop comes first
             assert await waiting == {"lease": None}
             assert job.state is JobState.QUEUED and job.attempts == 0
-            assert fleet.leases_granted == 0
+            assert fleet.stats_dict()["leases_granted"] == 0
 
         run(with_fleet(body))
 
@@ -334,11 +335,11 @@ class TestFailureDetection:
             assert fleet.worker_counts()["suspect"] == 1
             fleet.sweep(now + fleet.dead_after + 0.01)
             assert fleet.worker_counts()["dead"] == 1
-            assert fleet.workers_died == 1
+            assert fleet.stats_dict()["workers_died"] == 1
             # Any request from the worker revives it.
             fleet.heartbeat({"worker_id": "w1"})
             assert fleet.worker_counts()["live"] == 1
-            assert fleet.workers_revived == 1
+            assert fleet.stats_dict()["workers_revived"] == 1
 
         run(with_fleet(body))
 
@@ -350,7 +351,7 @@ class TestFailureDetection:
             # Death grace (4 beats = 0.4s) is far shorter than the lease
             # TTL: the sweep must reassign via death, not lease expiry.
             fleet.sweep(time.monotonic() + fleet.dead_after + 0.01)
-            assert fleet.lease_reassignments == 1
+            assert fleet.stats_dict()["lease_reassignments"] == 1
             assert job.state is JobState.QUEUED
 
         run(with_fleet(body, lease_seconds=60.0))
@@ -410,8 +411,10 @@ class TestWorkerEndToEnd:
             assert final_a.record["detected_by"] == {"eddiv": True}
             assert final_b.state == "done"
             assert worker.commits_accepted == 2
-            # Per-bound progress crossed the wire (heartbeat/commit relay).
-            assert final_a.progress and final_a.progress[0]["verdict"] == "unsat"
+            # The per-bound heartbeat crossed the wire (heartbeat/commit
+            # relay).
+            (beat,) = client.telemetry(view_a.job_id)["heartbeats"]
+            assert (beat["site"], beat["verdict"]) == ("bound", "unsat")
             stats = client.stats()["queue"]["fleet"]
             assert stats["commits_accepted"] == 2
             assert stats["fenced_commits_rejected"] == 0

@@ -4,9 +4,12 @@ import asyncio
 import json
 import urllib.request
 
+import pytest
+
 from repro.eval.campaign import CampaignConfig
 from repro.obs.metrics import parse_prometheus
 from repro.serve.cache import ResultCache
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.keys import JobSpec
 from repro.serve.queue import (
     JobQueue,
@@ -230,3 +233,109 @@ class TestHttpEndpoints:
                 assert False, "expected 404"
             except urllib.error.HTTPError as exc:
                 assert exc.code == 404
+
+
+#: Every counter ``GET /stats`` reports, by (section, key), and the
+#: ``GET /metrics`` series it must equal (several series are summed).
+STATS_SERIES = {
+    ("queue", "jobs_submitted"): ("qed_jobs_submitted_total",),
+    ("queue", "cache_hits"): ("qed_cache_hits_total",),
+    ("queue", "coalesced"): ("qed_jobs_coalesced_total",),
+    ("queue", "executed"): ("qed_jobs_executed_total",),
+    ("queue", "failed"): ("qed_jobs_failed_total",),
+    ("queue", "cancelled"): ("qed_jobs_cancelled_total",),
+    ("queue", "retried"): ("qed_job_retries_total",),
+    ("queue", "deadline_expired"): (
+        'qed_deadline_expiries_total{scope="queue"}',
+        'qed_deadline_expiries_total{scope="worker"}',
+    ),
+    ("queue", "quarantined"): ("qed_quarantined_keys",),
+    ("queue", "quarantines"): ("qed_quarantines_total",),
+    ("queue", "quarantine_rejections"): ("qed_quarantine_rejections_total",),
+    ("queue", "queue_full_rejections"): (
+        'qed_admission_rejections_total{reason="queue_full"}',
+    ),
+    ("queue", "running"): ("qed_jobs_running",),
+    ("queue", "queued"): ("qed_queue_depth",),
+    ("queue", "queue_latency_seconds_total"): ("qed_queue_wait_seconds_sum",),
+    ("queue", "queue_latency_jobs"): ("qed_queue_wait_seconds_count",),
+    ("queue", "flight_dumps"): ("qed_flight_dumps",),
+    ("queue", "flight_evictions"): ("qed_flight_evictions",),
+    ("fleet", "workers_registered"): ("qed_fleet_workers_registered_total",),
+    ("fleet", "workers_died"): ("qed_fleet_worker_deaths_total",),
+    ("fleet", "workers_revived"): ("qed_fleet_workers_revived_total",),
+    ("fleet", "leases_outstanding"): ("qed_fleet_leases_outstanding",),
+    ("fleet", "leases_granted"): ("qed_fleet_leases_granted_total",),
+    ("fleet", "leases_expired"): ("qed_fleet_leases_expired_total",),
+    ("fleet", "lease_reassignments"): ("qed_fleet_lease_reassignments_total",),
+    ("fleet", "heartbeats_received"): ("qed_fleet_heartbeats_total",),
+    ("fleet", "commits_received"): ("qed_fleet_commits_total",),
+    ("fleet", "commits_accepted"): ("qed_fleet_commits_accepted_total",),
+    ("fleet", "fenced_commits_rejected"): ("qed_fleet_fenced_commits_total",),
+    ("fleet", "duplicate_commits"): ("qed_fleet_duplicate_commits_total",),
+    ("fleet", "crash_reports"): ("qed_fleet_crash_reports_total",),
+    ("http", "requests_served"): ("qed_http_requests_total",),
+    ("http", "requests_rejected"): ("qed_http_requests_rejected_total",),
+}
+
+#: Numeric ``GET /stats`` entries that are configuration or bookkeeping,
+#: not event counts.
+NOT_COUNTED = {
+    ("queue", "workers"),
+    ("queue", "jobs_tracked"),
+    ("queue", "traced_jobs"),
+    ("queue", "flight_write_errors"),
+    ("fleet", "lease_seconds"),
+    ("fleet", "heartbeat_seconds"),
+}
+
+
+class TestOneRegistry:
+    def test_every_stats_counter_equals_its_metrics_series(self, tmp_path):
+        with LocalServer(
+            cache_dir=str(tmp_path),
+            entry=_selftest_entry,
+            retry_backoff_base=0.01,
+        ) as url:
+            client = ServeClient(url)
+            miss = client.submit(spec=spec("__echo__", tag="miss"))
+            assert client.wait_done(miss.job_id, timeout=30).state == "done"
+            assert client.submit(spec=spec("__echo__", tag="miss")).cache_hit
+            blocker = client.submit(spec=spec("__sleep:0.5__"))
+            assert client.submit(spec=spec("__sleep:0.5__")).coalesced == 1
+            victim = client.submit(spec=spec("__echo__", tag="victim"))
+            assert client.cancel(victim.job_id) is True
+            client.wait_done(blocker.job_id, timeout=30)
+            crash = client.submit(spec=spec("__crash__"))
+            assert client.wait_done(crash.job_id, timeout=60).state == "failed"
+            assert client.submit(spec=spec("__crash__")).state == "failed"
+            with pytest.raises(ServeError):
+                client.submit(spec=spec("__echo__", split={"strategy": "x"}))
+            stats = client.stats()
+            metrics = parse_prometheus(client.metrics_text())
+
+        sections = {
+            "queue": stats["queue"],
+            "fleet": stats["queue"]["fleet"],
+            "http": stats["http"],
+        }
+        for (name, key), series in STATS_SERIES.items():
+            expected = sum(metrics.get(one, 0) for one in series)
+            if key == "requests_served":
+                expected -= 1  # the GET /stats itself, counted after it
+            assert sections[name].get(key) == expected, (name, key, series)
+        # ... and no counter escapes the table.
+        numeric = {
+            (name, key)
+            for name, section in sections.items()
+            for key, value in section.items()
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        }
+        assert numeric == set(STATS_SERIES) | NOT_COUNTED
+        queue = stats["queue"]
+        # The scenario reached every event kind it set out to count.
+        assert queue["cache_hits"] == 1 and queue["coalesced"] == 1
+        assert queue["cancelled"] == 1 and queue["retried"] == 2
+        assert queue["quarantines"] == 1
+        assert queue["quarantine_rejections"] == 1
+        assert stats["http"]["requests_rejected"] == 1

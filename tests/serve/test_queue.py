@@ -56,9 +56,10 @@ class TestScheduling:
             assert job.state is JobState.DONE
             assert job.record["detected_by"] == {"eddiv": True}
             assert job.record["cache_key"] == job.cache_key
-            assert queue.executed == 1
-            # The selftest entry emits one progress event.
-            assert job.progress and job.progress[0]["verdict"] == "unsat"
+            assert queue.stats_dict()["executed"] == 1
+            # The selftest entry ships one per-bound heartbeat.
+            (beat,) = queue.telemetry_dict(job.job_id)["heartbeats"]
+            assert (beat["site"], beat["verdict"]) == ("bound", "unsat")
 
         run(with_queue(body))
 
@@ -87,7 +88,8 @@ class TestScheduling:
             # Scheduler must skip the cancelled entry, not run it.
             await asyncio.sleep(0.05)
             assert victim.state is JobState.CANCELLED
-            assert queue.executed == 1 and queue.cancelled == 1
+            stats = queue.stats_dict()
+            assert stats["executed"] == 1 and stats["cancelled"] == 1
 
         run(with_queue(body))
 
@@ -136,9 +138,9 @@ class TestCoalescing:
             assert second is first and third is first
             assert first.coalesced == 2
             await wait_terminal(queue, first)
-            assert queue.executed == 1
-            assert queue.coalesced == 2
-            assert queue.submitted == 3
+            assert queue.stats_dict()["executed"] == 1
+            assert queue.stats_dict()["coalesced"] == 2
+            assert queue.stats_dict()["jobs_submitted"] == 3
 
         run(with_queue(body))
 
@@ -149,7 +151,7 @@ class TestCoalescing:
             assert a is not b
             await wait_terminal(queue, a)
             await wait_terminal(queue, b)
-            assert queue.executed == 2
+            assert queue.stats_dict()["executed"] == 2
 
         run(with_queue(body, workers=2))
 
@@ -165,7 +167,8 @@ class TestCacheIntegration:
             assert warm.state is JobState.DONE and warm.cache_hit
             assert warm.record["served_from_cache"] is True
             assert warm.record["cache_key"] == cold.cache_key
-            assert queue.executed == 1 and queue.cache_hits == 1
+            stats = queue.stats_dict()
+            assert stats["executed"] == 1 and stats["cache_hits"] == 1
 
         run(with_queue(body, cache=cache))
 
@@ -187,7 +190,7 @@ class TestCacheIntegration:
             fresh = queue.submit(spec(), force=True)
             assert not fresh.cache_hit
             await wait_terminal(queue, fresh)
-            assert queue.executed == 1
+            assert queue.stats_dict()["executed"] == 1
             entry = cache.get(key)
             assert entry.definitive and entry.record["detected_by"]
 
@@ -206,7 +209,7 @@ class TestCacheIntegration:
             assert len(queue.jobs) == 3
             assert jobs[0].job_id not in queue.jobs
             assert jobs[-1].job_id in queue.jobs
-            assert queue.executed == 5
+            assert queue.stats_dict()["executed"] == 5
 
         run(with_queue(body, max_tracked_jobs=3))
 
@@ -220,7 +223,7 @@ class TestCacheIntegration:
         async def second(queue):
             job = queue.submit(spec())
             assert job.cache_hit and job.state is JobState.DONE
-            assert queue.executed == 0
+            assert queue.stats_dict()["executed"] == 0
 
         run(with_queue(first, cache=ResultCache(directory)))
         run(with_queue(second, cache=ResultCache(directory)))
@@ -239,7 +242,8 @@ class TestWorkerCrash:
             healthy = queue.submit(spec("__echo__", tag="after"))
             await wait_terminal(queue, healthy, timeout=60.0)
             assert healthy.state is JobState.DONE
-            assert queue.failed == 1 and queue.executed == 1
+            stats = queue.stats_dict()
+            assert stats["failed"] == 1 and stats["executed"] == 1
 
         run(with_queue(body, use_processes=True))
 
@@ -251,7 +255,7 @@ class TestWorkerCrash:
             assert "RuntimeError" in bad.error
             # An ordinary exception (vs. a crash) is not retried, and the
             # worker that ran it stays live.
-            assert queue.retried == 0
+            assert queue.stats_dict()["retried"] == 0
             assert queue.fleet.worker_counts()["live"] == queue.workers
 
         run(with_queue(body, entry=_raising_entry))
@@ -334,17 +338,18 @@ def _forking_entry(spec_dict, job_id="", progress=None, **kwargs):
     }
 
 
-#: Per-bound events the chatty entry emits, the last right before it returns.
+#: Per-bound heartbeats the chatty entry records, the last right before it
+#: returns.
 CHATTY_BOUNDS = 8
 
 
 def _chatty_entry(spec_dict, job_id="", progress=None, **kwargs):
-    obs_trace.start_trace()
-    with obs_trace.capture(lambda batch: progress({"__obs__": batch})):
+    collector = obs_trace.start_trace()
+    with obs_trace.capture(progress):
         for bound in range(1, CHATTY_BOUNDS + 1):
             with obs_trace.span("test.bound", bound=bound):
                 pass
-            progress({"bound": bound, "verdict": "unsat"})
+            collector.heartbeat("bound", bound=bound, verdict="unsat")
     obs_trace.clear()
     return {
         "record": {"bug_id": spec_dict["bug_id"], "qed_definitive": True},
@@ -451,9 +456,10 @@ class TestSinglePath:
             job = queue.submit(spec())
             await wait_terminal(queue, job)
             assert job.state is JobState.DONE
-            # Events reaching a DONE job are dropped, so all of them must
-            # have landed before the commit did.
-            assert [e["bound"] for e in job.progress] == list(
+            # Events shipped after the commit have no live lease to ride,
+            # so all of them must have landed before the commit did.
+            beats = queue.telemetry_dict(job.job_id)["heartbeats"]
+            assert [e["bound"] for e in beats] == list(
                 range(1, CHATTY_BOUNDS + 1)
             )
             trace = queue.traces.to_json_dict(job.job_id)

@@ -122,9 +122,8 @@ class TestJobsOverHttp:
         final = server.wait_done(view.job_id, timeout=10)
         assert final.state == "done"
         assert final.record["detected_by"] == {"eddiv": True}
-        # The per-bound progress event streamed through the long-poll view.
-        full = server.job(view.job_id)
-        assert full.progress_total == 1
+        # The per-bound heartbeat reached the job's telemetry.
+        assert server.telemetry(view.job_id)["total"] == 1
         # Content-addressed lookup serves the same record.
         cached = server.result(final.cache_key)
         assert cached is not None
@@ -133,12 +132,18 @@ class TestJobsOverHttp:
 
     def test_long_poll_streams_progress_increments(self, server):
         view = server.submit(spec=spec("__sleep:0.2__"))
-        events = []
-        final = server.wait_done(
-            view.job_id, timeout=10, on_progress=events.append
-        )
-        assert final.state == "done"
-        assert [e.get("verdict") for e in events] == ["unsat"]
+        versions = [view.version]
+        while not view.done:
+            view = server.job(view.job_id, wait=10, since=view.version)
+            versions.append(view.version)
+        # Each long-poll answer is a newer version, up to the terminal one.
+        assert versions == sorted(set(versions))
+        assert view.state == "done"
+        # Per-bound progress is the job's bound heartbeats on /telemetry.
+        beats = server.telemetry(view.job_id)["heartbeats"]
+        assert [(b["site"], b["verdict"]) for b in beats] == [
+            ("bound", "unsat")
+        ]
 
     def test_duplicate_submissions_coalesce_over_http(self, server):
         one = server.submit(spec=spec("__sleep:0.4__"))

@@ -1,11 +1,11 @@
 """Serving-layer telemetry: the heartbeat view of a job's trace.
 
-The queue-level tests drive ``_on_progress`` with tagged ``__obs__``
-batches of heartbeat events exactly as a worker's capture ships them;
-the HTTP tests use a deterministic entry; the live test solves a real
-EDDI-V job through the process-pool server and asserts the acceptance
-contract -- at least two heartbeats with monotonically non-decreasing
-conflict counts.
+The queue-level tests drive ``_on_progress`` with batches of heartbeat
+events exactly as a worker's capture ships them; the HTTP tests use a
+deterministic entry; the live test solves a real EDDI-V job through the
+process-pool server and asserts the acceptance contract -- at least two
+heartbeats with monotonically non-decreasing conflict counts, and one
+per-bound heartbeat per ``bmc.bound`` span of the trace, agreeing with it.
 """
 
 import asyncio
@@ -58,7 +58,7 @@ def heartbeat(seq, conflicts, site="restart", **extra):
 
 
 def obs(*events, dropped=0):
-    return {"__obs__": {"spans": [], "events": list(events), "dropped": dropped}}
+    return {"spans": [], "events": list(events), "dropped": dropped}
 
 
 class TestTelemetryRing:
@@ -67,15 +67,13 @@ class TestTelemetryRing:
             job = queue.submit(spec())
             await wait_terminal(queue, job)
             version = job.version
-            progress_len = len(job.progress)
+            total = queue.telemetry_dict(job.job_id)["total"]
             queue._on_progress(job.job_id, obs(heartbeat(0, 5), heartbeat(1, 9)))
             view = queue.telemetry_dict(job.job_id)
-            assert view["total"] == 2
-            assert [hb["conflicts"] for hb in view["heartbeats"]] == [5, 9]
-            # telemetry is a plain poll: no long-poll wakeup, and the
-            # per-bound progress stream stays untouched
+            assert view["total"] == total + 2
+            assert [hb["conflicts"] for hb in view["heartbeats"][-2:]] == [5, 9]
+            # telemetry is a plain poll: no long-poll wakeup
             assert job.version == version
-            assert len(job.progress) == progress_len
 
         run(with_queue(body))
 
@@ -85,12 +83,13 @@ class TestTelemetryRing:
             await wait_terminal(queue, job)
             ring = queue.traces.max_events
             queued_events = len(queue.traces.to_json_dict(job.job_id)["events"])
+            before = queue.telemetry_dict(job.job_id)["total"]  # the entry's
             batch = [heartbeat(i, i) for i in range(ring + 50)]
             queue._on_progress(job.job_id, obs(*batch))
             view = queue.telemetry_dict(job.job_id)
             assert len(view["heartbeats"]) == ring
-            assert view["dropped"] == 50
-            assert view["total"] == ring + 50
+            assert view["dropped"] == before + 50
+            assert view["total"] == before + ring + 50
             assert view["heartbeats"][0]["conflicts"] == 50
             # Heartbeats share the trace's ring (and its drop counter)
             # with the queue's own events.
@@ -103,10 +102,11 @@ class TestTelemetryRing:
         async def body(queue):
             job = queue.submit(spec())
             await wait_terminal(queue, job)
+            before = queue.telemetry_dict(job.job_id)["total"]  # the entry's
             queue._on_progress(
                 job.job_id, obs(*[heartbeat(i, i * 10) for i in range(5)])
             )
-            first = queue.telemetry_dict(job.job_id, since=0)
+            first = queue.telemetry_dict(job.job_id, since=before)
             assert len(first["heartbeats"]) == 5
             later = queue.telemetry_dict(job.job_id, since=first["total"])
             assert later["heartbeats"] == []
@@ -126,9 +126,10 @@ class TestTelemetryRing:
         async def body(queue):
             job = queue.submit(spec())
             await wait_terminal(queue, job)
-            queue._on_progress(job.job_id, {"__obs__": {"events": "not-a-list"}})
+            total = queue.telemetry_dict(job.job_id)["total"]
+            queue._on_progress(job.job_id, {"events": "not-a-list"})
             queue._on_progress(job.job_id, obs("not-a-dict", heartbeat(0, 1)))
-            assert queue.telemetry_dict(job.job_id)["total"] == 1
+            assert queue.telemetry_dict(job.job_id)["total"] == total + 1
 
         run(with_queue(body))
 
@@ -141,7 +142,7 @@ def _beating_entry(spec_dict, job_id="", progress=None, **kwargs):
     """Record one heartbeat, then hold the lease until released."""
     collector = obs_trace.start_trace()
     try:
-        with obs_trace.capture(lambda batch: progress({"__obs__": batch})):
+        with obs_trace.capture(progress):
             collector.heartbeat("restart", conflicts=7)
             _RELEASE.wait(10.0)
     finally:
@@ -268,7 +269,9 @@ class TestHttpTelemetry:
 class TestLiveSolveTelemetry:
     def test_real_solve_streams_monotone_heartbeats(self, tmp_path):
         """Acceptance: a live EDDI-V solve produces >=2 heartbeats whose
-        conflict counts increase monotonically (per solving process)."""
+        conflict counts increase monotonically (per solving process), and
+        its per-bound heartbeats are its ``bmc.bound`` spans: same bound,
+        same verdict, ``bound_seconds`` == the span's ``end - start``."""
         with LocalServer(cache_dir=str(tmp_path), workers=2) as url:
             client = ServeClient(url)
             job = client.submit(bug_id="wrport_collision")
@@ -293,3 +296,22 @@ class TestLiveSolveTelemetry:
             # incremental polling with since= composes with the ring
             tail = client.telemetry(job.job_id, since=payload["total"])
             assert tail["heartbeats"] == []
+            # One per-bound heartbeat per bmc.bound span; the job runs
+            # several BMC searches (QED, then the industrial flow), so
+            # spans and beats pair up in order.
+            assert payload["dropped"] == 0
+            beats = [hb for hb in heartbeats if hb["site"] == "bound"]
+            spans = sorted(
+                (
+                    s for s in client.trace(job.job_id)["spans"]
+                    if s["name"] == "bmc.bound"
+                ),
+                key=lambda s: s["start"],
+            )
+            assert spans and len(beats) == len(spans)
+            for beat, span in zip(beats, spans):
+                assert beat["bound"] == span["attrs"]["bound"]
+                assert beat["verdict"] == span["attrs"]["verdict"]
+                assert round(beat["bound_seconds"], 6) == round(
+                    span["end"] - span["start"], 6
+                )
