@@ -4,11 +4,11 @@ The deep QED-CF queries are single SAT calls -- a campaign-level process
 pool cannot speed them up.  This example shows the cube-and-conquer path
 instead: the clean design B.v6 is proven free of QED-CF failures with the
 query split by property-window position and instruction-opcode bits, fanned
-over worker processes with dynamic re-splitting and learned-clause sharing
-(:mod:`repro.dist`).  A single-worker run of the same configuration is
-bit-for-bit deterministic, and SAT/UNSAT verdicts never depend on the
-worker count (only where an explicit *conflict budget* draws the UNKNOWN
-line can racing workers land on a different side of it).
+over worker processes with dynamic re-splitting (:mod:`repro.dist`).  A
+single-worker run of the same configuration is bit-for-bit deterministic,
+and SAT/UNSAT verdicts never depend on the worker count (only where an
+explicit *conflict budget* draws the UNKNOWN line can racing workers land
+on a different side of it).
 
 Run with::
 
@@ -50,7 +50,6 @@ def main() -> None:
     print(f"frames proven safe        : {bmc.frames_proven}")
     print(f"cubes solved              : {result.cubes_solved}")
     print(f"dynamic re-splits         : {result.cubes_resplit}")
-    print(f"learned clauses shared    : {result.clauses_shared}")
     print(f"wall clock                : {bmc.runtime_seconds:.1f}s")
     for stats in bmc.per_bound_stats:
         if stats.dist is None:

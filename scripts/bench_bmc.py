@@ -42,7 +42,7 @@ Depth runs are gated on ``frames_proven`` as well as wall-clock: a fresh
 run proving *fewer* frames than the baseline under the same conflict budget
 fails ``--check`` even when it is fast (depth, not speed, is what the
 budget ablations track).  Distributed runs record per-cube statistics
-(verdict, conflicts, re-splits, clause sharing) in the JSON report.
+(verdict, conflicts, re-splits) in the JSON report.
 
 Usage::
 
@@ -135,7 +135,6 @@ def _summarise(name: str, result: BMCResult) -> Dict[str, object]:
         "frames_proven": result.frames_proven,
         "cubes_solved": result.cubes_solved,
         "cubes_resplit": result.cubes_resplit,
-        "clauses_shared": result.clauses_shared,
         "per_bound": _bound_stats_rows(result),
     }
 
@@ -280,7 +279,7 @@ def run_profile(
         _qed_run(*depth_args, **depth_kwargs)
         profiler.disable()
     # Distributed smoke: a 2-worker cube-and-conquer proof of the clean
-    # design, exercising the process pool, work stealing and clause sharing
+    # design, exercising the process pool, work stealing and re-splitting
     # under the CI regression gate.
     runs.append(
         _qed_run(

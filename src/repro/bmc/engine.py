@@ -243,7 +243,6 @@ class BoundStats:
                 "cubes_unsat": self.dist.cubes_unsat,
                 "cubes_unknown": self.dist.cubes_unknown,
                 "resplits": self.dist.resplits,
-                "clauses_shared": self.dist.clauses_shared,
                 "wall_seconds": round(self.dist.wall_seconds, 6),
                 "cubes": [
                     {
@@ -255,7 +254,6 @@ class BoundStats:
                         "propagations": cube.propagations,
                         "runtime_seconds": round(cube.runtime_seconds, 6),
                         "worker": cube.worker,
-                        "config": cube.config,
                     }
                     for cube in self.dist.cubes
                 ],
@@ -379,13 +377,6 @@ class BMCResult:
     def cubes_resplit(self) -> int:
         """Dynamic re-splits performed across all bounds."""
         return sum(s.dist.resplits for s in self.per_bound_stats if s.dist)
-
-    @property
-    def clauses_shared(self) -> int:
-        """Short learned clauses exchanged between workers, all bounds."""
-        return sum(
-            s.dist.clauses_shared for s in self.per_bound_stats if s.dist
-        )
 
     @property
     def frames_proven(self) -> int:
@@ -669,8 +660,7 @@ class BoundedModelChecker:
     ) -> Set[int]:
         """Variables the engine may observe or assert after this query.
 
-        This is the frozen contract shared by slab preprocessing and the
-        distributed workers' whole-formula preprocessing: the activation
+        This is slab preprocessing's frozen contract: the activation
         literal, the primary-input variables (frame inputs and symbolic
         initial state -- counterexample extraction reads the model through
         them), the constant-true variable and the window-root variables
@@ -785,16 +775,12 @@ class BoundedModelChecker:
         while depth > 0 and len(ladder) * (1 << depth) > MAX_INITIAL_CUBES:
             depth -= 1
         cubes = product_cubes(ladder, binary_cubes(lookahead, depth))
-        frozen = self._frozen_interface_vars(activation_var, window_roots)
-        frozen.update(root_vars)
-        frozen.update(lookahead)
         return SplitQuery(
             clauses=self._cnf.clauses,
             num_vars=self._cnf.num_vars,
             assumptions=[activation_var],
             cubes=cubes,
             resplit_vars=lookahead[depth:],
-            frozen=frozenset(frozen),
             max_conflicts=self.problem.max_conflicts_per_query,
             incremental=True,
         )
@@ -1105,7 +1091,6 @@ class BoundedModelChecker:
                     # the re-dispatch's work in BoundStats.
                     dist_stats.cubes.extend(result.stats.cubes)
                     dist_stats.resplits += result.stats.resplits
-                    dist_stats.clauses_shared += result.stats.clauses_shared
                     dist_stats.wall_seconds += result.stats.wall_seconds
                     result.stats = dist_stats
                     solve_results = [result]

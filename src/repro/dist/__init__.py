@@ -24,25 +24,23 @@ break the BMC depth wall -- and solves them inline or over processes::
     |  workers=1: inline cube loop, one incremental solver, no processes  |
     |  workers>1: task queue (work stealing) <--- re-split on overrun     |
     |     |            |        |                                         |
-    |  worker 0     worker 1   worker N    each: own CDCL solver, built   |
-    |  (baseline)  (preproc.)  (...)       once, diverse personality      |
-    |     |            |        |          (repro.dist.portfolio configs) |
-    |     +---- shared clause queue ----+  short (LBD<=3) learned clauses |
-    +------------------+---------------------------------------------------+
+    |  worker 0     worker 1   worker N    each: one plain CDCL solver,   |
+    |     |            |        |          built once from the query's    |
+    |     |            |        |          clauses; learns only for itself|
+    +-----+------------+--------+-----------------------------------------+
                        | per-cube verdicts + stats
                        v
           merge:  any cube SAT   -> query SAT (model replayed as usual)
                   all cubes UNSAT-> query UNSAT (cubes cover the space)
                   budget expired -> UNKNOWN
 
-Soundness rests on two invariants, both enforced by construction and tested
-property-style in ``tests/dist``:
-
-* the cube set emitted by :mod:`repro.dist.cubes` partitions the search
-  space of its split variables (disjunction is a tautology, cubes pairwise
-  disjoint), so "all cubes UNSAT" refutes the original query;
-* shared learned clauses are implied by the common clause database alone,
-  never by cube assumptions, so importing them into any worker is sound.
+Soundness rests on one invariant, enforced by construction and tested
+property-style in ``tests/dist``: the cube set emitted by
+:mod:`repro.dist.cubes` partitions the search space of its split variables
+(disjunction is a tautology, cubes pairwise disjoint), so "all cubes
+UNSAT" refutes the original query.  Every cube runs on the same solver over
+the same clauses, and no clause crosses from one worker to another, so each
+cube's refutation is self-contained.
 
 ``workers=1`` runs the cube loop inline (no processes) and is bit-for-bit
 deterministic.
@@ -57,7 +55,6 @@ from repro.dist.cubes import (
     split_cube,
     validate_partition,
 )
-from repro.dist.portfolio import DIVERSE_CONFIGS, PortfolioConfig
 from repro.dist.scheduler import (
     CubeStats,
     DistResult,
@@ -75,8 +72,6 @@ __all__ = [
     "select_split_variables",
     "split_cube",
     "validate_partition",
-    "DIVERSE_CONFIGS",
-    "PortfolioConfig",
     "CubeStats",
     "DistResult",
     "DistStats",

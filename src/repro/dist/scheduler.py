@@ -1,4 +1,4 @@
-"""Work scheduling for a split BMC query: pool, stealing, re-split, sharing.
+"""Work scheduling for a split BMC query: pool, stealing, re-split.
 
 The scheduler owns one *query* (a clause list plus base assumptions, e.g.
 "the property-violation window of bound ``k`` is active") and a cube set
@@ -14,9 +14,11 @@ with the merged verdict:
 Scheduling model
 ================
 
+Every cube runs on the same plain :class:`~repro.sat.solver.CDCLSolver`,
+built from the query's clauses by :func:`_build_solver`.
 ``workers == 1`` runs every cube inline on one long-lived solver, in
 deterministic order, with no processes -- learned clauses flow between cubes
-through the shared database, and two runs of the same query are bit-for-bit
+through the solver's database, and two runs of the same query are bit-for-bit
 identical.  ``workers > 1`` forks a process pool:
 
 * every worker builds its solver once from the query's clauses and then
@@ -26,31 +28,26 @@ identical.  ``workers > 1`` forks a process pool:
   ranked look-ahead variable into two child cubes that go back on the queue
   (dynamic cube-and-conquer: hard regions of the space get progressively
   finer cubes); at :data:`MAX_RESPLIT_DEPTH` the cube is solved to
-  completion instead;
-* workers broadcast short learned clauses (LBD <= :data:`SHARE_MAX_LBD`)
-  into every peer's bounded inbox queue and drain their own inbox before
-  each cube.  Shared clauses are implied by the common formula alone --
-  never by cube assumptions -- so importing them is sound for every cube;
-* each worker gets a different :data:`~repro.dist.portfolio.DIVERSE_CONFIGS`
-  personality, adding heuristic diversity to the fan-out.
+  completion instead.
+
+A pool worker's learned clauses never leave it, so each cube's refutation
+rests on the query's clauses and that worker's own learning alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import queue as queue_module
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.deadline import Deadline
 from repro.dist.cubes import Cube, split_cube
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.dist.portfolio import DIVERSE_CONFIGS, PortfolioConfig
-from repro.sat.cnf import Literal, var_of
+from repro.sat.cnf import CNF, Literal, var_of
 from repro.sat.solver import CDCLSolver, SolverStats, SolverStatus
 
 #: Depth of the initial look-ahead tree, before :data:`MAX_INITIAL_CUBES`
@@ -61,14 +58,6 @@ MAX_INITIAL_CUBES = 32
 #: Re-split depth at which a cube that overruns its budget is solved to
 #: completion instead of split again.
 MAX_RESPLIT_DEPTH = 4
-#: Learned clauses up to this LBD are shared between pool workers.
-SHARE_MAX_LBD = 3
-#: Capacity of each pool worker's clause inbox.
-SHARE_QUEUE_SIZE = 1024
-
-#: Personality of the inline ``workers=1`` cube loop: the preprocess-free
-#: baseline, so its solver can absorb appended clauses across bounds.
-_INLINE_PERSONALITY = DIVERSE_CONFIGS[0]
 
 #: Crash-recovery policy of the parallel path.  Not ``SplitConfig`` knobs:
 #: the config's canonical dict feeds content-addressed cache keys, and a
@@ -91,10 +80,30 @@ _REMOVED_KEYS: Dict[str, object] = {
     "lookahead_depth": LOOKAHEAD_DEPTH,
     "max_initial_cubes": MAX_INITIAL_CUBES,
     "max_resplit_depth": MAX_RESPLIT_DEPTH,
-    "share_max_lbd": SHARE_MAX_LBD,
-    "share_queue_size": SHARE_QUEUE_SIZE,
+    "share_clauses": True,
+    "share_max_lbd": 3,
+    "share_queue_size": 1024,
+    # The six solver personalities pool workers once ran, worker i the
+    # (i mod 6)-th; "preprocessed" also ran blocked-clause elimination.
     "configs": [
-        {"format": 1, **dataclasses.asdict(config)} for config in DIVERSE_CONFIGS
+        {
+            "format": 1,
+            "name": name,
+            "var_decay": var_decay,
+            "clause_decay": 0.999,
+            "restart_base": restart_base,
+            "default_phase": default_phase,
+            "preprocess": preprocessed,
+            "blocked": preprocessed,
+        }
+        for name, var_decay, restart_base, default_phase, preprocessed in (
+            ("baseline", 0.95, 100, False, False),
+            ("preprocessed", 0.95, 100, False, True),
+            ("positive-phase", 0.95, 100, True, False),
+            ("rapid-restart", 0.95, 16, False, False),
+            ("slow-decay", 0.99, 100, False, False),
+            ("agile", 0.85, 32, True, False),
+        )
     ],
 }
 
@@ -105,13 +114,11 @@ class SplitConfig:
 
     ``workers`` is the process count (1 = inline and deterministic).
     ``cube_conflict_budget`` is the per-cube solver budget before a cube is
-    re-split (``None`` disables re-splitting).  ``share_clauses`` turns
-    learned-clause sharing between pool workers on or off.
+    re-split (``None`` disables re-splitting).
     """
 
     workers: int = 1
     cube_conflict_budget: Optional[int] = 4000
-    share_clauses: bool = True
     #: Primary-input name prefixes preferred as split variables -- the QED
     #: harness passes the instruction-port prefix here so cubes partition by
     #: focus-set opcode choice (see
@@ -135,7 +142,6 @@ class SplitConfig:
             "format": 1,
             "workers": self.workers,
             "cube_conflict_budget": self.cube_conflict_budget,
-            "share_clauses": self.share_clauses,
             "prefer_input_prefixes": list(self.prefer_input_prefixes),
         }
 
@@ -160,7 +166,6 @@ class SplitConfig:
         return cls(
             workers=int(data.get("workers", 1)),
             cube_conflict_budget=None if budget is None else int(budget),
-            share_clauses=bool(data.get("share_clauses", True)),
             prefer_input_prefixes=tuple(
                 str(prefix) for prefix in data.get("prefer_input_prefixes", ())
             ),
@@ -178,13 +183,9 @@ class CubeStats:
     decisions: int = 0
     propagations: int = 0
     learned_clauses: int = 0
-    #: Duration of the ``dist.cube`` span (a pool worker's covers solve,
-    #: clause export and model extension).
+    #: Duration of the cube's ``dist.cube`` span (its solve call).
     runtime_seconds: float = 0.0
     worker: int = 0
-    config: str = "baseline"
-    clauses_imported: int = 0
-    clauses_exported: int = 0
 
 
 @dataclass
@@ -194,6 +195,8 @@ class DistStats:
     workers: int
     cubes: List[CubeStats] = field(default_factory=list)
     resplits: int = 0
+    #: Always 0: pool workers share no clauses.  The benchmark's
+    #: ``dist.clauses_shared`` counter still reads it.
     clauses_shared: int = 0
     #: Duration of the query's ``dist.solve`` span.
     wall_seconds: float = 0.0
@@ -240,11 +243,9 @@ class SplitQuery:
     applied to every cube (the BMC activation literal); ``cubes`` the
     partition from :mod:`repro.dist.cubes`; ``resplit_vars`` the ranked
     look-ahead variables still unused, consumed in order by dynamic
-    re-splitting; ``frozen`` the variables a preprocessing worker must keep
-    (inputs, window roots, assumption and cube variables).
-    ``max_conflicts`` is the global budget over all cubes -- exceeded means
-    the merged verdict is UNKNOWN, matching the sequential engine's
-    per-query budget semantics.
+    re-splitting.  ``max_conflicts`` is the global budget over all cubes --
+    exceeded means the merged verdict is UNKNOWN, matching the sequential
+    engine's per-query budget semantics.
 
     ``incremental`` declares that ``clauses`` extends the previous query's
     clause list handed to the same scheduler *by appending only* (the BMC
@@ -261,7 +262,6 @@ class SplitQuery:
     assumptions: List[Literal] = field(default_factory=list)
     cubes: List[Cube] = field(default_factory=lambda: [Cube(())])
     resplit_vars: List[int] = field(default_factory=list)
-    frozen: FrozenSet[int] = frozenset()
     max_conflicts: Optional[int] = None
     incremental: bool = False
 
@@ -365,13 +365,10 @@ class WorkScheduler:
     ) -> DistResult:
         """Inline cube loop: one solver, deterministic order, no processes.
 
-        The solver runs the baseline personality (``DIVERSE_CONFIGS[0]``).
-        Clause sharing is implicit -- every learned clause (not just the
-        short ones) stays in the shared database for the following cubes,
-        which is strictly stronger than the parallel sharing protocol.
-        Across :attr:`SplitQuery.incremental` queries the solver itself is
-        reused (only the appended clause tail is fed), so the sharing also
-        spans bounds.
+        Every learned clause stays in the solver's database for the
+        following cubes.  Across :attr:`SplitQuery.incremental` queries the
+        solver itself is reused (only the appended clause tail is fed), so
+        learned clauses also carry across bounds.
         """
         solver = self._inline_solver_for(query)
         stats = DistStats(workers=1)
@@ -407,7 +404,6 @@ class WorkScheduler:
                 propagations=result.stats.propagations,
                 learned_clauses=result.stats.learned_clauses,
                 runtime_seconds=cube_span.seconds,
-                config=_INLINE_PERSONALITY.name,
             )
             stats.cubes.append(record)
             if result.is_sat:
@@ -470,9 +466,7 @@ class WorkScheduler:
                 solver.add_clause(clauses[index])
             self._inline_clauses_fed = len(clauses)
             return solver
-        solver, _ = _INLINE_PERSONALITY.build_solver(
-            query.clauses, query.num_vars
-        )
+        solver = _build_solver(query.clauses, query.num_vars)
         if query.incremental:
             self._inline_solver = solver
             self._inline_clauses_fed = len(query.clauses)
@@ -550,14 +544,6 @@ class WorkScheduler:
             workers = min(config.workers, max(1, len(query.cubes)))
         else:
             workers = config.workers
-        # One bounded inbox per worker: an exporter broadcasts a clause into
-        # every *peer's* inbox (single shared queue semantics would deliver
-        # each clause to exactly one consumer -- possibly the exporter).
-        inboxes: Optional[List["multiprocessing.Queue"]] = (
-            [context.Queue(SHARE_QUEUE_SIZE) for _ in range(workers)]
-            if config.share_clauses and workers > 1
-            else None
-        )
 
         # Per-worker in-flight announcements travel over dedicated pipes,
         # NOT the results queue: ``Connection.send`` is synchronous (no
@@ -574,12 +560,9 @@ class WorkScheduler:
                 target=_pool_worker,
                 args=(
                     worker_id,
-                    DIVERSE_CONFIGS[worker_id % len(DIVERSE_CONFIGS)],
                     query,
-                    SHARE_MAX_LBD if config.share_clauses else None,
                     tasks,
                     results,
-                    inboxes,
                     stop,
                     send_conn,
                     expires_at,
@@ -720,9 +703,6 @@ class WorkScheduler:
                     verdict,
                     cube_model,
                     work,
-                    imported,
-                    exported,
-                    config_name,
                     runtime,
                     obs_batch,
                 ) = message
@@ -752,12 +732,8 @@ class WorkScheduler:
                     learned_clauses=work[3],
                     runtime_seconds=runtime,
                     worker=worker_id,
-                    config=config_name,
-                    clauses_imported=imported,
-                    clauses_exported=exported,
                 )
                 stats.cubes.append(record)
-                stats.clauses_shared += exported
                 spent += work[0]
                 over_budget = (
                     query.max_conflicts is not None
@@ -838,7 +814,7 @@ class WorkScheduler:
                     process.join(timeout=1.0)
             for conn in announces:
                 conn.close()
-            for q in [tasks, results] + (inboxes or []):
+            for q in (tasks, results):
                 q.close()
                 q.cancel_join_thread()
         # Stable ordering for reporting: completion order is racy.
@@ -846,14 +822,21 @@ class WorkScheduler:
         return DistResult(status=status, model=model, stats=stats)
 
 
+def _build_solver(
+    clauses: Sequence[Sequence[Literal]], num_vars: int
+) -> CDCLSolver:
+    """The solver every cube runs on: plain CDCL over the query's clauses."""
+    cnf = CNF(num_vars)
+    for clause in clauses:
+        cnf.add_clause(list(clause))
+    return CDCLSolver(cnf)
+
+
 def _pool_worker(  # fork-entry
     worker_id: int,
-    personality: PortfolioConfig,
     query: SplitQuery,
-    share_max_lbd: Optional[int],
     tasks: "multiprocessing.Queue",
     results: "multiprocessing.Queue",
-    inboxes: Optional[List["multiprocessing.Queue"]],
     stop: "multiprocessing.synchronize.Event",
     announce: Optional["multiprocessing.connection.Connection"] = None,
     expires_at: Optional[float] = None,
@@ -862,11 +845,7 @@ def _pool_worker(  # fork-entry
 
     Each task carries its own conflict budget (``None`` = solve to
     completion), assigned by the scheduler at dispatch time so it reflects
-    what is left of the query's global budget.  Clause sharing is a
-    broadcast: a learned clause is pushed into every *peer's* inbox, and the
-    worker drains only its own inbox, so it never re-imports its own
-    exports and every peer sees every shared clause (unless a full inbox
-    drops it).
+    what is left of the query's global budget.
 
     ``announce`` is the crash-recovery pipe: the worker synchronously
     announces each cube before solving it ("taken") and after reporting
@@ -884,11 +863,7 @@ def _pool_worker(  # fork-entry
     collector = obs_trace.active()
     if collector is not None:
         collector.set_heartbeat_context(worker=worker_id)
-    solver, reduction = personality.build_solver(
-        query.clauses, query.num_vars, query.frozen
-    )
-    if share_max_lbd is not None and inboxes is not None:
-        solver.enable_clause_export(max_lbd=share_max_lbd)
+    solver = _build_solver(query.clauses, query.num_vars)
     while not stop.is_set():
         try:
             literals, depth, budget = tasks.get(timeout=0.05)
@@ -904,17 +879,6 @@ def _pool_worker(  # fork-entry
             # the cube announced but unreported -- the exact window the
             # scheduler's recovery path must cover.
             faults.crash_point("dist.scheduler.cube")
-            imported = 0
-            if inboxes is not None:
-                for _ in range(256):
-                    try:
-                        clause = inboxes[worker_id].get_nowait()
-                    except queue_module.Empty:
-                        break
-                    solver.add_clause(clause)
-                    imported += 1
-            # The cube's span covers what its runtime_seconds reports:
-            # the solve, the clause export and the model extension.
             cube_span = obs_trace.span(
                 "dist.cube", worker=worker_id, depth=depth, literals=len(literals)
             )
@@ -923,23 +887,6 @@ def _pool_worker(  # fork-entry
                 max_conflicts=budget,
                 deadline=deadline,
             )
-            exported = 0
-            if inboxes is not None:
-                for clause in solver.drain_exported():
-                    delivered = False
-                    for peer, inbox in enumerate(inboxes):
-                        if peer == worker_id:
-                            continue
-                        try:
-                            inbox.put_nowait(clause)
-                            delivered = True
-                        except queue_module.Full:
-                            continue
-                    if delivered:
-                        exported += 1
-            model = result.model
-            if model is not None and reduction is not None:
-                model = reduction.extend_model(model)
             cube_span.close(
                 verdict=result.status.value, conflicts=result.stats.conflicts
             )
@@ -949,16 +896,13 @@ def _pool_worker(  # fork-entry
                 tuple(literals),
                 depth,
                 result.status.value,
-                model,
+                result.model,
                 (
                     result.stats.conflicts,
                     result.stats.decisions,
                     result.stats.propagations,
                     result.stats.learned_clauses,
                 ),
-                imported,
-                exported,
-                personality.name,
                 cube_span.seconds,
                 obs_batch,
             )

@@ -217,7 +217,6 @@ class BugDetectionRecord:
     #: Distributed proof engine work (zero when the run was sequential).
     qed_cubes_solved: int = 0
     qed_cubes_resplit: int = 0
-    qed_clauses_shared: int = 0
     single_i_runtime_seconds: float = 0.0
     crs_detected: bool = False
     ocsfv_detected: bool = False
@@ -381,7 +380,6 @@ def _run_qed_feature(
     record.qed_preprocess_seconds = result.bmc_result.preprocess_seconds
     record.qed_cubes_solved = result.cubes_solved
     record.qed_cubes_resplit = result.cubes_resplit
-    record.qed_clauses_shared = result.clauses_shared
 
 
 def detect_bug(

@@ -199,13 +199,11 @@ def distributed_proof_statistics(campaign: CampaignResult) -> Dict[str, int]:
 
     Complements :func:`formula_reduction_statistics` with the distributed
     proof engine's counters (see :mod:`repro.dist`): how many cubes the
-    schedulers answered, how many dynamic re-splits the per-cube conflict
-    budgets triggered, and how many short learned clauses workers exchanged.
-    All three are zero when the campaign ran with sequential queries
-    (``CampaignConfig.split is None``).
+    schedulers answered and how many dynamic re-splits the per-cube conflict
+    budgets triggered.  Both are zero when the campaign ran with sequential
+    queries (``CampaignConfig.split is None``).
     """
     return {
         "cubes_solved": sum(r.qed_cubes_solved for r in campaign.records),
         "cubes_resplit": sum(r.qed_cubes_resplit for r in campaign.records),
-        "clauses_shared": sum(r.qed_clauses_shared for r in campaign.records),
     }

@@ -156,19 +156,3 @@ SMALL_PROFILE = ArchParams(
 FULL_PROFILE = ArchParams(
     name="full", xlen=16, num_regs=16, dmem_words=32, imem_words=64, imm_width=6
 )
-
-PROFILES = {
-    "tiny": TINY_PROFILE,
-    "small": SMALL_PROFILE,
-    "full": FULL_PROFILE,
-}
-
-
-def profile_by_name(name: str) -> ArchParams:
-    """Return a profile by name (``tiny``, ``small`` or ``full``)."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown profile {name!r}; available: {sorted(PROFILES)}"
-        ) from None

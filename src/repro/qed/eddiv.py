@@ -27,7 +27,7 @@ from enum import Enum
 from typing import List, Tuple
 
 from repro.isa.arch import ArchParams
-from repro.isa.encoding import decode, encode_fields, field_layout
+from repro.isa.encoding import decode, encode_fields
 from repro.isa.instructions import (
     Instruction,
     InstructionClass,
@@ -181,31 +181,6 @@ def allowed_instructions(
     return selected
 
 
-def flag_using_control_flow(with_extension: bool) -> List[Instruction]:
-    """Control-flow instructions whose decision depends on the flags."""
-    return [
-        instr
-        for instr in instructions_for_design(with_extension=with_extension)
-        if instr.is_control_flow and instr.uses_flags
-    ]
-
-
-def arithmetic_flag_setters(with_extension: bool) -> List[Instruction]:
-    """Instructions that deterministically set Z, N and C."""
-    from repro.isa.instructions import FlagsUpdate
-
-    return [
-        instr
-        for instr in instructions_for_design(with_extension=with_extension)
-        if instr.flags in (FlagsUpdate.ARITH_ADD, FlagsUpdate.ARITH_SUB)
-    ]
-
-
 def nop_encoding(arch: ArchParams) -> int:
     """The canonical NOP word used by the QED modules for idle cycles."""
     return encode_fields(arch, instruction_by_name("NOP").opcode)
-
-
-def imm_field_slice(arch: ArchParams) -> Tuple[int, int]:
-    """(low, width) of the immediate field in the instruction word."""
-    return field_layout(arch)["imm"]

@@ -102,11 +102,6 @@ class QEDCheckResult:
         return self.bmc_result.cubes_resplit
 
     @property
-    def clauses_shared(self) -> int:
-        """Learned clauses exchanged between workers (0 sequential)."""
-        return self.bmc_result.clauses_shared
-
-    @property
     def counterexample_cycles(self) -> int:
         """Counterexample length in clock cycles (0 if none)."""
         return self.counterexample.length_cycles if self.counterexample else 0

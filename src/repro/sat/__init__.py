@@ -11,11 +11,10 @@ the same pipeline from scratch).  This package provides:
   analysis, Luby restarts and phase saving.
 * :mod:`repro.sat.preprocess` -- the single preprocessing code path:
   SatELite-style formula reduction (bounded variable elimination,
-  subsumption, self-subsuming resolution, failed-literal probing, optional
-  blocked-clause elimination) with a frozen-variable contract that makes it
-  sound for the incremental BMC engine's per-bound clause slabs, plus the
-  lightweight whole-CNF clean-up :func:`repro.sat.preprocess.simplify_cnf`
-  (which absorbed the retired ``repro.sat.simplify`` module).
+  subsumption, self-subsuming resolution, failed-literal probing) with a
+  frozen-variable contract that makes it sound for the incremental BMC
+  engine's per-bound clause slabs.  Each step adds a clause that follows by
+  reverse unit propagation or deletes one.
 
 The public entry point used by the rest of the library is
 :func:`repro.sat.solve`.
@@ -32,11 +31,8 @@ from repro.sat.solver import (
 from repro.sat.preprocess import (
     PreprocessResult,
     PreprocessStats,
-    SimplificationResult,
     extend_model,
     preprocess,
-    reconstruct_blocked,
-    simplify_cnf,
 )
 
 __all__ = [
@@ -50,11 +46,8 @@ __all__ = [
     "SolverStats",
     "SolverStatus",
     "solve",
-    "simplify_cnf",
-    "SimplificationResult",
     "PreprocessResult",
     "PreprocessStats",
     "extend_model",
     "preprocess",
-    "reconstruct_blocked",
 ]

@@ -1,11 +1,7 @@
 """CNF preprocessing: the single formula-reduction code path.
 
-The heavy-duty entry point :func:`preprocess` *shrinks the formula before
-the solver sees it* with the three classic SatELite techniques (plus an
-optional blocked-clause pass); the gentle entry point :func:`simplify_cnf`
-(absorbed from the retired ``repro.sat.simplify`` module) only cleans a
-whole CNF up without touching the variable space.  :func:`preprocess`
-applies:
+:func:`preprocess` *shrinks the formula before the solver sees it* with the
+three classic SatELite techniques:
 
 * **bounded variable elimination** (BVE) -- a non-frozen variable is
   resolved away when the set of non-tautological resolvents is no larger
@@ -17,10 +13,10 @@ applies:
   flipped) is strengthened by removing that literal.
 * **failed-literal probing** -- assuming a literal and running unit
   propagation; a conflict proves the complement at top level.
-* **blocked-clause elimination** (optional, ``enable_blocked=True``) -- a
-  clause all of whose resolvents on one literal are tautological is
-  removed; sound for whole formulas only (never per-bound slabs), see
-  :func:`preprocess`.
+
+Every clause it adds follows from the clauses it holds at that point by
+reverse unit propagation (a resolvent, a strengthened clause, the
+complement of a failed literal), and every other step deletes clauses.
 
 The preprocessor is designed to compose with the *incremental* BMC engine:
 it operates on a clause *slab* (the clauses newly encoded for one bound) and
@@ -40,15 +36,15 @@ formula to the original variable space.
 Output contract
 ---------------
 :func:`preprocess` is deterministic, and all of its output is behaviour,
-not detail: the clauses *in order*, both reconstruction stacks, the
+not detail: the clauses *in order*, the reconstruction stack, the
 ``unsat`` flag and every statistic.  The CDCL solver's search -- and with it
 every model and counterexample the engine reports -- depends on the exact
 clause list it is fed, so a faster preprocessor must return the same list.
 Two internal orders are part of that contract:
 
 * **Occurrence-set iteration order.**  Each literal's occurrences are a
-  ``set`` of clause ids.  Subsumption, strengthening, unit propagation and
-  BCE meet clauses in that set's iteration order, which decides the order
+  ``set`` of clause ids.  Subsumption, strengthening and unit propagation
+  meet clauses in that set's iteration order, which decides the order
   clauses are strengthened, units are queued and clauses are re-queued.
   The iteration order of an ``int`` set is a deterministic function of its
   add/discard history, so every set must see the same operations in the
@@ -101,15 +97,11 @@ from typing import (
 )
 
 from repro.obs import trace as obs_trace
-from repro.sat.cnf import CNF, Literal
+from repro.sat.cnf import Literal
 
 #: Reconstruction stack entry: the variable and the clauses its elimination
 #: removed (recorded *before* removal, in the original variable space).
 EliminationRecord = Tuple[int, List[List[Literal]]]
-
-#: Blocked-clause reconstruction entry: the blocking literal and the removed
-#: clause (see :func:`reconstruct_blocked`).
-BlockedRecord = Tuple[Literal, List[Literal]]
 
 
 @dataclass
@@ -121,7 +113,6 @@ class PreprocessStats:
     units_derived: int = 0
     clauses_subsumed: int = 0
     literals_strengthened: int = 0
-    clauses_blocked: int = 0
     variables_eliminated: int = 0
     resolvents_added: int = 0
     probes: int = 0
@@ -137,7 +128,6 @@ class PreprocessStats:
         self.units_derived += other.units_derived
         self.clauses_subsumed += other.clauses_subsumed
         self.literals_strengthened += other.literals_strengthened
-        self.clauses_blocked += other.clauses_blocked
         self.variables_eliminated += other.variables_eliminated
         self.resolvents_added += other.resolvents_added
         self.probes += other.probes
@@ -159,22 +149,7 @@ class PreprocessResult:
     clauses: List[List[Literal]]
     stats: PreprocessStats
     eliminated: List[EliminationRecord] = field(default_factory=list)
-    #: Blocked clauses removed by the (optional) BCE pass, in removal order.
-    blocked: List[BlockedRecord] = field(default_factory=list)
     unsat: bool = False
-
-    def extend_model(
-        self, model: List[bool], skip: AbstractSet[int] = frozenset()
-    ) -> List[bool]:
-        """Extend *model* over this result's removed structure.
-
-        Reconstruction replays removals in reverse chronological order: the
-        BCE pass runs last, so blocked clauses are repaired first
-        (:func:`reconstruct_blocked`), then the eliminated variables are
-        re-derived (:func:`extend_model`).
-        """
-        model = reconstruct_blocked(model, self.blocked)
-        return extend_model(model, self.eliminated, skip)
 
 
 class _Preprocessor:
@@ -191,7 +166,6 @@ class _Preprocessor:
         frozen_cutoff: int,
         bve_clause_limit: int,
         bve_occurrence_limit: int,
-        bce_occurrence_limit: int = 24,
     ) -> None:
         slab: List[Sequence[Literal]] = list(clauses)
         order = sorted(set(map(abs, chain.from_iterable(slab))))
@@ -213,8 +187,6 @@ class _Preprocessor:
         self.num_vars = n
         self.bve_clause_limit = bve_clause_limit
         self.bve_occurrence_limit = bve_occurrence_limit
-        self.bce_occurrence_limit = bce_occurrence_limit
-        self.blocked: List[BlockedRecord] = []
         self.unsat = False
         size = 2 * n + 1
         #: ``true[lit]``: *lit* is fixed true at top level.
@@ -567,85 +539,9 @@ class _Preprocessor:
         return False, visits
 
     # ------------------------------------------------------------------
-    # Blocked-clause elimination
-    # ------------------------------------------------------------------
-    def _clause_blocked_on(self, clause: List[Literal], lit: Literal) -> bool:
-        """Whether every resolvent of *clause* on *lit* is tautological."""
-        complements = {-other for other in clause if other != lit}
-        clauses = self.clauses
-        for cid in self.occ[-lit]:
-            other_clause = clauses[cid]
-            assert other_clause is not None
-            if complements.isdisjoint(other_clause):
-                return False
-        return True
-
-    def _bce_pass(self) -> None:
-        """Remove blocked clauses (a final, optional pass).
-
-        A clause is *blocked* on one of its literals when every resolvent on
-        that literal is tautological; removing it preserves satisfiability
-        (Kullmann), and a model of the remainder is repaired by flipping the
-        blocking literal whenever the removed clause is unsatisfied
-        (:func:`reconstruct_blocked`).  Pure literals are the degenerate
-        case (no resolvents at all), so this pass generalises pure-literal
-        elimination.
-
-        Two restrictions keep the pass safe in this codebase: frozen
-        variables never act as blocking literals (their value is observed
-        elsewhere, e.g. by solver assumptions), and -- unlike every other
-        transformation here -- blocked-clause elimination is **not** sound
-        on a slab of a larger formula (an outside clause can produce a
-        non-tautological resolvent), so the caller must only enable it on a
-        complete formula.
-        """
-        clauses = self.clauses
-        occ = self.occ
-        is_frozen = self.is_frozen
-        queue: List[int] = [
-            cid for cid, clause in enumerate(clauses) if clause is not None
-        ]
-        in_queue = [clause is not None for clause in clauses]
-        while queue and not self.unsat:
-            cid = queue.pop()
-            in_queue[cid] = False
-            clause = clauses[cid]
-            if clause is None:
-                continue
-            for lit in clause:
-                if is_frozen[lit if lit > 0 else -lit]:
-                    continue
-                if len(occ[-lit]) > self.bce_occurrence_limit:
-                    continue
-                if self._clause_blocked_on(clause, lit):
-                    self.blocked.append((lit, clause))
-                    self._remove_clause(cid)
-                    self.stats.clauses_blocked += 1
-                    # Removing a clause can newly block clauses that used to
-                    # resolve against it: re-examine the resolution partners.
-                    for other_lit in clause:
-                        for ocid in occ[-other_lit]:
-                            if not in_queue[ocid]:
-                                in_queue[ocid] = True
-                                queue.append(ocid)
-                    break
-
-    # ------------------------------------------------------------------
-    def fixed_values(self) -> Dict[int, bool]:
-        """Original variable -> fixed value, in fixing order."""
-        back = self.back
-        return {
-            abs(lit if back is None else back[lit]): lit > 0
-            for lit in self.trail
-        }
-
-    def output(
-        self,
-    ) -> Tuple[
-        List[List[Literal]], List[EliminationRecord], List[BlockedRecord]
-    ]:
+    def output(self) -> Tuple[List[List[Literal]], List[EliminationRecord]]:
         """The reduced clauses (fixed units first, by variable) and the
-        reconstruction stacks, in the original numbering."""
+        reconstruction stack, in the original numbering."""
         if self.unsat:
             clauses: List[List[Literal]] = [[]]
         else:
@@ -653,16 +549,12 @@ class _Preprocessor:
             clauses.extend(c for c in self.clauses if c is not None)
         back = self.back
         if back is None:
-            return clauses, self.eliminated, self.blocked
+            return clauses, self.eliminated
         return (
             [[back[lit] for lit in clause] for clause in clauses],
             [
                 (back[variable], [[back[lit] for lit in c] for c in removed])
                 for variable, removed in self.eliminated
-            ],
-            [
-                (back[lit], [back[other] for other in clause])
-                for lit, clause in self.blocked
             ],
         )
 
@@ -676,10 +568,8 @@ def preprocess(
     enable_subsumption: bool = True,
     enable_elimination: bool = True,
     enable_probing: bool = True,
-    enable_blocked: bool = False,
     bve_clause_limit: int = 8,
     bve_occurrence_limit: int = 12,
-    bce_occurrence_limit: int = 24,
     probe_limit: int = 2000,
     probe_visit_budget: int = 2_000_000,
 ) -> PreprocessResult:
@@ -695,17 +585,6 @@ def preprocess(
     occurring outside the slab are frozen (facts derived from a subset hold
     for the whole formula, and elimination is restricted to slab-local
     variables).
-
-    ``enable_blocked`` (off by default) runs blocked-clause elimination as
-    a final pass.  **Exception to the slab contract above:** BCE only
-    preserves satisfiability when *clauses* is the complete formula --
-    a clause outside the slab can produce a non-tautological resolvent on
-    the blocking literal -- so only enable it for whole-formula
-    preprocessing (e.g. a cube worker building its own solver), never
-    for the incremental engine's per-bound slabs.  BCE also changes the
-    model: use :meth:`PreprocessResult.extend_model` (which repairs blocked
-    clauses before re-deriving eliminated variables) rather than the
-    module-level :func:`extend_model`.
     """
     span = obs_trace.span("sat.preprocess")
     state = _Preprocessor(
@@ -714,7 +593,6 @@ def preprocess(
         frozen_cutoff,
         bve_clause_limit,
         bve_occurrence_limit,
-        bce_occurrence_limit,
     )
     for round_index in range(max_rounds):
         if state.unsat:
@@ -743,9 +621,7 @@ def preprocess(
             changed |= state.stats.failed_literals > failed_before
         if not changed:
             break
-    if enable_blocked and not state.unsat:
-        state._bce_pass()
-    result_clauses, eliminated, blocked = state.output()
+    result_clauses, eliminated = state.output()
     span.close()
     state.stats.clauses_out = len(result_clauses)
     state.stats.time_seconds = span.seconds
@@ -753,7 +629,6 @@ def preprocess(
         clauses=result_clauses,
         stats=state.stats,
         eliminated=eliminated,
-        blocked=blocked,
         unsat=state.unsat,
     )
 
@@ -802,110 +677,3 @@ def extend_model(
                 break
         extended[variable] = value
     return extended
-
-
-def reconstruct_blocked(
-    model: List[bool], blocked: Sequence[BlockedRecord]
-) -> List[bool]:
-    """Repair *model* for the clauses a BCE pass removed.
-
-    Unlike an eliminated variable, a blocking variable still occurs in the
-    remaining formula, so it already has a meaningful model value -- it is
-    only *flipped* (to the blocking literal's polarity) when the removed
-    clause is not otherwise satisfied.  Flipping is sound because every
-    clause containing the complement of the blocking literal resolves
-    tautologically with the removed clause: such a clause contains the
-    complement of another literal of the removed clause, and that literal
-    is false in the model (the clause was unsatisfied), so the complement
-    keeps the clause satisfied.  Removals are replayed in reverse order.
-    """
-    extended = list(model)
-    needed = 0
-    for lit, clause in blocked:
-        for other in clause:
-            needed = max(needed, other if other > 0 else -other)
-    if len(extended) < needed + 1:
-        extended.extend([False] * (needed + 1 - len(extended)))
-    for lit, clause in reversed(blocked):
-        satisfied = False
-        for other in clause:
-            variable = other if other > 0 else -other
-            if extended[variable] == (other > 0):
-                satisfied = True
-                break
-        if not satisfied:
-            extended[lit if lit > 0 else -lit] = lit > 0
-    return extended
-
-
-# ----------------------------------------------------------------------
-# Legacy lightweight simplification (absorbed from repro.sat.simplify)
-# ----------------------------------------------------------------------
-@dataclass
-class SimplificationResult:
-    """Outcome of :func:`simplify_cnf`."""
-
-    cnf: CNF
-    fixed: Dict[int, bool] = field(default_factory=dict)
-    unsatisfiable: bool = False
-
-    def extend_model(self, model: List[bool]) -> List[bool]:
-        """Overlay the preprocessing-fixed variables onto *model*."""
-        extended = list(model)
-        needed = max(self.fixed, default=0) + 1
-        if len(extended) < needed:
-            extended.extend([False] * (needed - len(extended)))
-        for variable, value in self.fixed.items():
-            extended[variable] = value
-        return extended
-
-
-def simplify_cnf(cnf: CNF) -> SimplificationResult:
-    """Lightweight clause-level clean-up of a whole :class:`CNF`.
-
-    The gentle sibling of :func:`preprocess`: tautology and duplicate
-    removal, exhaustive top-level unit propagation, and pure-literal
-    elimination -- nothing that changes the variable space, so solver
-    models remain directly usable after
-    :meth:`SimplificationResult.extend_model`.  (Pure-literal elimination
-    is the degenerate case of the blocked-clause pass above; it is kept
-    here because this entry point reports *fixed values* rather than a
-    reconstruction stack.)
-
-    Built on the same :class:`_Preprocessor` core as :func:`preprocess`
-    (clause intake + unit propagation), with every reduction pass disabled;
-    only the single-scan pure-literal step is specific to this entry point.
-    """
-    state = _Preprocessor(
-        cnf.clauses,
-        frozen=frozenset(),
-        frozen_cutoff=0,
-        bve_clause_limit=0,
-        bve_occurrence_limit=0,
-    )
-    fixed = state.fixed_values()
-    if state.unsat:
-        return SimplificationResult(
-            cnf=cnf.copy(), fixed=fixed, unsatisfiable=True
-        )
-
-    # Pure-literal elimination (single scan, matching the legacy entry
-    # point): a variable occurring in one polarity only is fixed to it and
-    # its clauses dropped.
-    occ = state.occ
-    back = state.back
-    pure = [False] * (state.num_vars + 1)
-    for variable in range(1, state.num_vars + 1):
-        positive = bool(occ[variable])
-        if positive != bool(occ[-variable]):
-            pure[variable] = True
-            fixed[variable if back is None else back[variable]] = positive
-
-    simplified = CNF(cnf.num_vars)
-    for clause in state.clauses:
-        if clause is None or any(pure[abs(lit)] for lit in clause):
-            continue
-        simplified.add_clause(
-            clause if back is None else [back[lit] for lit in clause]
-        )
-    return SimplificationResult(cnf=simplified, fixed=fixed)

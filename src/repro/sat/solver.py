@@ -60,11 +60,11 @@ Everything that used to be a clause *index* -- watch-list entries, the
 propagation -- is an arena *offset*.  Literals are stored in the
 even/odd encoding ``2*v`` (positive) / ``2*v + 1`` (negative), so negation
 is ``lit ^ 1``, the variable is ``lit >> 1`` and a literal indexes its own
-watch list directly; the public API (``add_clause``, assumptions, exported
-clauses, models) keeps the signed DIMACS convention and converts at the
-boundary.  Truth values are read from ``_litval``, a per-*literal* table
-(1 true, 0 false, -1 unassigned; both phases updated on assign), which
-removes the sign branch from every hot-loop value lookup.
+watch list directly; the public API (``add_clause``, assumptions, models)
+keeps the signed DIMACS convention and converts at the boundary.  Truth
+values are read from ``_litval``, a per-*literal* table (1 true, 0 false,
+-1 unassigned; both phases updated on assign), which removes the sign
+branch from every hot-loop value lookup.
 
 Binary clauses never touch the arena body during propagation: they live
 in dedicated per-literal implication lists of (other literal, offset)
@@ -85,10 +85,7 @@ Database reduction is an in-place mark-and-compact garbage collection:
    offsets of the trail in a single pass each.
 
 No Python clause objects are rebuilt, and clause order -- hence search
-determinism -- is preserved.  Exported clauses (cube-and-conquer sharing)
-are copied out of the arena *at learn time*, so a compaction between
-learning and :meth:`drain_exported` can never leave a dangling offset in
-the export buffer.
+determinism -- is preserved.
 
 It is written for clarity first and speed second, but the hot loop
 (propagation) avoids per-literal object allocation and pointer-chasing so
@@ -117,6 +114,14 @@ _UNASSIGNED = -1
 _HDR = 5
 _F_LEARNED = 1
 _F_DEAD = 2
+
+#: Search heuristics: Luby restart unit (conflicts), VSIDS variable and
+#: clause activity decay, and the initial saved phase of a fresh variable
+#: (``False``, negative first, is the MiniSat default).
+_RESTART_BASE = 100
+_VAR_DECAY = 0.95
+_CLAUSE_DECAY = 0.999
+_DEFAULT_PHASE = False
 
 #: Conflicts/decisions between monotonic-clock reads when a wall-clock
 #: deadline is attached to a solve() call.  At ~240k props/s even very
@@ -215,36 +220,8 @@ def _luby(i: int) -> int:
 class CDCLSolver:
     """Conflict-driven clause-learning SAT solver over a flat clause arena."""
 
-    def __init__(
-        self,
-        cnf: CNF,
-        *,
-        restart_base: int = 100,
-        var_decay: float = 0.95,
-        clause_decay: float = 0.999,
-        default_phase: bool = False,
-    ) -> None:
+    def __init__(self, cnf: CNF) -> None:
         self._num_vars = 0
-        self._restart_base = restart_base
-        self._var_decay = var_decay
-        self._clause_decay = clause_decay
-        #: Initial saved phase of fresh variables.  ``False`` (negative
-        #: first) is the MiniSat default; the cube workers' personalities flip
-        #: it on some workers so their search trees diverge from the first
-        #: decision.
-        self._default_phase = default_phase
-
-        # Learned-clause export (cube-and-conquer clause sharing): when
-        # enabled, short low-LBD clauses learned by this solver are copied
-        # into a buffer that the owner drains and broadcasts to its peers.
-        # Exported clauses are implied by the clause database alone (never
-        # by the per-call assumptions), so they are sound to share between
-        # workers solving different cubes of the same formula.  The copy is
-        # taken at learn time (decoded back to signed literals), so database
-        # compaction between learning and draining cannot invalidate it.
-        self._export_max_lbd: Optional[int] = None
-        self._export_max_length = 8
-        self._exported: List[List[Literal]] = []
 
         # Clause database: one contiguous int arena (see the module
         # docstring for the header layout) plus a parallel float list of
@@ -284,7 +261,7 @@ class CDCLSolver:
         # problems.
         self._activity: List[float] = [0.0]
         self._var_bump = 1.0
-        self._phase: List[bool] = [default_phase]
+        self._phase: List[bool] = [_DEFAULT_PHASE]
         self._order_heap: List[Tuple[float, int]] = []
         self._heap_entries: List[int] = [0]
         # Reusable scratch marks for conflict analysis and clause
@@ -349,7 +326,7 @@ class CDCLSolver:
         self._level.extend([0] * grow)
         self._reason.extend([-1] * grow)
         self._activity.extend([0.0] * grow)
-        self._phase.extend([self._default_phase] * grow)
+        self._phase.extend([_DEFAULT_PHASE] * grow)
         self._seen.extend([0] * grow)
         self._heap_entries.extend([1] * grow)
         self._wblock.extend([] for _ in range(2 * grow))
@@ -446,46 +423,11 @@ class CDCLSolver:
                 clause.append(lit)
         return clause
 
-    def enable_clause_export(
-        self, max_lbd: int = 3, max_length: int = 8
-    ) -> None:
-        """Start buffering short, low-LBD learned clauses for sharing.
-
-        Clauses with literal-block distance <= *max_lbd* and at most
-        *max_length* literals are copied into an export buffer as they are
-        learned; :meth:`drain_exported` hands them to the caller.  Unit
-        clauses learned at level 0 are always exported (LBD 1, the most
-        valuable shares).
-
-        The buffered clauses are value copies in the signed public literal
-        convention, taken the moment the clause is learned -- they stay
-        valid even if a database compaction (:meth:`_reduce_learned`)
-        deletes or relocates the arena clause before the owner drains them.
-        """
-        self._export_max_lbd = max_lbd
-        self._export_max_length = max_length
-
-    def drain_exported(self) -> List[List[Literal]]:
-        """Return (and clear) the clauses buffered since the last drain."""
-        exported = self._exported
-        self._exported = []
-        return exported
-
     def _add_learned_clause(self, clause: List[int]) -> int:
         arena = self._arena
         offset = len(arena)
         level_of = self._level
         lbd = len({level_of[lit >> 1] for lit in clause})
-        if (
-            self._export_max_lbd is not None
-            and lbd <= self._export_max_lbd
-            and len(clause) <= self._export_max_length
-        ):
-            # Copy-out at learn time (decoded): compaction can delete or
-            # move the arena clause before the owner drains the buffer.
-            self._exported.append(
-                [lit >> 1 if not lit & 1 else -(lit >> 1) for lit in clause]
-            )
         self._act.append(self._clause_bump)
         arena.append(len(clause))
         arena.append(_F_LEARNED)
@@ -1303,7 +1245,7 @@ class CDCLSolver:
             return SolverResult(SolverStatus.UNSAT, stats=self._call_stats(entry, 0))
 
         litval = self._litval
-        conflicts_until_restart = self._restart_base * _luby(1)
+        conflicts_until_restart = _RESTART_BASE * _luby(1)
         restart_count = 1
         conflicts_since_restart = 0
         # Wall-clock polling cadence: one monotonic-clock read every
@@ -1356,10 +1298,6 @@ class CDCLSolver:
                 self._backjump(backjump_level)
                 if len(learned) == 1:
                     unit = learned[0]
-                    if self._export_max_lbd is not None:
-                        self._exported.append(
-                            [unit >> 1 if not unit & 1 else -(unit >> 1)]
-                        )
                     value = litval[unit]
                     if value == 0:
                         # Falsified at level 0: permanently UNSAT.
@@ -1373,8 +1311,8 @@ class CDCLSolver:
                 else:
                     offset = self._add_learned_clause(learned)
                     self._enqueue(learned[0], offset)
-                self._var_bump /= self._var_decay
-                self._clause_bump /= self._clause_decay
+                self._var_bump /= _VAR_DECAY
+                self._clause_bump /= _CLAUSE_DECAY
                 continue
 
             # Restart?
@@ -1382,7 +1320,7 @@ class CDCLSolver:
                 self.stats.restarts += 1
                 restart_count += 1
                 conflicts_since_restart = 0
-                conflicts_until_restart = self._restart_base * _luby(
+                conflicts_until_restart = _RESTART_BASE * _luby(
                     restart_count
                 )
                 if observer is not None:

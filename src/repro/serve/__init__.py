@@ -79,12 +79,7 @@ Architecture
     |  monotone upgrades: UNKNOWN-at-budget/-deadline may become          |
     |  definitive, never the reverse -- including across restarts (log    |
     |  replay); torn tails are healed at the next append                  |
-    |      |  GET /cache/log?since=<offset> (raw byte ranges)             |
-    |      v                                                              |
-    |  CacheFollower (repro.serve.fleet): byte-mirrors the append-only    |
-    |  log onto a standby, which replays it and serves warm hits after    |
-    |  primary loss (torn tails skipped, healed on the next sync)         |
-    +----------------------------------------------------------------------+
+    +---------------------------------------------------------------------+
 
 Deployment shapes: :class:`~repro.serve.server.LocalServer` runs the whole
 stack on a background thread in-process (tests, quickstart, CLI spawn
@@ -110,7 +105,6 @@ from repro.serve.client import (
 )
 from repro.serve.fleet import (
     AdmissionController,
-    CacheFollower,
     FleetCoordinator,
     FleetWorker,
 )
@@ -128,7 +122,6 @@ from repro.serve.server import LocalServer, QEDServer
 __all__ = [
     "AdmissionController",
     "CacheEntry",
-    "CacheFollower",
     "FleetCoordinator",
     "FleetWorker",
     "Job",

@@ -26,12 +26,13 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import faults
 
 #: Bump when the entry layout changes; old log lines are skipped on replay.
-ENTRY_FORMAT = 1
+#: Format 2: records no longer count clauses shared between cube workers.
+ENTRY_FORMAT = 2
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 _LOG_NAME = "results.jsonl"
@@ -309,34 +310,6 @@ class ResultCache:
                 {"format": ENTRY_FORMAT, "tombstone": fingerprint}
             )
             return dropped
-
-    def read_log(
-        self, since: int = 0, max_bytes: int = 1 << 20
-    ) -> "Tuple[bytes, int]":
-        """Raw byte range of the persistence log, for replication.
-
-        Returns ``(chunk, size)``: up to *max_bytes* bytes starting at
-        offset *since* (clamped to the current end), plus the log's total
-        size.  The log is append-only *in bytes* -- even torn-tail healing
-        only appends -- so a follower that copies successive ranges builds
-        a byte-identical mirror whose replay (torn tails and all) matches
-        the primary's.  ``GET /cache/log?since=N`` serves this.
-        """
-        path = self.log_path
-        if path is None:
-            raise ValueError("cache has no persistence log (directory=None)")
-        if since < 0 or max_bytes < 1:
-            raise ValueError("since must be >= 0 and max_bytes >= 1")
-        with self._lock:
-            try:
-                with open(path, "rb") as stream:
-                    stream.seek(0, os.SEEK_END)
-                    size = stream.tell()
-                    stream.seek(min(since, size))
-                    chunk = stream.read(max_bytes)
-            except FileNotFoundError:
-                return b"", 0
-        return chunk, size
 
     def writable(self) -> bool:
         """Whether the persistence log can currently be appended to.

@@ -424,20 +424,6 @@ class ServeClient:
         assert isinstance(payload, dict)
         return payload
 
-    def cache_log(
-        self, *, since: int = 0, max_bytes: int = 1 << 20
-    ) -> Dict[str, object]:
-        """``GET /cache/log?since=N``: one replication chunk.
-
-        The payload's ``data`` is a latin-1-decoded byte range of the
-        primary's append-only result log (byte-exact through JSON);
-        ``since``/``end``/``size`` are byte offsets for the next pull.
-        :class:`repro.serve.fleet.CacheFollower` drives this.
-        """
-        return self._request(
-            "GET", f"/cache/log?since={int(since)}&max={int(max_bytes)}"
-        )
-
 
 # ----------------------------------------------------------------------
 def run_campaign_via_server(

@@ -46,13 +46,6 @@ Four pieces, all stdlib-only:
     the ``X-Client-Id`` header, else the peer address) so one greedy
     client cannot starve the farm.  Works with the queue's bounded
     ``max_queue_depth``; both reject with HTTP 429 + ``Retry-After``.
-
-:class:`CacheFollower`
-    Replication client for the append-only result-cache log.  Streams
-    ``GET /cache/log?since=<offset>`` byte ranges into a local mirror; a
-    standby server over the mirror directory replays it (torn tails are
-    skipped by the normal replay path) and serves warm hits after
-    primary loss.
 """
 
 from __future__ import annotations
@@ -73,13 +66,11 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import faults
-from repro.serve.cache import _LOG_NAME, ResultCache
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.queue import Job, JobState, execute_job_spec
 
 __all__ = [
     "AdmissionController",
-    "CacheFollower",
     "FleetCoordinator",
     "FleetWorker",
     "Lease",
@@ -1163,71 +1154,3 @@ class AdmissionController:
             "admitted": self.admitted,
             "rejected": self.rejected,
         }
-
-
-# ----------------------------------------------------------------------
-class CacheFollower:
-    """Replicate a primary's append-only result-cache log to a local dir.
-
-    The primary's log is append-only *in bytes* (even torn-tail healing
-    only ever appends), so replication is a plain byte copy from a
-    ``since`` offset -- no parsing on the wire.  The mirror is therefore
-    byte-identical to the primary's log prefix; opening a
-    :class:`ResultCache` over it replays with the normal torn-tail-
-    tolerant path, and a standby server over the same directory serves
-    warm hits after primary loss.
-    """
-
-    def __init__(
-        self,
-        server_url: str,
-        directory: str,
-        *,
-        client: Optional[ServeClient] = None,
-        chunk_bytes: int = 1 << 20,
-    ) -> None:
-        self.client = client or ServeClient(server_url)
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, _LOG_NAME)
-        self.offset = (
-            os.path.getsize(self.path) if os.path.exists(self.path) else 0
-        )
-        self.chunk_bytes = chunk_bytes
-        self.syncs = 0
-        self.bytes_copied = 0
-        self.resets = 0
-
-    def sync(self, *, max_rounds: int = 64) -> int:
-        """Pull the primary's log tail; returns bytes copied this call."""
-        copied = 0
-        for _ in range(max_rounds):
-            payload = self.client.cache_log(
-                since=self.offset, max_bytes=self.chunk_bytes
-            )
-            start = int(payload.get("since", self.offset))
-            if start < self.offset:
-                # The primary's log is shorter than our mirror: a fresh
-                # server took over the endpoint.  Restart the mirror
-                # rather than splice two unrelated logs.
-                self.resets += 1
-                with open(self.path, "wb"):
-                    pass
-                self.offset = 0
-                continue
-            data = str(payload.get("data", "")).encode("latin-1")
-            if not data:
-                break
-            with open(self.path, "ab") as stream:
-                stream.write(data)
-            self.offset += len(data)
-            copied += len(data)
-            if self.offset >= int(payload.get("size", 0)):
-                break
-        self.syncs += 1
-        self.bytes_copied += copied
-        return copied
-
-    def open_cache(self, **kwargs) -> ResultCache:
-        """Open the mirror as a normal result cache (replays the log)."""
-        return ResultCache(self.directory, **kwargs)

@@ -55,15 +55,18 @@ One trace, one metrics registry, one event stream -- no side channels:
   :func:`~repro.obs.trace.capture` ships every event as an
   :data:`~repro.obs.trace.ObsBatch` -- new events (heartbeats included)
   every 0.25 s while it runs, then the completed spans and the
-  process-metrics delta.  :meth:`JobQueue._on_progress` absorbs each
-  batch into the store (re-rooted under the attempt span) and merges its
-  delta into the queue's registry.  ``GET /jobs/<id>/telemetry`` is the
-  heartbeat view of the trace, so a job's per-bound progress is its
-  engine's ``bound`` heartbeats there; after the solve each bound's
-  verdict and duration also stay in its ``bmc.bound`` span.  The trace's
-  event ring holds :attr:`TraceStore.max_events` (1,024) events, so a job
-  that solves for minutes can lose its early heartbeats; the ring counts
-  them in ``dropped``.
+  process-metrics delta.  Each shipped batch carries a ``batch_id`` (the
+  shipping pid, the entry call's number in that process, the batch's
+  number in the call); :meth:`JobQueue._on_progress` absorbs each batch
+  once into the store (re-rooted under the attempt span) and merges its
+  delta into the queue's registry, and drops a re-delivered one.
+  ``GET /jobs/<id>/telemetry`` is the heartbeat view of the trace, so a
+  job's per-bound progress is its engine's ``bound`` heartbeats there;
+  after the solve each bound's verdict and duration also stay in its
+  ``bmc.bound`` span.  The trace's event ring holds
+  :attr:`TraceStore.max_events` (1,024) events, so a job that solves for
+  minutes can lose its early heartbeats; the ring counts them in
+  ``dropped``.
 * Every queue, coordinator and HTTP event is one ``inc`` (or
   ``observe``) on the queue's :class:`~repro.obs.metrics.MetricsRegistry`,
   which ``GET /metrics`` renders and :meth:`JobQueue.stats_dict` (``GET
@@ -90,7 +93,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import faults
 from repro.deadline import Deadline
@@ -175,6 +178,8 @@ class Job:
     _queued_mono: float = field(default=0.0, repr=False)
     #: Open ``queue.attempt`` span worker batches re-root under.
     _attempt_span_id: Optional[str] = field(default=None, repr=False)
+    #: ``batch_id`` of every shipped batch already absorbed.
+    _batch_ids: Set[str] = field(default_factory=set, repr=False)
     _event: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 
     def to_json_dict(self) -> Dict[str, object]:
@@ -259,6 +264,10 @@ def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
     }
 
 
+#: Entry calls in this process that shipped batches (see :func:`_shipper`).
+_ENTRY_CALLS = itertools.count(1)
+
+
 def _shipper(
     progress: Optional[Callable[[obs_trace.ObsBatch], None]],
 ) -> Optional[Callable[[obs_trace.ObsBatch], None]]:
@@ -266,12 +275,18 @@ def _shipper(
 
     Batches are best-effort, so a seeded ``drop`` on
     ``serve.queue.progress`` must be invisible to the verdict and a seeded
-    ``duplicate`` must be tolerated by the queue.
+    ``duplicate`` must be tolerated by the queue.  Each batch is stamped
+    with a ``batch_id`` unique to this call, so the queue takes a
+    re-delivered batch in once; a retried attempt in the same solver
+    child is a new call, so its ids differ from the first attempt's.
     """
     if progress is None:
         return None
+    call = f"{os.getpid()}.{next(_ENTRY_CALLS)}"
+    numbers = itertools.count(1)
 
     def ship(batch: obs_trace.ObsBatch) -> None:
+        batch = dict(batch, batch_id=f"{call}.{next(numbers)}")
         fate = faults.message_fate("serve.queue.progress")
         if fate == "drop":
             return
@@ -434,8 +449,15 @@ class JobQueue:
         """Absorb one batch an entry shipped: worker spans re-root under
         the dispatch attempt, events (heartbeats included) join the job's
         trace, the metrics delta merges into the queue registry.  Never
-        bumps the long-poll version (telemetry is a plain poll)."""
+        bumps the long-poll version (telemetry is a plain poll).  A batch
+        whose ``batch_id`` the job already took is a re-delivery and is
+        dropped."""
         job = self.jobs.get(job_id)
+        batch_id = batch.get("batch_id")
+        if job is not None and isinstance(batch_id, str):
+            if batch_id in job._batch_ids:
+                return
+            job._batch_ids.add(batch_id)
         self.traces.absorb(
             job_id,
             batch,

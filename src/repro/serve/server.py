@@ -50,11 +50,6 @@ Endpoints
     404 unless the server accepts remote workers (``fleet=True``).
     ``GET /fleet`` is the coordinator's worker/lease table, local workers
     included.
-``GET /cache/log?since=N[&max=M]``
-    Replication stream: a raw byte range of the append-only result-cache
-    log (latin-1 in JSON), which :class:`repro.serve.fleet.CacheFollower`
-    mirrors so a standby can replay and serve warm hits after primary
-    loss.
 
 Admission control (when configured) answers ``POST /jobs`` with **429 +
 Retry-After** instead of queueing without bound: the queue's
@@ -343,8 +338,6 @@ class QEDServer:
             return 200, self.queue.render_metrics()
         if segments and segments[0] == "fleet":
             return await self._fleet(method, segments, body)
-        if segments == ["cache", "log"] and method == "GET":
-            return self._cache_log(query)
         if segments == ["jobs"]:
             if method == "GET":
                 return 200, {"jobs": self.queue.jobs_summary()}
@@ -396,25 +389,6 @@ class QEDServer:
             return 200, await fleet.call(segments[1], body or {})
         except ValueError as exc:
             raise _BadRequest(str(exc))
-
-    def _cache_log(self, query: Dict[str, str]) -> Tuple[int, dict]:
-        """``GET /cache/log?since=N``: replication byte-stream chunk."""
-        cache = self.queue.cache
-        if cache is None or cache.directory is None:
-            return 404, {"error": "no persistent cache log to replicate"}
-        try:
-            since = int(query.get("since", 0))
-            max_bytes = min(int(query.get("max", 1 << 20)), 4 << 20)
-            chunk, size = cache.read_log(since=since, max_bytes=max_bytes)
-        except ValueError as exc:
-            raise _BadRequest(str(exc))
-        start = min(since, size)
-        return 200, {
-            "since": start,
-            "end": start + len(chunk),
-            "size": size,
-            "data": chunk.decode("latin-1"),
-        }
 
     async def _submit(self, body: dict, client_id: str) -> Tuple[int, object]:
         if self.admission is not None:

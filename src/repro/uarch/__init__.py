@@ -17,7 +17,7 @@ except for the Design-A specification issue that the paper reports as the
 
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import CORE_OUTPUTS, build_core, build_core_circuit
-from repro.uarch.bugs import Bug, BUGS, bug_by_id, bugs_by_feature
+from repro.uarch.bugs import Bug, BUGS, bug_by_id
 from repro.uarch.versions import (
     DesignVersion,
     ALL_VERSIONS,
@@ -36,7 +36,6 @@ __all__ = [
     "Bug",
     "BUGS",
     "bug_by_id",
-    "bugs_by_feature",
     "DesignVersion",
     "ALL_VERSIONS",
     "final_version",

@@ -21,7 +21,7 @@ Symbolic QED reports, present in Design A's final version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 
 #: Symbolic QED feature names used for attribution (Fig. 10).
@@ -264,13 +264,3 @@ def bug_by_id(bug_id: str) -> Bug:
         return _BY_ID[bug_id]
     except KeyError:
         raise KeyError(f"unknown bug id {bug_id!r}") from None
-
-
-def bugs_by_feature(feature: str) -> List[Bug]:
-    """All bugs whose primary detecting feature is *feature*."""
-    return [bug for bug in BUGS if bug.primary_feature == feature]
-
-
-def all_bug_ids() -> FrozenSet[str]:
-    """The identifiers of every bug in the library."""
-    return frozenset(bug.bug_id for bug in BUGS)

@@ -1,15 +1,13 @@
 """Chaos scenarios at the fleet's network boundary.
 
-Three failure schedules the multi-host protocol must absorb without ever
+Two failure schedules the multi-host protocol must absorb without ever
 changing *what* a definitive verdict says:
 
 * a remote worker SIGKILLed mid-solve -- lease expiry reassigns the job
   and the recovered record is byte-identical to a direct run;
 * a paused-then-resumed zombie whose (correct!) commit arrives after
   reassignment -- the fence comparison rejects it, nothing is recorded
-  twice;
-* a torn cache-log tail crossing the replication stream -- the follower
-  replays around it and later entries still serve.
+  twice.
 """
 
 import multiprocessing
@@ -21,7 +19,7 @@ import pytest
 
 from repro import faults
 from repro.serve import LocalServer, ServeClient
-from repro.serve.fleet import CacheFollower, FleetWorker
+from repro.serve.fleet import FleetWorker
 from repro.serve.queue import _selftest_entry
 
 from chaos_helpers import make_spec as spec
@@ -272,58 +270,3 @@ class TestZombieFencing:
             assert final.state == "done"
             assert worker_a.heartbeats_dropped >= 1
             assert client.stats()["queue"]["executed"] == 1
-
-
-class TestReplicationTornTail:
-    """Scenario: a torn log tail crosses the replication stream."""
-
-    def test_follower_replays_around_torn_tail_then_heals(self, tmp_path):
-        with LocalServer(
-            cache_dir=str(tmp_path / "primary"),
-            workers=1,
-            entry=_selftest_entry,
-            use_processes=False,
-        ) as url:
-            client = ServeClient(url)
-            first = client.wait_done(
-                client.submit(spec=spec(tag="whole")).job_id, timeout=30
-            )
-            # The second entry's append is torn mid-line (crash between
-            # write() and the page hitting disk).
-            faults.install(
-                faults.FaultInjector(
-                    [
-                        faults.FaultSpec(
-                            site="serve.cache.append",
-                            action="torn_write",
-                            at=1,
-                            count=1,
-                            torn_bytes=20,
-                        )
-                    ],
-                    seed=9,
-                )
-            )
-            torn = client.wait_done(
-                client.submit(spec=spec(tag="torn")).job_id, timeout=30
-            )
-            faults.clear()
-            follower = CacheFollower(url, str(tmp_path / "mirror"))
-            follower.sync()
-            # The mirror now ends in the torn line; replay skips it but
-            # keeps everything before it.
-            mirror_cache = follower.open_cache()
-            assert mirror_cache.get(first.record["cache_key"]) is not None
-            assert mirror_cache.get(torn.record["cache_key"]) is None
-            # The primary's next append heals the tail (newline splice);
-            # the follower's next sync picks up the healing byte plus the
-            # new entry, and both become servable.
-            healed = client.wait_done(
-                client.submit(spec=spec(tag="healed")).job_id, timeout=30
-            )
-            follower.sync()
-            standby = follower.open_cache()
-            assert standby.get(first.record["cache_key"]) is not None
-            assert standby.get(healed.record["cache_key"]) is not None
-            # The torn entry stays lost -- torn means never durable.
-            assert standby.get(torn.record["cache_key"]) is None

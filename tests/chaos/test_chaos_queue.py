@@ -9,8 +9,16 @@ degrade to UNKNOWN/FAILED is allowed, a wrong answer never is.
 import asyncio
 
 from repro import faults
+from repro.eval.campaign import CampaignConfig
 from repro.serve.cache import ResultCache
-from repro.serve.queue import JobQueue, JobState, QueueDraining, _selftest_entry
+from repro.serve.keys import JobSpec
+from repro.serve.queue import (
+    JobQueue,
+    JobState,
+    QueueDraining,
+    _selftest_entry,
+    execute_job_spec,
+)
 
 from chaos_helpers import make_spec as spec
 
@@ -159,26 +167,57 @@ class TestProgressMessageFaults:
         run(with_queue(body))
 
     def test_duplicated_progress_is_tolerated(self):
+        # A real solve (Single-I, so it takes well under a second) whose
+        # every shipped batch arrives twice must read exactly like the
+        # fault-free run: each bound heartbeat once, each span id once,
+        # and the same solver counters on the queue's registry.
+        config = CampaignConfig(
+            run_industrial_flow=False, run_directed_tests=False
+        )
+        solve = JobSpec.from_campaign("sra_zero_fill", config)
+
+        async def body(queue):
+            job = queue.submit(solve)
+            await wait_terminal(queue, job, timeout=120.0)
+            assert job.state is JobState.DONE, job.error
+            spans = queue.traces.to_json_dict(job.job_id)["spans"]
+            span_ids = [s["span_id"] for s in spans]
+            assert len(span_ids) == len(set(span_ids))
+            counters = queue.metrics.snapshot()["counters"]
+            return {
+                "bounds": [
+                    (beat["bound"], beat["verdict"])
+                    for beat in queue.telemetry_dict(job.job_id)["heartbeats"]
+                    if beat.get("site") == "bound"
+                ],
+                "spans": sorted(s["name"] for s in spans),
+                "counters": {
+                    name: rows
+                    for name, rows in counters.items()
+                    if name.startswith(("qed_bounds", "qed_solver"))
+                },
+            }
+
+        fault_free = run(with_queue(body, entry=execute_job_spec))
         faults.install(
             faults.FaultInjector(
                 [
                     faults.FaultSpec(
-                        site="serve.queue.progress", action="duplicate", at=1
+                        site="serve.queue.progress",
+                        action="duplicate",
+                        at=1,
+                        count=0,
                     )
                 ],
                 seed=5,
             )
         )
-
-        async def body(queue):
-            job = queue.submit(spec("__echo__", tag="duplicated"))
-            await wait_terminal(queue, job)
-            assert job.state is JobState.DONE
-            assert_fault_free_verdict(job.record)
-            first, second = queue.telemetry_dict(job.job_id)["heartbeats"]
-            assert first == second and first["verdict"] == "unsat"
-
-        run(with_queue(body))
+        duplicated = run(with_queue(body, entry=execute_job_spec))
+        assert fault_free["bounds"]
+        assert fault_free["counters"]["qed_bounds_total"] == [
+            [[], float(len(fault_free["bounds"]))]
+        ]
+        assert duplicated == fault_free
 
 
 class TestDeadlines:

@@ -1,9 +1,9 @@
 """Sequential vs. distributed Symbolic QED: verdicts must never diverge.
 
-The distributed proof engine is a pure scheduling change -- cube partition,
-worker pool, clause sharing -- so on every one of the sixteen design
-versions of the case study it must return exactly the verdict of the
-sequential engine, and its counterexamples must replay (the harness
+The distributed proof engine is a pure scheduling change -- cube partition
+and worker pool -- so on every one of the sixteen design versions of the
+case study, inline and over a two-worker pool, it must return exactly the
+verdict of the sequential engine, and its counterexamples must replay (the harness
 interprets them through the same simulator path).  Small bounds keep the
 sweep inside the tier-1 budget; the detection SAT side is exercised by the
 A.v5 QED-mem bug, whose counterexample fits the small-bound regime.
@@ -23,16 +23,17 @@ SMALL_BOUND = 4
 
 
 class TestAllVersionsAgree:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
     @pytest.mark.parametrize(
         "version", ALL_VERSIONS, ids=[v.name for v in ALL_VERSIONS]
     )
-    def test_sequential_and_distributed_verdicts_match(self, version):
+    def test_sequential_and_distributed_verdicts_match(self, version, workers):
         harness = SymbolicQED(
             version, mode=QEDMode.EDDIV, focus_opcodes=FOCUS
         )
         sequential = harness.check(max_bound=SMALL_BOUND)
         distributed = harness.check(
-            max_bound=SMALL_BOUND, split=SplitConfig(workers=1)
+            max_bound=SMALL_BOUND, split=SplitConfig(workers=workers)
         )
         assert distributed.found_violation == sequential.found_violation
         assert (

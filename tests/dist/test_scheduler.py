@@ -1,18 +1,17 @@
-"""Work scheduler and worker personalities."""
+"""Work scheduler."""
 
-import dataclasses
+import random
 
 import pytest
 
 from repro.dist.cubes import Cube, binary_cubes, ladder_cubes
-from repro.dist import scheduler as scheduler_module
-from repro.dist.portfolio import DIVERSE_CONFIGS, PortfolioConfig
 from repro.dist.scheduler import (
     SplitConfig,
     SplitQuery,
     WorkScheduler,
 )
-from repro.sat.solver import SolverStatus
+from repro.sat.cnf import CNF
+from repro.sat.solver import SolverStatus, solve
 
 # x1|x2 and x3|x4 but every cross pair forbidden: UNSAT.
 UNSAT_CLAUSES = [[1, 2], [3, 4], [-1, -3], [-1, -4], [-2, -3], [-2, -4]]
@@ -150,14 +149,9 @@ class TestParallelScheduler:
         for clause in SAT_CLAUSES:
             assert any((l > 0) == result.model[abs(l)] for l in clause)
 
-    def test_parallel_resplit_terminates(self, monkeypatch):
-        # The "preprocessed" personality refutes this formula before its
-        # first conflict, so whether the cube overruns its zero budget
-        # would depend on which worker steals it: pin every worker to the
-        # baseline so the re-split path always runs.
-        monkeypatch.setattr(
-            scheduler_module, "DIVERSE_CONFIGS", DIVERSE_CONFIGS[:1]
-        )
+    def test_parallel_resplit_terminates(self):
+        # Every worker runs the same solver, so the cube overruns its zero
+        # budget whichever worker steals it, and the re-split path runs.
         query = _query(
             UNSAT_CLAUSES, 4, [Cube(())], resplit_vars=[1, 2, 3, 4]
         )
@@ -166,49 +160,38 @@ class TestParallelScheduler:
         assert result.status is SolverStatus.UNSAT
         assert result.stats.resplits > 0
 
-    def test_clause_sharing_disabled_still_correct(self):
-        query = _query(UNSAT_CLAUSES, 4, binary_cubes([1, 2], 2))
-        config = SplitConfig(workers=2, share_clauses=False)
-        result = WorkScheduler(config).solve(query)
+    def test_pool_verdicts_match_a_plain_solve(self):
+        # Seeded random 3-CNFs around the phase transition, so both
+        # verdicts occur; each pool answer must be the one-solver answer,
+        # and a pool model must satisfy the formula.
+        verdicts = set()
+        for seed in range(6):
+            rng = random.Random(3100 + seed)
+            num_vars = 12
+            clauses = [
+                [
+                    v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, num_vars + 1), 3)
+                ]
+                for _ in range(52)
+            ]
+            cnf = CNF(num_vars)
+            for clause in clauses:
+                cnf.add_clause(clause)
+            expected = solve(cnf).status
+            query = _query(clauses, num_vars, binary_cubes([1, 2, 3], 3))
+            result = WorkScheduler(SplitConfig(workers=2)).solve(query)
+            assert result.status is expected, seed
+            if result.is_sat:
+                assert cnf.evaluate(result.model), seed
+            verdicts.add(expected)
+        assert verdicts == {SolverStatus.SAT, SolverStatus.UNSAT}
+
+    def test_pool_workers_share_no_clauses(self):
+        # Every cube is refuted by its own worker's solver alone; the
+        # counter the benchmark still reads stays at 0.
+        query = _query(UNSAT_CLAUSES, 4, binary_cubes([1, 2, 3], 3))
+        result = WorkScheduler(SplitConfig(workers=2)).solve(query)
         assert result.status is SolverStatus.UNSAT
-
-
-class TestWorkerPersonalities:
-    def test_default_order(self):
-        # Index 0 must stay preprocess-free for the inline scheduler path's
-        # incremental solver reuse, and index 1 must be the (only)
-        # preprocessing personality so BVE/BCE run in every >=2-worker
-        # fan-out.
-        assert not DIVERSE_CONFIGS[0].preprocess
-        assert DIVERSE_CONFIGS[1].preprocess and DIVERSE_CONFIGS[1].blocked
-
-    def test_personalities_are_distinct(self):
-        names = [c.name for c in DIVERSE_CONFIGS]
-        assert len(names) == len(set(names))
-        assert len(
-            {
-                dataclasses.astuple(
-                    dataclasses.replace(c, name="x")
-                )
-                for c in DIVERSE_CONFIGS
-            }
-        ) == len(DIVERSE_CONFIGS)
-
-    def test_preprocessed_personality_extends_models(self):
-        # Freeze nothing: Tseitin-style var 3 gets eliminated, and the
-        # extended model must still assign it correctly.
-        _assert_extended_model_satisfies(PortfolioConfig("pre", preprocess=True))
-
-    def test_blocked_clause_personality_repairs_models(self):
-        _assert_extended_model_satisfies(
-            PortfolioConfig("pre-bce", preprocess=True, blocked=True)
-        )
-
-
-def _assert_extended_model_satisfies(config):
-    solver, reduction = config.build_solver([list(c) for c in SAT_CLAUSES], 3)
-    result = solver.solve()
-    assert result.status is SolverStatus.SAT
-    model = reduction.extend_model(result.model)
-    for clause in SAT_CLAUSES:
-        assert any((l > 0) == model[abs(l)] for l in clause)
+        assert result.stats.cubes_unsat == 8
+        assert result.stats.clauses_shared == 0

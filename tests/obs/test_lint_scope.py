@@ -8,7 +8,11 @@ here so a future edit cannot silently regress them.
 
 import ast
 import glob
+import inspect
 import os
+import re
+
+import pytest
 
 from repro.analysis.code_lint import lint_file, lint_fork_safety
 
@@ -17,6 +21,23 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__fi
 
 def _src(*parts):
     return os.path.join(REPO_ROOT, "src", "repro", *parts)
+
+
+#: Names of the cube-pool extras that went: the solver personalities,
+#: cross-cube clause sharing and blocked-clause elimination.
+REMOVED_POOL_NAMES = (
+    "DIVERSE_CONFIGS",
+    "PortfolioConfig",
+    "enable_blocked",
+    "reconstruct_blocked",
+    "BlockedRecord",
+    "enable_clause_export",
+    "drain_exported",
+    "share_clauses",
+    "SHARE_MAX_LBD",
+    "SHARE_QUEUE_SIZE",
+    "qed_clauses_shared",
+)
 
 
 class TestHotLoopStaysClean:
@@ -96,6 +117,41 @@ class TestOneSplitPath:
         import repro.dist
 
         assert [n for n in repro.dist.__all__ if "solve" in n.lower()] == []
+
+    def test_every_cube_runs_the_one_plain_solver(self):
+        # No per-worker solver personalities: the solver takes no heuristic
+        # settings, and the package builds it in one place, which both the
+        # inline cube loop and every pool worker call.
+        from repro.sat.solver import CDCLSolver
+
+        assert list(inspect.signature(CDCLSolver).parameters) == ["cnf"]
+        builds = []
+        for path in sorted(glob.glob(_src("dist", "*.py"))):
+            with open(path, "r", encoding="utf-8") as stream:
+                builds.extend(
+                    os.path.basename(path)
+                    for line in stream
+                    if "CDCLSolver(" in line
+                )
+        assert builds == ["scheduler.py"]
+
+    @pytest.mark.parametrize("name", REMOVED_POOL_NAMES)
+    def test_removed_pool_extra_stays_gone(self, name):
+        # Every UNSAT answer must rest on one plain solver's own proof per
+        # cube.  The one use left is a literal key of a removed setting,
+        # which old config dicts may still carry.
+        word = re.compile(rf"\b{name}\b")
+        hits = []
+        for top in ("src", "scripts", "examples"):
+            pattern = os.path.join(REPO_ROOT, top, "**", "*.py")
+            for path in sorted(glob.glob(pattern, recursive=True)):
+                with open(path, "r", encoding="utf-8") as stream:
+                    hits.extend(
+                        f"{os.path.relpath(path, REPO_ROOT)}:{number}"
+                        for number, line in enumerate(stream, 1)
+                        if word.search(line.replace(f'"{name}":', ""))
+                    )
+        assert hits == []
 
 
 class TestObsInForkScope:

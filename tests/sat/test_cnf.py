@@ -1,8 +1,8 @@
-"""Tests for the CNF container and preprocessing."""
+"""Tests for the CNF container and its whole-formula preprocessing."""
 
 import pytest
 
-from repro.sat import CNF, neg, sign_of, simplify_cnf, solve, var_of
+from repro.sat import CNF, extend_model, neg, preprocess, sign_of, solve, var_of
 
 
 class TestLiterals:
@@ -81,36 +81,50 @@ class TestDimacs:
             CNF.from_dimacs("1 2 0\n")
 
 
+def _reduced(cnf, result):
+    """The preprocessed clauses as a CNF over the original variables."""
+    reduced = CNF(cnf.num_vars)
+    for clause in result.clauses:
+        reduced.add_clause(clause)
+    return reduced
+
+
 class TestSimplify:
+    """:func:`preprocess` on a whole formula, nothing frozen."""
+
     def test_unit_propagation_fixes_variables(self):
         cnf = CNF()
         cnf.add_clause([1])
         cnf.add_clause([-1, 2])
         cnf.add_clause([-2, 3, 4])
-        result = simplify_cnf(cnf)
-        assert not result.unsatisfiable
-        assert result.fixed[1] is True
-        assert result.fixed[2] is True
+        result = preprocess(cnf.clauses)
+        assert not result.unsat
+        # Every fixed variable stays in the output as a unit clause.
+        assert [1] in result.clauses
+        assert [2] in result.clauses
 
     def test_conflict_detected(self):
         cnf = CNF()
         cnf.add_clause([1])
         cnf.add_clause([-1])
-        assert simplify_cnf(cnf).unsatisfiable
+        result = preprocess(cnf.clauses)
+        assert result.unsat
+        assert result.clauses == [[]]
 
     def test_simplified_equisatisfiable(self):
         cnf = CNF()
         cnf.add_clause([1, 2])
         cnf.add_clause([-1, 2])
         cnf.add_clause([3, -2])
-        simplified = simplify_cnf(cnf)
-        assert solve(cnf).satisfiable == solve(simplified.cnf).satisfiable
+        simplified = _reduced(cnf, preprocess(cnf.clauses))
+        assert solve(cnf).satisfiable == solve(simplified).satisfiable
 
     def test_extend_model_overlays_fixed_values(self):
         cnf = CNF()
         cnf.add_clause([1])
         cnf.add_clause([2, 3])
-        result = simplify_cnf(cnf)
-        model = solve(result.cnf).model or [False] * (cnf.num_vars + 1)
-        extended = result.extend_model(model)
+        result = preprocess(cnf.clauses)
+        model = solve(_reduced(cnf, result)).model
+        extended = extend_model(model, result.eliminated)
         assert extended[1] is True
+        assert cnf.evaluate(extended)

@@ -5,11 +5,10 @@ Two oracles keep the solver honest after the arena rewrite:
 * a brute-force truth-table enumerator over seeded random CNFs (<= 16
   variables): the CDCL verdict must match exhaustive enumeration exactly,
   and every SAT model must actually satisfy every clause;
-* the solver's own clause-export buffer: exported learned clauses must be
-  implied by the clause database even when an in-place database compaction
-  (:meth:`CDCLSolver._reduce_learned`) deletes or relocates the arena
-  clause between learning and draining -- the regression guard for the
-  copy-out-at-learn-time contract.
+* the original formula itself: every learned clause left in the arena must
+  be implied by it even after in-place database compactions
+  (:meth:`CDCLSolver._reduce_learned`) have deleted and relocated learned
+  clauses -- the regression guard for the mark-and-compact bookkeeping.
 """
 
 import random
@@ -17,7 +16,7 @@ import random
 import pytest
 
 from repro.sat.cnf import CNF
-from repro.sat.solver import CDCLSolver, SolverStatus
+from repro.sat.solver import _F_LEARNED, _HDR, CDCLSolver, SolverStatus
 
 
 def _random_cnf(seed: int) -> CNF:
@@ -99,14 +98,31 @@ class TestTruthTableDifferential:
             assert _model_satisfies(cnf, result.model)
 
 
-class TestExportSurvivesCompaction:
-    def test_exported_clauses_remain_valid_after_reduction(self):
+def _learned_in_arena(solver: CDCLSolver):
+    """The learned clauses currently in the solver's arena, as signed
+    literals, in arena order."""
+    arena = solver._arena
+    learned = []
+    offset = 0
+    while offset < len(arena):
+        size = arena[offset]
+        if arena[offset + 1] & _F_LEARNED:
+            body = arena[offset + _HDR : offset + _HDR + size]
+            learned.append(
+                [lit >> 1 if not lit & 1 else -(lit >> 1) for lit in body]
+            )
+        offset += _HDR + size
+    return learned
+
+
+class TestCompaction:
+    def test_learned_clauses_remain_valid_after_reduction(self):
         # A hard-ish random 3-CNF makes the solver learn enough clauses to
         # cross an artificially tiny reduction threshold several times, so
-        # database compactions interleave with clause learning while the
-        # export buffer is filling.  Every drained clause must be implied
-        # by the original formula -- a dangling arena offset (the bug this
-        # guards against) would surface as a garbage clause here.
+        # database compactions interleave with clause learning.  Every
+        # learned clause that survives them must be implied by the original
+        # formula -- a compaction that slid a block over the wrong words
+        # would surface as a garbage clause here.
         rng = random.Random(1234)
         num_vars = 60
         cnf = CNF(num_vars)
@@ -116,7 +132,6 @@ class TestExportSurvivesCompaction:
                 [v if rng.random() < 0.5 else -v for v in variables]
             )
         solver = CDCLSolver(cnf)
-        solver.enable_clause_export(max_lbd=12, max_length=40)
         solver._reduce_threshold = 25  # force frequent compactions
         result = solver.solve(max_conflicts=4000)
         assert solver.stats.learned_clauses > 50, (
@@ -124,27 +139,25 @@ class TestExportSurvivesCompaction:
         )
         # At least one reduction must actually have removed clauses.
         assert solver.num_learned_clauses < solver.stats.learned_clauses
-        exported = solver.drain_exported()
-        assert exported, "no clauses were exported"
-        for clause in exported:
-            assert clause, "empty exported clause"
+        learned = _learned_in_arena(solver)
+        assert learned and len(learned) == solver.num_learned_clauses
+        for clause in learned:
+            assert clause, "empty learned clause"
             for lit in clause:
                 var = lit if lit > 0 else -lit
                 assert 1 <= var <= num_vars, (
-                    f"exported clause {clause} references unknown "
+                    f"learned clause {clause} references unknown "
                     f"variable {var}"
                 )
         # Implication check on a sample: formula AND NOT(clause) is UNSAT
         # for every clause implied by the formula.
-        for clause in exported[:40]:
+        for clause in learned[:40]:
             checker = CDCLSolver(cnf)
             refute = checker.solve(
                 assumptions=[-lit for lit in clause]
             )
             assert refute.is_unsat, (
-                f"exported clause {clause} is not implied by the clause "
+                f"learned clause {clause} is not implied by the clause "
                 f"database (solver verdict {refute.status}; original "
                 f"verdict {result.status})"
             )
-        # Draining clears the buffer.
-        assert solver.drain_exported() == []

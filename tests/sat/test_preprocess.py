@@ -160,111 +160,10 @@ class TestFrozenCutoff:
         assert {variable for variable, _ in gone.eliminated} == {3}
 
 
-class TestBlockedClauseElimination:
-    """The optional BCE pass: off by default, sat-equivalent when on."""
-
-    def test_off_by_default(self):
-        clauses = [[1, 2], [-1, -2, 3], [3, 4]]
-        result = preprocess(
-            clauses,
-            frozen={1, 2, 3, 4},
-            enable_subsumption=False,
-            enable_elimination=False,
-            enable_probing=False,
-        )
-        assert result.stats.clauses_blocked == 0
-        assert result.blocked == []
-
-    def test_textbook_blocked_clause_removed(self):
-        # (1 2) is blocked on 1: the only clause containing -1 also
-        # contains -2, so the resolvent is tautological.
-        clauses = [[1, 2], [-1, -2, 3], [3, 4]]
-        result = preprocess(
-            clauses,
-            enable_subsumption=False,
-            enable_elimination=False,
-            enable_probing=False,
-            enable_blocked=True,
-        )
-        assert result.stats.clauses_blocked >= 1
-        assert any(clause == [1, 2] for _, clause in result.blocked)
-
-    def test_frozen_literal_never_blocks(self):
-        clauses = [[1, 2], [-1, -2, 3], [3, 4]]
-        result = preprocess(
-            clauses,
-            frozen={1, 2, 3, 4},
-            enable_subsumption=False,
-            enable_elimination=False,
-            enable_probing=False,
-            enable_blocked=True,
-        )
-        assert result.stats.clauses_blocked == 0
-
-    def test_pure_literal_is_degenerate_blocked_case(self):
-        # Variable 4 occurs only positively: no resolvents at all, so the
-        # clause containing it is blocked.
-        clauses = [[4, 1], [1, -2], [2, -1]]
-        result = preprocess(
-            clauses,
-            frozen={1, 2},
-            enable_subsumption=False,
-            enable_elimination=False,
-            enable_probing=False,
-            enable_blocked=True,
-        )
-        assert any(abs(lit) == 4 for lit, _ in result.blocked)
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_bce_preserves_satisfiability(self, seed):
-        """Sat-equivalence: same verdict, and extended models satisfy the
-        original clauses (the blocked-clause repair included)."""
-        rng = random.Random(7000 + seed)
-        num_vars = rng.randint(4, 14)
-        clauses = []
-        for _ in range(rng.randint(6, 40)):
-            width = rng.randint(1, 3)
-            clauses.append(
-                [
-                    rng.choice([1, -1]) * rng.randint(1, num_vars)
-                    for _ in range(width)
-                ]
-            )
-        reference = _solve([list(c) for c in clauses], num_vars)
-        # BCE alone (the other passes would hide it on formulas this small).
-        result = preprocess(
-            [list(c) for c in clauses],
-            enable_subsumption=False,
-            enable_elimination=False,
-            enable_probing=False,
-            enable_blocked=True,
-        )
-        if result.unsat:
-            assert reference.is_unsat
-            return
-        reduced = _solve(result.clauses, num_vars)
-        assert reduced.is_sat == reference.is_sat
-        if reduced.is_sat:
-            model = result.extend_model(reduced.model)
-            for clause in clauses:
-                assert any((lit > 0) == model[abs(lit)] for lit in clause), (
-                    f"clause {clause} unsatisfied after blocked-clause repair"
-                )
-
-
 class TestLegacySimplifyRetired:
     def test_simplify_module_is_gone(self):
         # The deprecation shim of the old ``repro.sat.simplify`` module was
-        # removed after one PR cycle; ``simplify_cnf`` lives in (and is only
-        # importable from) ``repro.sat.preprocess`` / the package root.
-        import pytest
-
+        # removed after one PR cycle, and the ``simplify_cnf`` entry point
+        # it held went later, with no caller left.
         with pytest.raises(ModuleNotFoundError):
             import repro.sat.simplify  # noqa: F401
-
-    def test_simplify_cnf_exported_from_preprocess_and_package(self):
-        import repro.sat
-        from repro.sat.preprocess import SimplificationResult, simplify_cnf
-
-        assert repro.sat.simplify_cnf is simplify_cnf
-        assert repro.sat.SimplificationResult is SimplificationResult

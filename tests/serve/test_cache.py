@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.serve.cache import ResultCache
+from repro.serve.cache import ENTRY_FORMAT, ResultCache
 
 FP = "f" * 64
 
@@ -83,6 +83,24 @@ class TestPersistence:
         assert reborn.get("k1") is not None
         assert reborn.get("k2") is None
 
+    def test_entry_of_an_older_format_is_not_served(self, tmp_path):
+        # A format-1 record still carries qed_clauses_shared, a field
+        # records no longer have: replay skips the line, so the job is
+        # solved again instead of served.
+        directory = str(tmp_path)
+        old = {
+            "format": 1,
+            "key": "k",
+            "fingerprint": FP,
+            "definitive": True,
+            "record": record(qed_clauses_shared=334),
+            "spec": {},
+            "created_at": 0.0,
+        }
+        with open(os.path.join(directory, "results.jsonl"), "w") as stream:
+            stream.write(json.dumps(old) + "\n")
+        assert ResultCache(directory).get("k") is None
+
 
 class TestMonotoneUpgrade:
     def test_unknown_upgrades_to_definitive(self, tmp_path):
@@ -111,7 +129,7 @@ class TestMonotoneUpgrade:
         cache = ResultCache(directory)
         cache.put("k", record(state="proved"), fingerprint=FP, definitive=True)
         weaker = {
-            "format": 1,
+            "format": ENTRY_FORMAT,
             "key": "k",
             "fingerprint": FP,
             "definitive": False,

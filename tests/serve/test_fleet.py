@@ -1,5 +1,4 @@
-"""Fleet protocol: leases, fence epochs, failure detection, admission,
-cache-log replication.
+"""Fleet protocol: leases, fence epochs, failure detection, admission.
 
 Coordinator tests drive :class:`FleetCoordinator` directly on the queue's
 loop with synthetic sweep times (no real reaper, no sleeps for expiry);
@@ -19,7 +18,6 @@ from repro.serve import fleet as fleet_module
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.fleet import (
     AdmissionController,
-    CacheFollower,
     FleetCoordinator,
     FleetWorker,
 )
@@ -551,68 +549,6 @@ class TestAdmission:
             assert json.loads(raw)["retry_after"] > 0
             stats = ServeClient(url).stats()["http"]["admission"]
             assert stats["rejected"] == 1
-
-
-class TestReplication:
-    def test_follower_mirrors_log_and_serves_warm_hits(self, tmp_path):
-        primary_dir = tmp_path / "primary"
-        follower_dir = tmp_path / "follower"
-        with LocalServer(
-            cache_dir=str(primary_dir),
-            workers=1,
-            entry=_selftest_entry,
-            use_processes=False,
-        ) as url:
-            client = ServeClient(url)
-            view = client.submit(spec=spec())
-            final = client.wait_done(view.job_id, timeout=30)
-            assert final.state == "done"
-            follower = CacheFollower(url, str(follower_dir))
-            assert follower.sync() > 0
-            assert follower.sync() == 0  # caught up: idempotent
-            cache_key = final.record["cache_key"]
-        # Primary is gone; the standby replays the mirror and serves it.
-        from repro.serve.cache import ResultCache
-
-        entry = ResultCache(str(follower_dir)).get(cache_key)
-        assert entry is not None
-        assert entry.record["detected_by"] == {"eddiv": True}
-
-    def test_follower_resets_when_primary_log_shrinks(self, tmp_path):
-        primary_a = tmp_path / "a"
-        primary_b = tmp_path / "b"
-        follower_dir = tmp_path / "mirror"
-        with LocalServer(
-            cache_dir=str(primary_a),
-            workers=1,
-            entry=_selftest_entry,
-            use_processes=False,
-        ) as url:
-            client = ServeClient(url)
-            client.wait_done(
-                client.submit(spec=spec()).job_id, timeout=30
-            )
-            client.wait_done(
-                client.submit(spec=spec(tag=2)).job_id, timeout=30
-            )
-            follower = CacheFollower(url, str(follower_dir))
-            follower.sync()
-        # A different (shorter-logged) primary takes over the endpoint.
-        with LocalServer(
-            cache_dir=str(primary_b),
-            workers=1,
-            entry=_selftest_entry,
-            use_processes=False,
-        ) as url:
-            client = ServeClient(url)
-            final = client.wait_done(
-                client.submit(spec=spec(tag=3)).job_id, timeout=30
-            )
-            follower = CacheFollower(url, str(follower_dir))
-            follower.sync()
-            assert follower.resets == 1
-            entry = follower.open_cache().get(final.record["cache_key"])
-            assert entry is not None
 
 
 class TestJitter:

@@ -1,17 +1,52 @@
 """Canonical job specs, cache keys, fingerprints, config round-trips."""
 
-import dataclasses
 import json
 
 import pytest
 
-from repro.dist.portfolio import DIVERSE_CONFIGS
 from repro.dist.scheduler import SplitConfig
 from repro.eval.campaign import CampaignConfig
 from repro.indverif.crs import CRSConfig
 from repro.isa.arch import SMALL_PROFILE, TINY_PROFILE, ArchParams
 from repro.serve.keys import JobSpec, canonical_json
 from repro.uarch.versions import version_by_name
+
+
+def _personality(name, var_decay=0.95, restart_base=100, phase=False, pre=False):
+    return {
+        "format": 1,
+        "name": name,
+        "var_decay": var_decay,
+        "clause_decay": 0.999,
+        "restart_base": restart_base,
+        "default_phase": phase,
+        "preprocess": pre,
+        "blocked": pre,
+    }
+
+
+#: The six cube-worker solver personalities, as configs of that time
+#: serialized them.
+PERSONALITIES = [
+    _personality("baseline"),
+    _personality("preprocessed", pre=True),
+    _personality("positive-phase", phase=True),
+    _personality("rapid-restart", restart_base=16),
+    _personality("slow-decay", var_decay=0.99),
+    _personality("agile", var_decay=0.85, restart_base=32, phase=True),
+]
+
+#: Every setting SplitConfig has lost, at the default it had.
+REMOVED_SETTINGS = {
+    "strategy": "auto",
+    "lookahead_depth": 2,
+    "max_initial_cubes": 32,
+    "max_resplit_depth": 4,
+    "share_clauses": True,
+    "share_max_lbd": 3,
+    "share_queue_size": 1024,
+    "configs": PERSONALITIES,
+}
 
 
 class TestConfigRoundTrips:
@@ -31,7 +66,6 @@ class TestConfigRoundTrips:
         config = SplitConfig(
             workers=3,
             cube_conflict_budget=None,
-            share_clauses=False,
             prefer_input_prefixes=("instr_in",),
         )
         data = json.loads(json.dumps(config.to_json_dict()))
@@ -40,7 +74,8 @@ class TestConfigRoundTrips:
     def test_split_config_with_nested_portfolio(self):
         # The canonical dict of a config written before SplitConfig lost
         # its strategy, tuning and personality settings: all 11 keys, at
-        # their defaults, the personalities nested in their JSON form.
+        # their defaults, the six worker personalities nested in their JSON
+        # form.
         data = {
             "format": 1,
             "workers": 1,
@@ -52,21 +87,39 @@ class TestConfigRoundTrips:
             "share_clauses": True,
             "share_max_lbd": 3,
             "share_queue_size": 1024,
-            "configs": [
-                {"format": 1, **dataclasses.asdict(c)} for c in DIVERSE_CONFIGS
-            ],
+            "configs": PERSONALITIES,
             "prefer_input_prefixes": [],
         }
         assert SplitConfig.from_json_dict(json.loads(json.dumps(data))) == (
             SplitConfig()
         )
 
+    def test_split_config_written_with_clause_sharing(self):
+        # The canonical dict of a config written while pool workers still
+        # shared learned clauses: four keys, sharing at its default.
+        data = {
+            "format": 1,
+            "workers": 2,
+            "cube_conflict_budget": 4000,
+            "share_clauses": True,
+            "prefer_input_prefixes": [],
+        }
+        assert SplitConfig.from_json_dict(json.loads(json.dumps(data))) == (
+            SplitConfig(workers=2)
+        )
+        assert len(SplitConfig().to_json_dict()) == 4  # format + 3 fields
+
     @pytest.mark.parametrize(
         "key, value",
         [
             ("strategy", "portfolio"),
             ("max_resplit_depth", 3),
-            ("configs", [{"format": 1, **dataclasses.asdict(DIVERSE_CONFIGS[0])}]),
+            ("configs", PERSONALITIES[:1]),
+            ("share_clauses", False),
+            ("lookahead_depth", 3),
+            ("max_initial_cubes", 64),
+            ("share_max_lbd", 5),
+            ("share_queue_size", 2048),
         ],
     )
     def test_split_config_refuses_a_removed_setting_off_its_default(
@@ -75,6 +128,15 @@ class TestConfigRoundTrips:
         # Loading it as the default would silently run a different query.
         with pytest.raises(ValueError, match=key):
             SplitConfig.from_json_dict({"workers": 2, key: value})
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_SETTINGS))
+    def test_split_config_takes_a_removed_setting_at_its_default(self, key):
+        # A dict written while the setting existed loads as the config it
+        # meant then, whichever of the removed keys it happens to carry.
+        data = {"workers": 2, key: REMOVED_SETTINGS[key]}
+        assert SplitConfig.from_json_dict(json.loads(json.dumps(data))) == (
+            SplitConfig(workers=2)
+        )
 
     def test_campaign_config_defaults_and_nested(self):
         config = CampaignConfig(

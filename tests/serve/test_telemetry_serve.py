@@ -10,6 +10,7 @@ per-bound heartbeat per ``bmc.bound`` span of the trace, agreeing with it.
 
 import asyncio
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -17,11 +18,12 @@ import urllib.request
 import pytest
 
 from repro.obs import trace as obs_trace
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import HEARTBEAT
 from repro.serve import LocalServer, ServeClient
 from repro.serve.cache import ResultCache
 from repro.serve.fleet import FleetCoordinator
-from repro.serve.queue import JobQueue, JobState, _selftest_entry
+from repro.serve.queue import JobQueue, JobState, _selftest_entry, _shipper
 
 from serve_helpers import make_spec as spec
 
@@ -132,6 +134,52 @@ class TestTelemetryRing:
             assert queue.telemetry_dict(job.job_id)["total"] == total + 1
 
         run(with_queue(body))
+
+
+class TestBatchIds:
+    """A shipped batch carries an id; the queue takes each id in once."""
+
+    def test_redelivered_batch_is_absorbed_once(self):
+        delta = MetricsRegistry()
+        delta.inc("qed_bounds_total")
+
+        async def body(queue):
+            job = queue.submit(spec())
+            await wait_terminal(queue, job)
+            total = queue.telemetry_dict(job.job_id)["total"]
+            before = queue.metrics.counter_value("qed_bounds_total")
+            batch = dict(
+                obs(heartbeat(0, 5)),
+                metrics=delta.snapshot(),
+                batch_id="1234.1.1",
+            )
+            queue._on_progress(job.job_id, batch)
+            queue._on_progress(job.job_id, dict(batch))
+            assert queue.telemetry_dict(job.job_id)["total"] == total + 1
+            assert queue.metrics.counter_value("qed_bounds_total") == (
+                before + 1
+            )
+            # The next batch of the same call is new.
+            queue._on_progress(
+                job.job_id, dict(obs(heartbeat(1, 9)), batch_id="1234.1.2")
+            )
+            assert queue.telemetry_dict(job.job_id)["total"] == total + 2
+
+        run(with_queue(body))
+
+    def test_every_entry_call_ships_fresh_ids(self):
+        # A retried attempt in the same solver child is a new entry call;
+        # an id of the first attempt reused would drop a new batch as a
+        # re-delivery.
+        shipped = []
+        for _ in range(2):
+            ship = _shipper(shipped.append)
+            ship(obs(heartbeat(0, 1)))
+            ship(obs(heartbeat(1, 2)))
+        ids = [batch["batch_id"] for batch in shipped]
+        assert len(set(ids)) == len(ids) == 4
+        assert all(i.startswith(f"{os.getpid()}.") for i in ids)
+        assert _shipper(None) is None
 
 
 #: Released by the test once it saw the running job's heartbeat.
