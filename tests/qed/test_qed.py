@@ -178,6 +178,17 @@ class TestSingleI:
         )
         assert not [r.instruction for r in results if r.violated]
 
+    def test_check_all_refuses_names_outside_the_isa(self):
+        # SATADD is an extension opcode, and A.v6 has no extension.  Dropping
+        # the unknown names would leave a "not violated" resting on fewer
+        # checks than were asked for.
+        checker = SingleIChecker("A.v6", arch=TINY_PROFILE)
+        with pytest.raises(KeyError) as raised:
+            checker.check_all(instructions=["SRA", "SATADD", "NOPE"])
+        message = str(raised.value)
+        assert "SATADD" in message and "NOPE" in message
+        assert "'SRA'" not in message
+
     def test_sra_bug_detected(self):
         checker = SingleIChecker("A.v6", arch=TINY_PROFILE)
         result = checker.check_instruction("SRA")

@@ -23,6 +23,7 @@ from repro.bmc import engine
 from repro.eval import campaign
 from repro.qed.eddiv import QEDMode
 from repro.qed.harness import SymbolicQED
+from repro.qed.single_i import SingleIChecker
 from repro.sat.preprocess import PreprocessStats, preprocess
 
 
@@ -204,8 +205,21 @@ def _detection_slabs(monkeypatch, bug_id):
 
 def test_single_i_slab_matches_reference(monkeypatch):
     # The pinned instruction under test constant-folds decode and the ALU
-    # select, so this slab is a few hundred clauses.
-    slabs = _detection_slabs(monkeypatch, "sra_zero_fill")
+    # select, so this slab is a few hundred clauses.  Single-I checks skip
+    # preprocessing, so the sra_zero_fill problem is built here with it on.
+    checker = SingleIChecker("A.v6")
+    sra = next(i for i in checker.instructions if i.name == "SRA")
+    problem = engine.BMCProblem(
+        design=checker.design,
+        prop=checker.property_for(sra),
+        assumptions=checker.assumptions_for(sra),
+        initial_state=checker.initial_state(),
+        max_bound=2,
+        preprocess=True,
+    )
+    slabs = _capture_slabs(
+        monkeypatch, lambda: engine.BoundedModelChecker(problem).run()
+    )
     assert slabs
     _assert_slabs_match_reference(slabs)
 
