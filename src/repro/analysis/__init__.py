@@ -8,8 +8,8 @@ simulation, no solving:
 Layer 1 -- netlist lint (:mod:`repro.analysis.netlist_lint`)
     Structural well-formedness of :class:`repro.rtl.design.Design` netlists:
     combinational-cycle detection (iterative grey/black DFS -- a forged
-    cycle would *hang* structural hashing and bit-blasting, so this must
-    run first), undriven/multiply-driven/dangling nets, width and
+    cycle would *hang* bit-blasting and unrolling, so this must run
+    first), undriven/multiply-driven/dangling nets, width and
     reset-range checks, dead-cone warnings, QED-readiness (the ``qed.*``
     module must be state-isolated from the core, and a ``qed.*``
     instruction input must reach the property cone through the

@@ -107,8 +107,8 @@ class DesignLintError(ValueError):
 
     Raised by the engine/campaign/serving prechecks *before* any unrolling,
     CNF generation or solving happens -- a malformed netlist (for example a
-    forged combinational cycle) would otherwise hang structural hashing and
-    bit-blasting, which both walk the expression graph expecting a DAG.
+    forged combinational cycle) would otherwise hang bit-blasting and
+    unrolling, which both walk the expression graph expecting a DAG.
     """
 
     def __init__(self, report: LintReport) -> None:

@@ -1,9 +1,9 @@
 """Structural lint over elaborated :class:`~repro.rtl.design.Design` netlists.
 
 Every check here is purely structural -- no simulation, no solving, no
-unrolling.  The linter walks the next-state/output/assumption expression
-graphs once and derives everything else from per-root support sets, so a
-full pass costs about as much as :meth:`Design.free_variables`.
+unrolling.  The linter walks a netlist's expression graphs once, keeps
+the walks on it, and derives everything else from per-root support sets,
+so a check against a property walks only the property.
 
 Check catalog
 =============
@@ -11,9 +11,9 @@ Check catalog
 ``netlist.comb-cycle`` (error)
     The expression graph contains a cycle.  The public expression API only
     builds DAGs, but a cycle can be forged (``object.__setattr__``) or
-    produced by a buggy transform -- and every downstream pass
-    (:meth:`Design.structural_hash`, bit-blasting, the unroller) walks the
-    graph expecting a DAG and would hang or overflow.  When a cycle is
+    produced by a buggy transform -- and bit-blasting and the unroller
+    walk the graph expecting a DAG and would hang or overflow (hashing
+    cuts the back edge instead).  When a cycle is
     found, support-based checks are skipped (their answers would be
     meaningless) and the report carries this error alone.
 ``netlist.bad-width`` (error)
@@ -73,6 +73,7 @@ Bug-library sanity (:func:`lint_bug_library`):
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fnmatch import fnmatchcase
 from typing import (
     TYPE_CHECKING,
@@ -94,7 +95,7 @@ from repro.analysis.findings import (
     LintReport,
 )
 from repro.expr.bitvec import BV, BVVar
-from repro.rtl.design import Design
+from repro.rtl.design import Design, serialize_expression
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.isa.arch import ArchParams
@@ -223,69 +224,53 @@ def expression_digest(expr: BV) -> str:
 
     Two expressions digest equal iff they are structurally identical; used
     by :func:`lint_bug_library` to diff per-signal logic between a buggy
-    version and its clean base.  Node identity keys the walk, so shared
-    sub-DAGs serialize once and the digest is linear in the graph size.
+    version and its clean base.  It is :meth:`Design.structural_hash`'s
+    serializer (:func:`~repro.rtl.design.serialize_expression`) over one
+    root, so shared sub-DAGs serialize once.
     """
     import hashlib
 
     digest = hashlib.sha256()
-    node_ids: Dict[int, int] = {}
-    grey: Set[int] = set()
-    stack: List[Tuple[BV, bool]] = [(expr, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in node_ids:
-            continue
-        if not expanded:
-            if id(node) in grey:
-                continue  # cycle back edge; terminate regardless
-            grey.add(id(node))
-            stack.append((node, True))
-            stack.extend(
-                (child, False)
-                for child in node.children
-                if id(child) not in node_ids
-            )
-            continue
-        parts: List[str] = []
-        for item in node._key():
-            if isinstance(item, tuple):
-                parts.append(
-                    ",".join(
-                        str(node_ids.get(id(child), -1)) for child in item
-                    )
-                )
-            else:
-                parts.append(str(item))
-        node_ids[id(node)] = len(node_ids)
-        digest.update(
-            (f"n{len(node_ids) - 1}=" + "|".join(parts) + "\n").encode()
-        )
+    serialize_expression(expr, digest, {})
     return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------
 # The design linter
 # ----------------------------------------------------------------------
-def lint_design(
-    design: Design,
-    *,
-    prop: Optional[BV] = None,
-    qed_prefix: str = QED_PREFIX,
-    dead_state_ok: Tuple[str, ...] = (),
-) -> LintReport:
+def lint_design(design: Design, *, prop: Optional[BV] = None) -> LintReport:
     """Run every structural check over *design*; never raises.
 
     ``prop`` is the 1-bit safety-property expression the engine will check
     (when known): it extends liveness analysis (a state element only the
     property reads is not dead) and enables the QED injection-reachability
-    check.  ``qed_prefix`` identifies the QED module's signal namespace.
-    ``dead_state_ok`` lists name prefixes of state elements that are
-    *intentionally* write-only in some configurations (the core's
-    ``hist_*`` monitoring block exists to give seeded bugs their trigger
-    context, so clean versions never read parts of it); matching elements
-    skip the dead-state warning.
+    check.  The design's own walks (cycle search, per-root support) and
+    its property-free report are found once and kept on it
+    (``Design.lint_memo``), so a call with ``prop`` walks only the
+    property.  The core's ``hist_*`` monitoring block gives seeded bugs
+    their trigger context, so clean versions never read parts of it: it
+    skips the dead-state warning.
     """
+    if design.lint_memo is None:
+        roots: List[Tuple[str, BV]] = (
+            [(f"next({n})", e) for n, e in design.next_state.items()]
+            + [(f"output {n}", e) for n, e in design.outputs.items()]
+            + [(f"assume {n}", e) for n, e in design.assumptions.items()]
+        )
+        cycle = _find_cycle(roots)
+        memo: Dict[int, FrozenSet[str]] = {}
+        support = {} if cycle else {n: _support_of(e, memo) for n, e in roots}
+        design.lint_memo = (cycle, support, _lint(design, cycle, support, None))
+    cycle, support, report = design.lint_memo
+    return report if prop is None else _lint(design, cycle, support, prop)
+
+
+def _lint(
+    design: Design,
+    cycle: Optional[Tuple[str, str]],
+    root_support: Dict[str, FrozenSet[str]],
+    prop: Optional[BV],
+) -> LintReport:
     report = LintReport(subject=design.name or "<design>")
     state_names = [element.name for element in design.state]
     known = set(design.inputs) | set(state_names)
@@ -335,14 +320,8 @@ def lint_design(
             )
 
     # -- cycle check ----------------------------------------------------
-    roots: List[Tuple[str, BV]] = (
-        [(f"next({n})", e) for n, e in design.next_state.items()]
-        + [(f"output {n}", e) for n, e in design.outputs.items()]
-        + [(f"assume {n}", e) for n, e in design.assumptions.items()]
-    )
-    if prop is not None:
-        roots.append(("property", prop))
-    cycle = _find_cycle(roots)
+    if cycle is None and prop is not None:
+        cycle = _find_cycle([("property", prop)])
     if cycle is not None:
         root_name, node_op = cycle
         report.add(
@@ -354,15 +333,13 @@ def lint_design(
         return report
 
     # -- support-based checks -------------------------------------------
-    memo: Dict[int, FrozenSet[str]] = {}
-    support: Dict[str, FrozenSet[str]] = {
-        name: _support_of(expr, memo) for name, expr in roots
-    }
+    support = dict(root_support)
     # A property may read the design's *output* nets by name; the engine
     # substitutes the output expression there, so fold each referenced
     # output's own cone into the property support instead of flagging the
     # output name as an undriven net.
     if prop is not None:
+        support["property"] = _support_of(prop, {})
         output_reads = {
             name for name in support["property"] if name in design.outputs
         }
@@ -420,7 +397,7 @@ def lint_design(
             read_elsewhere |= names
     for element in design.state:
         if element.name not in read_elsewhere and not element.name.startswith(
-            dead_state_ok
+            "hist_"
         ):
             report.add(
                 CHECK_DEAD_STATE,
@@ -430,10 +407,8 @@ def lint_design(
             )
 
     # -- QED readiness --------------------------------------------------
-    if any(name.startswith(qed_prefix) for name in known):
-        _lint_qed_readiness(
-            design, report, support, prop=prop, qed_prefix=qed_prefix
-        )
+    if any(name.startswith(QED_PREFIX) for name in known):
+        _lint_qed_readiness(design, report, support, prop=prop)
     return report
 
 
@@ -443,15 +418,14 @@ def _lint_qed_readiness(
     support: Dict[str, FrozenSet[str]],
     *,
     prop: Optional[BV],
-    qed_prefix: str,
 ) -> None:
     """The two QED-composition checks (see module docstring)."""
     # Isolation: the QED module observes nothing of the core.
     for element in design.state:
-        if not element.name.startswith(qed_prefix):
+        if not element.name.startswith(QED_PREFIX):
             continue
         cone = support.get(f"next({element.name})", frozenset())
-        foreign = {name for name in cone if not name.startswith(qed_prefix)}
+        foreign = {name for name in cone if not name.startswith(QED_PREFIX)}
         if foreign:
             report.add(
                 CHECK_QED_ISOLATION,
@@ -465,13 +439,13 @@ def _lint_qed_readiness(
     if prop is None:
         return
     qed_inputs = {
-        name for name in design.inputs if name.startswith(qed_prefix)
+        name for name in design.inputs if name.startswith(QED_PREFIX)
     }
     if not qed_inputs:
         report.add(
             CHECK_QED_INJECTION,
             "inputs",
-            f"design carries {qed_prefix}* state but no {qed_prefix}* "
+            f"design carries {QED_PREFIX}* state but no {QED_PREFIX}* "
             "primary input to inject instructions through",
         )
         return
@@ -509,36 +483,25 @@ def check_design(design: Design, *, prop: Optional[BV] = None) -> None:
 
 
 # ----------------------------------------------------------------------
-# Version-level lint (memoized; the campaign/serving precheck)
+# Version-level lint (the campaign/serving precheck)
 # ----------------------------------------------------------------------
-_VERSION_MEMO: Dict[Tuple[str, object], LintReport] = {}
-
-
 def lint_version_design(
     version: "DesignVersion", arch: Optional["ArchParams"] = None
 ) -> LintReport:
-    """Lint the elaborated netlist of one design version (memoized).
+    """Lint the elaborated netlist of one design version.
 
-    Elaboration costs ~100 ms, so results are memoized per
-    ``(version name, arch)`` -- a campaign that checks the same version
-    under four QED features pays for one build.  Tests that monkeypatch
-    :func:`repro.uarch.designs.build_design` must call
-    :func:`clear_version_lint_memo`.
+    This is the netlist's own report (:func:`lint_design` without a
+    property).  :func:`repro.uarch.core.build_core` shares one netlist per
+    configuration and process, so a campaign that checks the same version
+    under four QED features builds and lints it once, and every call
+    returns the same report until :func:`clear_version_lint_memo`.
     """
     from repro.isa.arch import TINY_PROFILE
+    from repro.uarch.designs import build_design
 
-    resolved_arch = arch if arch is not None else TINY_PROFILE
-    key = (version.name, resolved_arch)
-    report = _VERSION_MEMO.get(key)
-    if report is None:
-        from repro.uarch.designs import build_design
-
-        report = lint_design(
-            build_design(version, arch=resolved_arch),
-            dead_state_ok=("hist_",),
-        )
-        _VERSION_MEMO[key] = report
-    return report
+    return lint_design(
+        build_design(version, arch=arch if arch is not None else TINY_PROFILE)
+    )
 
 
 def check_version_design(
@@ -551,8 +514,13 @@ def check_version_design(
 
 
 def clear_version_lint_memo() -> None:
-    """Drop memoized version reports (test isolation hook)."""
-    _VERSION_MEMO.clear()
+    """Drop the process's shared core netlists, and with them their lint
+    reports: the next build elaborates and lints afresh (test isolation
+    hook; tests that monkeypatch :func:`repro.uarch.designs.build_design`
+    call it)."""
+    from repro.uarch.core import build_core
+
+    build_core.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -605,8 +573,6 @@ def lint_bug_library(
     from repro.uarch.core import build_core
     from repro.uarch.designs import build_design, config_for_version
     from repro.uarch.versions import ALL_VERSIONS
-
-    from dataclasses import replace
 
     from repro.isa.arch import TINY_PROFILE
 

@@ -40,11 +40,11 @@ With :attr:`BMCProblem.split` set, stage 5 is replaced by the **distributed
 proof engine** (:mod:`repro.dist`): the window query is partitioned into
 cubes -- the property-window ladder times a look-ahead tree over scored
 split variables -- which an inline cube loop (``workers=1``) or a
-worker-process pool with learned-clause sharing solves, re-splitting cubes
-that overrun their budget.  All cubes UNSAT retires the window exactly as a
-sequential UNSAT does; any SAT cube's model is replayed into a
-counterexample exactly as a sequential model is.  Stages 1-4 are shared
-between both paths.
+worker-process pool solves (each worker's solver learns only for itself),
+re-splitting cubes that overrun their budget.  All cubes UNSAT retires the
+window exactly as a sequential UNSAT does; any SAT cube's model is replayed
+into a counterexample exactly as a sequential model is.  Stages 1-4 are
+shared between both paths.
 
 Window encoding
 ===============
@@ -439,7 +439,8 @@ class BMCProblem:
     in sequential mode).  ``split=None`` (the default) keeps the
     single-process incremental path; ``SplitConfig(workers=1)`` solves the
     cubes inline and stays byte-for-byte deterministic, and
-    ``workers=N`` fans them over a worker pool with learned-clause sharing.
+    ``workers=N`` fans them over a worker pool whose solvers learn only
+    for themselves.
     """
 
     design: Design

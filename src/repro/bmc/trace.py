@@ -32,31 +32,9 @@ class CounterexampleTrace:
     outputs: List[Dict[str, int]] = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    def input_at(self, cycle: int, name: str) -> int:
-        """Value of input *name* driven at *cycle*."""
-        return self.inputs[cycle][name]
-
     def state_at(self, cycle: int, name: str) -> int:
         """Value of state element *name* at the start of *cycle*."""
         return self.states[cycle][name]
-
-    def output_at(self, cycle: int, name: str) -> int:
-        """Value of output *name* during *cycle*."""
-        return self.outputs[cycle][name]
-
-    def signal_column(self, name: str) -> List[Optional[int]]:
-        """Values of *name* (input, state or output) across all cycles."""
-        column: List[Optional[int]] = []
-        for cycle in range(self.length):
-            if name in self.inputs[cycle]:
-                column.append(self.inputs[cycle][name])
-            elif name in self.states[cycle]:
-                column.append(self.states[cycle][name])
-            elif name in self.outputs[cycle]:
-                column.append(self.outputs[cycle][name])
-            else:
-                column.append(None)
-        return column
 
     def to_waveform(self) -> Waveform:
         """Convert the trace into a :class:`~repro.rtl.waveform.Waveform`."""

@@ -48,7 +48,7 @@ from repro.dist.cubes import Cube, split_cube
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sat.cnf import CNF, Literal, var_of
-from repro.sat.solver import CDCLSolver, SolverStats, SolverStatus
+from repro.sat.solver import CDCLSolver, SolverStatus
 
 #: Depth of the initial look-ahead tree, before :data:`MAX_INITIAL_CUBES`
 #: caps it.
@@ -285,16 +285,6 @@ class DistResult:
     @property
     def unknown(self) -> bool:
         return self.status is SolverStatus.UNKNOWN
-
-    def solver_stats(self) -> SolverStats:
-        """The aggregate work as a :class:`~repro.sat.solver.SolverStats`."""
-        stats = self.stats
-        return SolverStats(
-            decisions=stats.decisions,
-            propagations=stats.propagations,
-            conflicts=stats.conflicts,
-            learned_clauses=stats.learned_clauses,
-        )
 
 
 def _next_resplit_var(cube: Cube, resplit_vars: Sequence[int]) -> Optional[int]:

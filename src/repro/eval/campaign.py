@@ -416,9 +416,9 @@ def detect_bug(
     job_span = obs_trace.span("detect_bug", bug_id=bug.bug_id)
     try:
         # Structural lint before any harness is built: a malformed version
-        # netlist (forged cycle, undriven net) would hang elaboration-side
-        # hashing or unrolling.  Memoized per (version, arch), so repeated
-        # jobs over the same version pay it once per process.
+        # netlist (forged cycle, undriven net) would hang or garble
+        # unrolling.  The report lives on the version's shared netlist, so
+        # repeated jobs over the same version pay it once per process.
         with obs_trace.span("detect.lint"):
             check_version_design(version, config.arch)
         record = BugDetectionRecord(

@@ -58,10 +58,6 @@ class BitBlaster:
         self._bindings[name] = list(bits)
         self._cache.clear()
 
-    def bind_constant(self, name: str, width: int, value: int) -> None:
-        """Bind variable *name* to a constant value."""
-        self.bind(name, self.constant_bits(width, value))
-
     def fresh_input(self, name: str, width: int) -> Bits:
         """Create fresh primary inputs for *name* and bind them."""
         bits = [self.aig.add_input(f"{name}[{i}]") for i in range(width)]

@@ -155,14 +155,6 @@ class BV:
         """Unsigned less-than."""
         return BVUlt(self, self._coerce(other))
 
-    def ule(self, other: IntLike) -> "BV":
-        """Unsigned less-than-or-equal."""
-        return BVNot(BVUlt(self._coerce(other), self))
-
-    def ugt(self, other: IntLike) -> "BV":
-        """Unsigned greater-than."""
-        return BVUlt(self._coerce(other), self)
-
     def uge(self, other: IntLike) -> "BV":
         """Unsigned greater-than-or-equal."""
         return BVNot(BVUlt(self, self._coerce(other)))
@@ -242,13 +234,6 @@ class BVConst(BV):
 
     def __repr__(self) -> str:
         return f"BVConst({self.width}, {self.value})"
-
-    @property
-    def signed_value(self) -> int:
-        """Two's-complement interpretation of the constant."""
-        if self.value & (1 << (self.width - 1)):
-            return self.value - (1 << self.width)
-        return self.value
 
 
 class BVVar(BV):

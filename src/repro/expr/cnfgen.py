@@ -244,8 +244,3 @@ class CNFBuilder:
         discarding the solver.
         """
         self.cnf.add_clause([-activation_var, self.literal(aig_literal)])
-
-    def assert_all(self, aig_literals: Iterable[int]) -> None:
-        """Assert every literal in *aig_literals*."""
-        for literal in aig_literals:
-            self.assert_literal(literal)

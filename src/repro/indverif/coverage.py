@@ -102,11 +102,3 @@ class CoverageModel:
             "instruction_pairs": float(len(self.pair_bins)),
             "executed_instructions": float(self.executed_instructions),
         }
-
-    def meets_closure(self, *, opcode_goal: float = 0.95, branch_goal: float = 0.8) -> bool:
-        """Whether the coverage closure criterion of the plan is met."""
-        return (
-            self.opcode_coverage >= opcode_goal
-            and self.branch_outcome_coverage >= branch_goal
-            and self.destination_coverage >= 0.9
-        )

@@ -43,11 +43,6 @@ class OCSFVResult:
         """Whether any property failed (i.e. OCS-FV observed a bug)."""
         return bool(self.failing_properties)
 
-    @property
-    def total_runtime_seconds(self) -> float:
-        """Total BMC runtime over all properties."""
-        return sum(r.runtime_seconds for r in self.results)
-
 
 class OCSFVChecker:
     """Run the OCS-FV property set on a design version."""

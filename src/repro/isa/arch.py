@@ -66,11 +66,6 @@ class ArchParams:
 
     # ------------------------------------------------------------------
     @property
-    def reg_field_width(self) -> int:
-        """Width of a register-specifier field in the encoding (fixed at 4)."""
-        return 4
-
-    @property
     def reg_index_width(self) -> int:
         """Number of bits needed to index the register file."""
         return max(1, (self.num_regs - 1).bit_length())

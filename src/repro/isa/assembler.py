@@ -48,12 +48,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.words)
 
-    def word_at(self, address: int) -> int:
-        """Instruction word at *address* (NOP beyond the end)."""
-        if 0 <= address < len(self.words):
-            return self.words[address]
-        return 0
-
     def listing(self) -> str:
         """Return an address / word / source listing."""
         lines = []

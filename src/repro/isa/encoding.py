@@ -40,11 +40,6 @@ class EncodedInstruction:
     imm: int
 
     @property
-    def is_valid(self) -> bool:
-        """Whether the opcode maps to a defined instruction."""
-        return self.instruction is not None
-
-    @property
     def mnemonic(self) -> str:
         """Instruction mnemonic, or ``ILLEGAL`` for undefined opcodes."""
         return self.instruction.name if self.instruction else "ILLEGAL"

@@ -50,7 +50,6 @@ def qed_consistency_property(
     arch: ArchParams,
     qed: QEDModuleHandles,
     *,
-    include_memory: bool = True,
     name: str = "qed_consistency",
 ) -> SafetyProperty:
     """The EDDI-V consistency property for a register-halving QED run."""
@@ -60,9 +59,7 @@ def qed_consistency_property(
     pipeline_empty = ~BVVar("ex_valid", 1)
     qed_ready = queue_empty & pairs_done & pipeline_empty
 
-    consistent = _register_pairs_equal(arch)
-    if include_memory:
-        consistent = consistent & _memory_pairs_equal(arch)
+    consistent = _register_pairs_equal(arch) & _memory_pairs_equal(arch)
 
     return SafetyProperty(
         name=name,

@@ -87,14 +87,6 @@ class EDDIVMapping:
         """All (original, duplicate) data-memory word pairs."""
         return [(m, m + self.half_dmem) for m in range(self.half_dmem)]
 
-    def duplicate_address(self, address: int) -> int:
-        """The duplicate memory address paired with original *address*."""
-        if not 0 <= address < self.half_dmem:
-            raise ValueError(
-                f"address {address} is not in the original memory half"
-            )
-        return address + self.half_dmem
-
     # ------------------------------------------------------------------
     def duplicate_word(self, word: int) -> int:
         """Transform an original instruction word into its duplicate.

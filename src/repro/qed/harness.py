@@ -129,7 +129,6 @@ class SymbolicQED:
         arch: ArchParams = TINY_PROFILE,
         queue_depth: int = 2,
         tracked_registers: Sequence[int] = (0,),
-        include_memory_in_check: bool = True,
         focus_opcodes: Optional[Sequence[str]] = None,
     ) -> None:
         if isinstance(design, CoreConfig):
@@ -139,7 +138,6 @@ class SymbolicQED:
         self.mode = mode
         self.queue_depth = queue_depth
         self.tracked_registers = tuple(tracked_registers)
-        self.include_memory_in_check = include_memory_in_check
         self.focus_opcodes = focus_opcodes
         self.mapping = EDDIVMapping(self.config.arch)
 
@@ -170,9 +168,7 @@ class SymbolicQED:
                 cf = build_qed_cf_module(circuit, config, qed)
                 instruction_out = cf.instruction_out
                 valid_out = cf.valid_out
-            prop = qed_consistency_property(
-                arch, qed, include_memory=self.include_memory_in_check
-            )
+            prop = qed_consistency_property(arch, qed)
         elif self.mode is QEDMode.EDDIV_MEM:
             mem = build_qed_mem_module(
                 circuit, config, tracked_registers=self.tracked_registers

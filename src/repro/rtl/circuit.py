@@ -55,10 +55,6 @@ class Register:
             )
         self._next = expr
 
-    def hold_unless(self, condition: BV, value: BV) -> None:
-        """Set the next state to *value* when *condition* holds, else hold."""
-        self.next = mux(condition, value, self.q)
-
     def __repr__(self) -> str:
         return f"Register({self.name!r}, width={self.width}, reset={self.reset})"
 
@@ -85,11 +81,6 @@ class MemoryArray:
             for index in range(depth)
         ]
         self._pending_next: List[BV] = [word.q for word in self.words]
-
-    @property
-    def addr_width(self) -> int:
-        """Number of address bits needed to index the memory."""
-        return max(1, (self.depth - 1).bit_length())
 
     def read(self, address: BV) -> BV:
         """Combinational read of the word at *address* (mux tree)."""
@@ -253,7 +244,3 @@ class Module:
     def assume(self, name: str, expr: BV) -> None:
         """Record an assumption scoped to this module instance."""
         self.circuit.assume(self._qualify(name), expr)
-
-    def submodule_path(self, name: str) -> str:
-        """Return the instance path for a child module called *name*."""
-        return self._qualify(name)

@@ -9,7 +9,7 @@ named outputs/assumptions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from repro.expr.bitvec import BV, BVVar
 from repro.rtl.circuit import Circuit, RTLBuildError
@@ -42,6 +42,10 @@ class Design:
         Named combinational output expressions.
     assumptions:
         Named 1-bit environmental constraints on inputs/state.
+    lint_memo:
+        The graph walks and property-free report that
+        :mod:`repro.analysis.netlist_lint` finds once and keeps here (an
+        elaborated design is read-only, so they never go stale).
     """
 
     name: str
@@ -50,6 +54,7 @@ class Design:
     next_state: Dict[str, BV]
     outputs: Dict[str, BV]
     assumptions: Dict[str, BV] = field(default_factory=dict)
+    lint_memo: Any = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -117,38 +122,13 @@ class Design:
         does not).
 
         Shared sub-expressions are serialized once (DAG, not tree), so the
-        hash is linear in the netlist size and safe on deep expressions.
+        hash is linear in the netlist size and safe on deep expressions;
+        a forged cycle is cut, not followed (:func:`serialize_expression`).
         """
         import hashlib
 
         digest = hashlib.sha256()
         node_ids: Dict[int, int] = {}
-
-        def serialize(root: BV) -> int:
-            """Post-order DAG walk assigning dense ids; feeds the digest."""
-            stack: List[tuple] = [(root, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if id(node) in node_ids:
-                    continue
-                if not expanded:
-                    stack.append((node, True))
-                    stack.extend((child, False) for child in node.children)
-                    continue
-                parts: List[str] = []
-                for item in node._key():
-                    if isinstance(item, tuple):
-                        parts.append(
-                            ",".join(str(node_ids[id(child)]) for child in item)
-                        )
-                    else:
-                        parts.append(str(item))
-                node_ids[id(node)] = len(node_ids)
-                digest.update(
-                    (f"n{len(node_ids) - 1}=" + "|".join(parts) + "\n").encode()
-                )
-            return node_ids[id(root)]
-
         for input_name in sorted(self.inputs):
             digest.update(f"input {input_name}:{self.inputs[input_name]}\n".encode())
         for element in self.state:
@@ -161,7 +141,7 @@ class Design:
             ("assume", self.assumptions),
         ):
             for expr_name in sorted(exprs):
-                root_id = serialize(exprs[expr_name])
+                root_id = serialize_expression(exprs[expr_name], digest, node_ids)
                 digest.update(f"{section} {expr_name}=n{root_id}\n".encode())
         return digest.hexdigest()
 
@@ -186,6 +166,45 @@ def _collect_variables(roots: Iterable[BV]) -> Set[str]:
             names.add(node.name)
         stack.extend(node.children)
     return names
+
+
+def serialize_expression(root: BV, digest: Any, node_ids: Dict[int, int]) -> int:
+    """Feed *root*'s graph to the hashlib *digest* in post-order; return
+    its dense id.  A node already in *node_ids* is not written again, so
+    shared sub-DAGs serialize once; a forged cycle's back edge is cut (its
+    child id reads ``-1``), so the walk terminates."""
+    grey: Set[int] = set()
+    stack: List[Tuple[BV, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in node_ids:
+            continue
+        if not expanded:
+            if id(node) in grey:
+                continue  # cycle back edge; terminate regardless
+            grey.add(id(node))
+            stack.append((node, True))
+            stack.extend(
+                (child, False)
+                for child in node.children
+                if id(child) not in node_ids
+            )
+            continue
+        parts: List[str] = []
+        for item in node._key():
+            if isinstance(item, tuple):
+                parts.append(
+                    ",".join(
+                        str(node_ids.get(id(child), -1)) for child in item
+                    )
+                )
+            else:
+                parts.append(str(item))
+        node_ids[id(node)] = len(node_ids)
+        digest.update(
+            (f"n{len(node_ids) - 1}=" + "|".join(parts) + "\n").encode()
+        )
+    return node_ids[id(root)]
 
 
 def elaborate(circuit: Circuit, name: str = "") -> Design:

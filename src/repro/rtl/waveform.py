@@ -49,10 +49,6 @@ class Waveform:
             names.update(snapshot)
         return sorted(names)
 
-    def values_of(self, signal: str) -> List[Optional[int]]:
-        """The value of *signal* at every recorded cycle (None when absent)."""
-        return [snapshot.get(signal) for snapshot in self._values]
-
     def as_table(self, signals: Optional[Iterable[str]] = None) -> str:
         """Render selected signals as a fixed-width text table."""
         selected = list(signals) if signals is not None else self.signal_names

@@ -7,7 +7,7 @@ indices start at 1; 0 is reserved (it terminates clauses in DIMACS files).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 Literal = int
 
@@ -125,10 +125,6 @@ class CNF:
         for clause in self._clauses:
             lines.append(" ".join(str(lit) for lit in clause) + " 0")
         return "\n".join(lines) + "\n"
-
-    def write_dimacs(self, stream: TextIO) -> None:
-        """Write the formula to *stream* in DIMACS CNF format."""
-        stream.write(self.to_dimacs())
 
     @classmethod
     def from_dimacs(cls, text: str) -> "CNF":

@@ -450,9 +450,6 @@ class CDCLSolver:
     # ------------------------------------------------------------------
     # Assignment helpers
     # ------------------------------------------------------------------
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _enqueue(self, literal: int, reason: int) -> None:
         """Assign encoded *literal* with *reason* (arena offset or -1)."""
         variable = literal >> 1

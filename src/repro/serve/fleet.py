@@ -699,8 +699,8 @@ _FORK_LOCK = threading.Lock()
 class _SolverChild:
     """A worker's persistent solver process (``use_processes=True``).
 
-    Forked lazily at the first :meth:`start` -- so it inherits whatever
-    fingerprint and lint memos the process has warmed by then -- and
+    Forked lazily at the first :meth:`start` -- so it inherits the
+    fingerprints and shared netlists the process has warmed by then -- and
     reused across leases; forked again after it dies or is killed.
     """
 

@@ -41,17 +41,3 @@ class CoreConfig:
     def __post_init__(self) -> None:
         if self.rom_interface not in ("dual", "single"):
             raise ValueError("rom_interface must be 'dual' or 'single'")
-
-    def with_bugs(self, *bug_ids: str) -> "CoreConfig":
-        """Return a copy of the configuration with *bug_ids* injected."""
-        return CoreConfig(
-            name=self.name,
-            arch=self.arch,
-            with_extension=self.with_extension,
-            rom_interface=self.rom_interface,
-            bugs=frozenset(self.bugs) | frozenset(bug_ids),
-        )
-
-    def has_bug(self, bug_id: str) -> bool:
-        """Whether a particular bug is injected in this configuration."""
-        return bug_id in self.bugs

@@ -23,6 +23,7 @@ to the datapath expressions -- the same way the real RTL versions differed.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Tuple
 
 from repro.expr.bitvec import (
@@ -525,8 +526,16 @@ def build_core_circuit(config: CoreConfig, circuit: Circuit | None = None) -> Ci
     return circuit
 
 
+@functools.lru_cache(maxsize=64)
 def build_core(config: CoreConfig) -> Design:
-    """Build and elaborate a core for *config*."""
+    """Build and elaborate a core for *config*, once per process.
+
+    Every caller of one configuration shares the netlist, so it is
+    read-only.  Thread-safe: two threads that miss together may each build
+    a copy, both correct.  Bounded, since a server builds whatever arch a
+    client names; the 16 versions and their clean bases fit.
+    ``clear_version_lint_memo()`` drops the cache.
+    """
     return elaborate(build_core_circuit(config), name=config.name)
 
 

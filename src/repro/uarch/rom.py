@@ -34,11 +34,6 @@ class RomProgram:
         """Build a ROM image from an assembled :class:`Program`."""
         return cls(arch=program.arch, words=list(program.words))
 
-    @classmethod
-    def from_words(cls, arch: ArchParams, words: List[int]) -> "RomProgram":
-        """Build a ROM image from raw instruction words."""
-        return cls(arch=arch, words=list(words))
-
     def fetch(self, address: int) -> int:
         """Return the instruction at *address* (NOP beyond the image)."""
         if 0 <= address < len(self.words):

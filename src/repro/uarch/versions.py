@@ -48,11 +48,6 @@ class DesignVersion:
         """ROM interface style of the design family."""
         return "dual" if self.design == "A" else "single"
 
-    @property
-    def has_spec_bug(self) -> bool:
-        """Whether any of the present bugs is a specification bug."""
-        return any(bug_by_id(bug_id).kind == "spec" for bug_id in self.bugs)
-
     def fingerprint(self, arch: Optional["ArchParams"] = None) -> str:
         """Content hash of this version's RTL as built for *arch*.
 
@@ -65,8 +60,9 @@ class DesignVersion:
         invalidation key of the serving layer's result cache -- stale
         cached verdicts become unreachable the moment the content changes.
 
-        Elaboration takes ~100 ms, so fingerprints are memoized per
-        ``(version, arch)``.
+        The netlist is the process's shared one
+        (:func:`repro.uarch.core.build_core`); hashing it takes about 2 ms,
+        so fingerprints are memoized per ``(version, arch)``.
         """
         from repro.isa.arch import TINY_PROFILE
 

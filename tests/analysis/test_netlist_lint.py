@@ -1,5 +1,10 @@
 """Layer-1 netlist lint: a tripping and a clean fixture per check."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.analysis.findings import DesignLintError, ERROR, WARNING
@@ -192,8 +197,7 @@ class TestSupportChecks:
                     "count": BVVar("count", 4),
                     "hist_shadow": BVVar("count", 4),
                 },
-            ),
-            dead_state_ok=("hist_",),
+            )
         )
         assert not report.by_check(CHECK_DEAD_STATE)
 
@@ -270,6 +274,38 @@ class TestExpressionDigest:
 
     def test_digest_terminates_on_forged_cycle(self):
         expression_digest(forge_cycle())  # must not hang
+
+    def test_hashing_terminates_on_the_integration_cycle(self):
+        # Both hashes share one serializer, which cuts a forged back edge.
+        # A walk that followed it would grow its stack forever, so the
+        # child runs under a memory cap and a timeout: it fails, not hangs.
+        here = os.path.dirname(os.path.abspath(__file__))
+        child = textwrap.dedent(
+            f"""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            sys.path.insert(0, {here!r})
+            from test_lint_integration import _cyclic_design
+            from repro.analysis.netlist_lint import expression_digest
+            design = _cyclic_design()
+            print(design.structural_hash())
+            print(expression_digest(design.next_state["count"]))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            env={
+                **os.environ,
+                "PYTHONPATH": os.path.join(here, os.pardir, os.pardir, "src"),
+            },
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests = proc.stdout.split()
+        assert len(digests) == 2
+        assert all(len(digest) == 64 for digest in digests)
 
 
 class TestBugLibrary:

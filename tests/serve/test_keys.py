@@ -9,7 +9,7 @@ from repro.eval.campaign import CampaignConfig
 from repro.indverif.crs import CRSConfig
 from repro.isa.arch import SMALL_PROFILE, TINY_PROFILE, ArchParams
 from repro.serve.keys import JobSpec, canonical_json
-from repro.uarch.versions import version_by_name
+from repro.uarch.versions import ALL_VERSIONS, version_by_name
 
 
 def _personality(name, var_decay=0.95, restart_base=100, phase=False, pre=False):
@@ -46,6 +46,29 @@ REMOVED_SETTINGS = {
     "share_max_lbd": 3,
     "share_queue_size": 1024,
     "configs": PERSONALITIES,
+}
+
+
+#: Every version's fingerprint at the tiny profile.  Each cached verdict
+#: is keyed under one of these: a change that moves a fingerprint orphans
+#: every verdict cached for that version, so it must be deliberate.
+PINNED_FINGERPRINTS = {
+    "A.v3": "b87a9276439c4acb8653018c15160b36b561fd30ed68f2e1d0568194eb97e9f9",
+    "A.v4": "61daaf13cc0d21d28cadc05a02f3a95ebe662fdb4bf9d1aed68201b5a219071b",
+    "A.v5": "b7c7f1ea1f4e81fb611ae16899157bb3d4e5b7094f62d105b966765ed9eeea6e",
+    "A.v6": "75bb1be6bffe71f0282d7defc8db66aa373460b32ed6a21c4f86ef867c0719d4",
+    "A.v7": "c49809777520d64c5e3df4d7d373c5bd07d9bbc383b0c5a23f06d7a0e6bda2d3",
+    "A.v8": "c49809777520d64c5e3df4d7d373c5bd07d9bbc383b0c5a23f06d7a0e6bda2d3",
+    "B.v2": "31a5784c4f7b40e2efa779ddc431c49038fd4ceba63badb9368990366f247ff9",
+    "B.v3": "296508b876819ae0b386156cf84afdf3b7b4057aef87865e22f679ec6b55e25d",
+    "B.v4": "7f7db83326cdbcd1c28b34d8c56882ac371f54a183e92c26c3c6ad6b41707c6f",
+    "B.v5": "240f8480d0f72856115972c04479db83bcd029a64f7f9936cf9e417d7e90d8be",
+    "B.v6": "2898e742e8a2341a7627eda22a6b90a4268486c5285536ed15939851ecedfd8a",
+    "C.v2": "c36661530f0ed1ef678440ee3a3078a9511d9aca316df97ccd77c8d107e16d7d",
+    "C.v3": "f2c5d3937990e676b15914a83456d1f146a5471541c37081dbe85e3dd45112a7",
+    "C.v4": "16ce085182da3fd99a30db88a468470dda15e835e74ff28659653a382c918cc2",
+    "C.v5": "2898e742e8a2341a7627eda22a6b90a4268486c5285536ed15939851ecedfd8a",
+    "C.v6": "2898e742e8a2341a7627eda22a6b90a4268486c5285536ed15939851ecedfd8a",
 }
 
 
@@ -175,6 +198,11 @@ class TestFingerprint:
     def test_memoized_and_deterministic(self):
         version = version_by_name("B.v2")
         assert version.fingerprint() == version.fingerprint()
+
+    def test_pinned_values(self):
+        assert {
+            version.name: version.fingerprint() for version in ALL_VERSIONS
+        } == PINNED_FINGERPRINTS
 
 
 class TestJobSpec:
