@@ -2,8 +2,9 @@
 
 Four passes, all static (no solving):
 
-1. **Code lint** (:mod:`repro.analysis.code_lint`): determinism and
-   hot-loop checks over every file in ``src/repro`` and ``scripts``.
+1. **Code lint** (:mod:`repro.analysis.code_lint`): determinism,
+   hot-loop and unused-import checks over every file in ``src/repro`` and
+   ``scripts``.
 2. **Fork-safety lint**: lock/asyncio reachability from fork-pool worker
    entry points, over ``dist``, ``serve`` and the campaign jobs.
 3. **Design lint** (:mod:`repro.analysis.netlist_lint`): structural checks

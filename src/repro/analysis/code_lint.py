@@ -1,6 +1,6 @@
 """AST-based code analyzers guarding the repo's behavioural invariants.
 
-Three analyzers, stdlib :mod:`ast` only (no third-party dependencies):
+Four analyzers, stdlib :mod:`ast` only (no third-party dependencies):
 
 Determinism lint
 ================
@@ -55,6 +55,15 @@ Hot-loop lint
     (the arena's deliberate one-C-level-copy idiom).  A statement line
     marked ``# hot-loop: cold`` is exempt (rare rescale branches).
 
+Unused-import lint
+==================
+``code.unused-import`` (error)
+    A module-level import binds a name the module never reads (in code,
+    in a string annotation, or in ``__all__``).  Dead imports make a
+    module look coupled to code it does not use and cost import time.
+    ``__init__.py`` files (their imports are re-exports) and
+    ``from __future__`` imports are skipped.
+
 Suppressions
 ============
 Any finding can be waived on its line with ``# lint: ok(<check-id>)``
@@ -65,10 +74,11 @@ Use sparingly and leave a reason nearby; the CLI counts suppressions.
 from __future__ import annotations
 
 import ast
+import os
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.findings import LintFinding, LintReport
+from repro.analysis.findings import LintReport
 
 __all__ = [
     "CHECK_SET_ORDER",
@@ -77,6 +87,7 @@ __all__ = [
     "CHECK_HOT_ATTR",
     "CHECK_HOT_ALLOC",
     "CHECK_HOT_TRY",
+    "CHECK_UNUSED_IMPORT",
     "lint_file",
     "lint_files",
     "lint_fork_safety",
@@ -88,6 +99,7 @@ CHECK_FORK_UNSAFE = "code.fork-unsafe"
 CHECK_HOT_ATTR = "code.hot-loop-attr"
 CHECK_HOT_ALLOC = "code.hot-loop-alloc"
 CHECK_HOT_TRY = "code.hot-loop-try"
+CHECK_UNUSED_IMPORT = "code.unused-import"
 
 #: Builtins whose result does not depend on the argument's iteration order.
 _ORDER_INSENSITIVE = {
@@ -570,10 +582,74 @@ class _HotLoopChecker:
 
 
 # ----------------------------------------------------------------------
+# Unused-import lint
+# ----------------------------------------------------------------------
+def _quoted_names(annotation: Optional[ast.expr]) -> Iterable[str]:
+    """Names read inside the string constants of an annotation."""
+    if annotation is None:
+        return
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            for inner in ast.walk(quoted):
+                if isinstance(inner, ast.Name):
+                    yield inner.id
+
+
+def _names_read(tree: ast.Module) -> Set[str]:
+    """Every name the module reads, including string annotations and the
+    entries of ``__all__``."""
+    read: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            read.update(_quoted_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read.update(_quoted_names(node.returns))
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                read.update(
+                    item.value
+                    for item in ast.walk(node.value)
+                    if isinstance(item, ast.Constant) and isinstance(item.value, str)
+                )
+    return read
+
+
+def _check_unused_imports(context: _FileContext, report: LintReport) -> None:
+    """Flag module-level imports whose bound name the module never reads."""
+    if os.path.basename(context.path) == "__init__.py":
+        return
+    read = _names_read(context.tree)
+    unread: List[Tuple[int, str]] = []
+    for node in _scope_walk(context.tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if alias.name != "*" and bound not in read:
+                unread.append((getattr(alias, "lineno", node.lineno), bound))
+    for lineno, bound in sorted(unread):
+        context.add(
+            report,
+            CHECK_UNUSED_IMPORT,
+            lineno,
+            f"{bound!r} is imported but never used",
+        )
+
+
+# ----------------------------------------------------------------------
 # Per-file entry points
 # ----------------------------------------------------------------------
 def lint_file(path: str, *, text: Optional[str] = None) -> LintReport:
-    """Determinism + hot-loop lint over one source file."""
+    """Determinism, hot-loop and unused-import lint over one source file."""
     if text is None:
         with open(path, "r", encoding="utf-8") as stream:
             text = stream.read()
@@ -599,11 +675,12 @@ def lint_file(path: str, *, text: Optional[str] = None) -> LintReport:
     visitor.visit(context.tree)
 
     _HotLoopChecker(context, report).run()
+    _check_unused_imports(context, report)
     return report
 
 
 def lint_files(paths: Sequence[str]) -> LintReport:
-    """Determinism + hot-loop lint over many files, one merged report."""
+    """:func:`lint_file` over many files, one merged report."""
     merged = LintReport(subject="code")
     for path in paths:
         merged.extend(lint_file(path))

@@ -77,6 +77,7 @@ from dataclasses import replace
 from fnmatch import fnmatchcase
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -85,17 +86,12 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
-from repro.analysis.findings import (
-    ERROR,
-    WARNING,
-    DesignLintError,
-    LintFinding,
-    LintReport,
-)
+from repro.analysis.findings import WARNING, DesignLintError, LintReport
 from repro.expr.bitvec import BV, BVVar
-from repro.rtl.design import Design, serialize_expression
+from repro.rtl.design import Design
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.isa.arch import ArchParams
@@ -180,12 +176,19 @@ def _find_cycle(roots: Iterable[Tuple[str, BV]]) -> Optional[Tuple[str, str]]:
     return None
 
 
-def _support_of(expr: BV, memo: Dict[int, FrozenSet[str]]) -> FrozenSet[str]:
-    """Variable support of *expr*, memoized per node across calls.
+_T = TypeVar("_T")
 
-    Post-order iterative walk; the memo is shared between roots so the
-    cost over a whole design is linear in the expression *graph*, not in
-    the sum of the per-root trees.
+
+def _post_order(
+    expr: BV, memo: Dict[int, _T], step: Callable[[BV, Dict[int, _T]], _T]
+) -> _T:
+    """Fold *expr*'s graph into *memo* (node id -> value), children first.
+
+    ``step(node, memo)`` runs once for every node not yet in *memo*, after
+    the children it reaches; callers share one memo between the roots of a
+    design, so logic shared between roots is folded once.  A forged
+    cycle's back edge is cut: that child is missing from *memo* when its
+    parent's step runs, and the walk terminates.
     """
     cached = memo.get(id(expr))
     if cached is not None:
@@ -207,32 +210,47 @@ def _support_of(expr: BV, memo: Dict[int, FrozenSet[str]]) -> FrozenSet[str]:
                 if id(child) not in memo
             )
             continue
-        if isinstance(node, BVVar):
-            memo[id(node)] = frozenset((node.name,))
-        elif not node.children:
-            memo[id(node)] = frozenset()
-        else:
-            support: Set[str] = set()
-            for child in node.children:
-                support |= memo.get(id(child), frozenset())
-            memo[id(node)] = frozenset(support)
+        memo[id(node)] = step(node, memo)
     return memo[id(expr)]
 
 
-def expression_digest(expr: BV) -> str:
+def _support_step(node: BV, memo: Dict[int, FrozenSet[str]]) -> FrozenSet[str]:
+    if isinstance(node, BVVar):
+        return frozenset((node.name,))
+    support: Set[str] = set()
+    for child in node.children:
+        support |= memo.get(id(child), frozenset())
+    return frozenset(support)
+
+
+def _support_of(expr: BV, memo: Dict[int, FrozenSet[str]]) -> FrozenSet[str]:
+    """Variable support of *expr*, memoized per node across calls."""
+    return _post_order(expr, memo, _support_step)
+
+
+def expression_digest(expr: BV, memo: Optional[Dict[int, str]] = None) -> str:
     """Canonical structural digest of one expression (cycle-safe).
 
     Two expressions digest equal iff they are structurally identical; used
     by :func:`lint_bug_library` to diff per-signal logic between a buggy
-    version and its clean base.  It is :meth:`Design.structural_hash`'s
-    serializer (:func:`~repro.rtl.design.serialize_expression`) over one
-    root, so shared sub-DAGs serialize once.
+    version and its clean base.  A node's digest hashes its operator,
+    width and parameters with its children's digests (a cut back edge
+    reads ``-``), so one *memo* (node id -> digest) shared between the
+    roots of a design hashes each node once, and a signal's digest is its
+    root's.
     """
     import hashlib
 
-    digest = hashlib.sha256()
-    serialize_expression(expr, digest, {})
-    return digest.hexdigest()
+    def step(node: BV, digests: Dict[int, str]) -> str:
+        parts = [
+            ",".join(digests.get(id(child), "-") for child in item)
+            if isinstance(item, tuple)
+            else str(item)
+            for item in node._key()
+        ]
+        return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+    return _post_order(expr, {} if memo is None else memo, step)
 
 
 # ----------------------------------------------------------------------
@@ -527,7 +545,12 @@ def clear_version_lint_memo() -> None:
 # Bug-library sanity
 # ----------------------------------------------------------------------
 def _signal_digests(design: Design) -> Dict[str, str]:
-    """Per-signal structural digests (next-state, outputs, assumptions)."""
+    """Per-signal structural digests (next-state, outputs, assumptions).
+
+    One memo serves the whole design, so logic shared between signals is
+    hashed once.
+    """
+    memo: Dict[int, str] = {}
     digests: Dict[str, str] = {}
     for section, exprs in (
         ("next", design.next_state),
@@ -535,7 +558,7 @@ def _signal_digests(design: Design) -> Dict[str, str]:
         ("assume", design.assumptions),
     ):
         for name, expr in exprs.items():
-            digests[f"{section}:{name}"] = expression_digest(expr)
+            digests[f"{section}:{name}"] = expression_digest(expr, memo)
     for element in design.state:
         digests[f"state:{element.name}"] = (
             f"{element.width}:{element.reset}"

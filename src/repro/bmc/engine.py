@@ -19,7 +19,9 @@ pipeline; per bound the stages are:
    assumption (``only_cycle``) fixes through a top-level conjunct (see
    :func:`~repro.bmc.property.input_pins`) is unrolled as a constant, so
    it folds through the logic it drives.  The assumption is still asserted
-   below like any other; only its encoding moves.
+   below like any other; only its encoding moves.  A query with pinned
+   bits is unrolled on demand: only what the property window and the
+   assumptions read is blasted (see :mod:`repro.bmc.unroller`).
 2. **Cone of influence** -- only the cone of the violation-window roots (plus
    the environmental assumptions whose support intersects it, computed via
    :meth:`~repro.expr.aig.AIG.cone_inputs` to a fixpoint) is carried further;
@@ -528,16 +530,19 @@ class BoundedModelChecker:
 
         All-cycle assumptions pin nothing: they stay under cone-of-influence
         deferral.  Where two assumptions disagree on a bit the first wins
-        and the other folds to false, so the verdict is unchanged.
+        and the other folds to false, so the verdict is unchanged.  A frame
+        appears only if some bit of it is pinned, and a non-empty result
+        makes the unroller demand-driven (see :mod:`repro.bmc.unroller`).
         """
         pins: Dict[int, InputPins] = {}
         for assumption in problem.assumptions:
             if assumption.only_cycle is None:
                 continue
+            fixed = input_pins(assumption.expr, problem.design.inputs)
+            if not fixed:
+                continue
             frame_pins = pins.setdefault(assumption.only_cycle, {})
-            for bit, value in input_pins(
-                assumption.expr, problem.design.inputs
-            ).items():
+            for bit, value in fixed.items():
                 frame_pins.setdefault(bit, value)
         return pins
 

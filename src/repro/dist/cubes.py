@@ -38,7 +38,6 @@ from itertools import product
 from typing import (
     AbstractSet,
     Dict,
-    Iterable,
     List,
     Sequence,
     Set,

@@ -6,11 +6,15 @@ binding from :class:`~repro.expr.bitvec.BVVar` names to lists of AIG literals
 blasted next-state functions of frame *k*, which is how the transition
 relation is composed without ever introducing intermediate CNF variables for
 unchanged bits.
+
+Word operations whose operands are all constant are folded here, before
+any per-bit gate call: the AIG would fold them to the same constants, so
+the graph is unchanged and only the calls are saved.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.expr.aig import AIG, AIG_FALSE, AIG_TRUE
 from repro.expr.bitvec import (
@@ -42,13 +46,42 @@ from repro.expr.bitvec import (
 Bits = List[int]
 
 
-class BitBlaster:
-    """Translate bit-vector expressions into AIG literals."""
+def _is_constant(bits: Bits) -> bool:
+    """Whether every literal of *bits* is ``AIG_FALSE`` or ``AIG_TRUE``."""
+    return max(bits) <= AIG_TRUE
 
-    def __init__(self, aig: Optional[AIG] = None) -> None:
+
+class BitBlaster:
+    """Translate bit-vector expressions into AIG literals.
+
+    A variable's literals come from :meth:`bind`, or, when the blaster was
+    given ``resolve``, from ``resolve(name)`` the first time an expression
+    reads an unbound name.  With ``live_branch_only`` an ``ite`` whose
+    select folds to a constant blasts only the branch it selects, so the
+    dead branch creates no AIG node.
+
+    The BMC unroller gives each time frame one blaster whose ``resolve``
+    looks up the frame's state and outputs.  For a query that pins inputs
+    (Single-I, OCS-FV) the frame is demand-driven: a signal is blasted only
+    when the property window or an assumption reads it, and dead branches
+    are skipped.  Every other query's frames force all of their outputs,
+    assumptions and next-state functions as they are built, in a fixed
+    order, and blast both branches: fewer or reordered AIG nodes would
+    renumber the CNF, and a renumbered CNF moves the solver's search.
+    """
+
+    def __init__(
+        self,
+        aig: Optional[AIG] = None,
+        *,
+        resolve: Optional[Callable[[str], Bits]] = None,
+        live_branch_only: bool = False,
+    ) -> None:
         self.aig = aig if aig is not None else AIG()
         self._bindings: Dict[str, Bits] = {}
         self._cache: Dict[BV, Bits] = {}
+        self._resolve = resolve
+        self._live_branch_only = live_branch_only
 
     # ------------------------------------------------------------------
     # Variable binding
@@ -56,6 +89,10 @@ class BitBlaster:
     def bind(self, name: str, bits: Bits) -> None:
         """Bind variable *name* to an explicit list of AIG literals."""
         self._bindings[name] = list(bits)
+        self._cache.clear()
+
+    def forget(self) -> None:
+        """Drop the memo of blasted sub-expressions; bindings stay."""
         self._cache.clear()
 
     def fresh_input(self, name: str, width: int) -> Bits:
@@ -69,10 +106,6 @@ class BitBlaster:
         if name not in self._bindings:
             raise ExprError(f"variable {name!r} is not bound")
         return list(self._bindings[name])
-
-    def is_bound(self, name: str) -> bool:
-        """Return whether *name* has a binding."""
-        return name in self._bindings
 
     @staticmethod
     def constant_bits(width: int, value: int) -> Bits:
@@ -109,12 +142,14 @@ class BitBlaster:
         if isinstance(expr, BVConst):
             return self.constant_bits(expr.width, expr.value)
         if isinstance(expr, BVVar):
-            if expr.name not in self._bindings:
-                raise ExprError(
-                    f"variable {expr.name!r} has no binding; call bind() or "
-                    "fresh_input() before blasting"
-                )
-            bits = self._bindings[expr.name]
+            bits = self._bindings.get(expr.name)
+            if bits is None:
+                if self._resolve is None:
+                    raise ExprError(
+                        f"variable {expr.name!r} has no binding; call bind() "
+                        "or fresh_input() before blasting"
+                    )
+                bits = self._bindings[expr.name] = self._resolve(expr.name)
             if len(bits) != expr.width:
                 raise ExprError(
                     f"variable {expr.name!r} bound to {len(bits)} bits but "
@@ -132,14 +167,20 @@ class BitBlaster:
         if isinstance(expr, BVAnd):
             left = self.blast(expr.children[0])
             right = self.blast(expr.children[1])
+            if _is_constant(left) and _is_constant(right):
+                return [a & b for a, b in zip(left, right)]
             return [aig.and_gate(a, b) for a, b in zip(left, right)]
         if isinstance(expr, BVOr):
             left = self.blast(expr.children[0])
             right = self.blast(expr.children[1])
+            if _is_constant(left) and _is_constant(right):
+                return [a | b for a, b in zip(left, right)]
             return [aig.or_gate(a, b) for a, b in zip(left, right)]
         if isinstance(expr, BVXor):
             left = self.blast(expr.children[0])
             right = self.blast(expr.children[1])
+            if _is_constant(left) and _is_constant(right):
+                return [a ^ b for a, b in zip(left, right)]
             return [aig.xor_gate(a, b) for a, b in zip(left, right)]
         if isinstance(expr, BVAdd):
             left = self.blast(expr.children[0])
@@ -158,6 +199,8 @@ class BitBlaster:
         if isinstance(expr, BVEq):
             left = self.blast(expr.children[0])
             right = self.blast(expr.children[1])
+            if _is_constant(left) and _is_constant(right):
+                return [AIG_TRUE if left == right else AIG_FALSE]
             return [aig.equal(left, right)]
         if isinstance(expr, BVUlt):
             left = self.blast(expr.children[0])
@@ -183,6 +226,8 @@ class BitBlaster:
             return result
         if isinstance(expr, BVIte):
             select = self.blast(expr.children[0])[0]
+            if self._live_branch_only and select <= AIG_TRUE:
+                return self.blast(expr.children[1 if select else 2])
             if_true = self.blast(expr.children[1])
             if_false = self.blast(expr.children[2])
             return [

@@ -15,11 +15,11 @@ dimensions that matter for a small in-order core:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.isa.arch import ArchParams
 from repro.isa.encoding import EncodedInstruction
-from repro.isa.instructions import InstructionClass, instructions_for_design
+from repro.isa.instructions import instructions_for_design
 
 
 @dataclass

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.isa.arch import ArchParams, TINY_PROFILE
 from repro.isa.encoding import decode, encode, nop_word
 from repro.isa.golden import GoldenModel
-from repro.isa.instructions import Instruction, InstructionClass, instructions_for_design
+from repro.isa.instructions import Instruction, instructions_for_design
 from repro.indverif.coverage import CoverageModel
 from repro.rtl.simulator import Simulator
 from repro.uarch.core import dmem_word_name, register_word_name

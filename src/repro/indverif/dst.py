@@ -13,10 +13,10 @@ to the detection comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.isa.arch import ArchParams, TINY_PROFILE
-from repro.isa.assembler import Program, assemble
+from repro.isa.assembler import assemble
 from repro.isa.encoding import nop_word
 from repro.rtl.simulator import Simulator
 from repro.uarch.core import dmem_word_name, register_word_name

@@ -30,7 +30,6 @@ from repro.isa.arch import ArchParams
 from repro.isa.encoding import decode, encode_fields
 from repro.isa.instructions import (
     Instruction,
-    InstructionClass,
     instruction_by_name,
     instructions_for_design,
 )

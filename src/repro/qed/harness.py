@@ -11,8 +11,8 @@ consistency property are the whole specification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.bmc.engine import BMCProblem, BMCResult, BMCStatus, BoundedModelChecker
 from repro.bmc.property import SafetyProperty

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.expr.bitvec import BV, BVConst, BVVar, mux
-from repro.isa.arch import ArchParams
 from repro.isa.instructions import FlagsUpdate, instructions_for_design
 from repro.qed.qed_module import QEDModuleHandles, _is_any_opcode
 from repro.rtl.circuit import Circuit

@@ -33,8 +33,7 @@ from typing import List, Sequence, Tuple
 
 from repro.expr.bitvec import BV, BVConst, BVVar, mux
 from repro.isa.arch import ArchParams
-from repro.isa.encoding import encode, field_layout
-from repro.isa.instructions import instruction_by_name
+from repro.isa.encoding import encode
 from repro.qed.eddiv import QEDMode, allowed_instructions, nop_encoding
 from repro.qed.qed_module import _extract, _is_any_opcode
 from repro.rtl.circuit import Circuit

@@ -27,7 +27,7 @@ design state, so the property generator can refer to it when building the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.expr.bitvec import BV, BVConst, BVVar, concat, mux
 from repro.isa.arch import ArchParams

@@ -22,7 +22,7 @@ engine's counterexample replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.bmc.engine import BMCProblem, BMCStatus, BoundedModelChecker

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.expr.bitvec import BV, BVConst, BVVar, ExprError, mux
+from repro.expr.bitvec import BV, BVConst, BVVar, mux
 
 
 class RTLBuildError(ValueError):

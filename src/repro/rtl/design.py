@@ -80,7 +80,7 @@ class Design:
 
     def free_variables(self) -> Set[str]:
         """Names of all variables referenced by any expression."""
-        return _collect_variables(
+        return collect_variables(
             [
                 *self.next_state.values(),
                 *self.outputs.values(),
@@ -152,7 +152,7 @@ class Design:
         )
 
 
-def _collect_variables(roots: Iterable[BV]) -> Set[str]:
+def collect_variables(roots: Iterable[BV]) -> Set[str]:
     """Variable names under *roots*; logic shared between roots is walked once."""
     names: Set[str] = set()
     stack = list(roots)

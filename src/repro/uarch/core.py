@@ -29,13 +29,10 @@ from typing import Dict, List, Tuple
 from repro.expr.bitvec import (
     BV,
     BVConst,
-    BVVar,
     concat,
     mux,
-    reduce_or,
     zero_extend,
 )
-from repro.isa.arch import ArchParams
 from repro.isa.encoding import field_layout
 from repro.isa.instructions import (
     FlagsUpdate,

@@ -8,7 +8,7 @@ returns the ROM testbench helper for simulation-based flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.isa.arch import ArchParams, TINY_PROFILE
 from repro.isa.golden import GoldenModel

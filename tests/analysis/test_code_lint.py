@@ -11,6 +11,7 @@ from repro.analysis.code_lint import (
     CHECK_HOT_TRY,
     CHECK_SET_ORDER,
     CHECK_SET_POP,
+    CHECK_UNUSED_IMPORT,
     lint_file,
     lint_fork_safety,
 )
@@ -265,6 +266,54 @@ class TestHotLoop:
         for path in paths:
             report = lint_file(path)
             assert report.ok, report.render()
+
+
+class TestUnusedImport:
+    def test_unread_imports_trip(self):
+        report = _lint(
+            """
+            import os
+            import os.path as osp
+            from typing import Dict, List
+
+            def names() -> List[str]:
+                return []
+            """
+        )
+        findings = report.by_check(CHECK_UNUSED_IMPORT)
+        assert [f.where for f in findings] == [
+            "fixture.py:2", "fixture.py:3", "fixture.py:4",
+        ]
+        assert [f.message.split()[0] for f in findings] == [
+            "'os'", "'osp'", "'Dict'",
+        ]
+
+    def test_read_imports_clean(self):
+        report = _lint(
+            """
+            from __future__ import annotations
+
+            import os.path
+            from typing import TYPE_CHECKING, Optional
+
+            from helpers import exported, shadow
+
+            if TYPE_CHECKING:
+                from repro.rtl.design import Design
+
+            __all__ = ["exported"]
+
+            def where(design: Optional["Design"]) -> str:
+                return os.path.join("a", shadow)
+            """
+        )
+        assert report.ok, report.render()
+
+    def test_package_reexports_skipped(self):
+        report = lint_file(
+            "pkg/__init__.py", text="from pkg.module import name\n"
+        )
+        assert report.ok
 
 
 class TestForkSafety:

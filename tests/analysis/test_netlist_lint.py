@@ -276,9 +276,9 @@ class TestExpressionDigest:
         expression_digest(forge_cycle())  # must not hang
 
     def test_hashing_terminates_on_the_integration_cycle(self):
-        # Both hashes share one serializer, which cuts a forged back edge.
-        # A walk that followed it would grow its stack forever, so the
-        # child runs under a memory cap and a timeout: it fails, not hangs.
+        # Both hashes cut a forged back edge.  A walk that followed it
+        # would grow its stack forever, so the child runs under a memory
+        # cap and a timeout: it fails, not hangs.
         here = os.path.dirname(os.path.abspath(__file__))
         child = textwrap.dedent(
             f"""
@@ -344,3 +344,46 @@ class TestBugLibrary:
         )
         report = lint_bug_library()
         assert report.by_check(CHECK_BUGLIB_NO_DIFF)
+
+    def test_each_design_node_is_hashed_once(self, monkeypatch):
+        # A node's digest is hashed from its children's, one memo per
+        # design: the library lint of one version hashes each node of its
+        # netlist and of its clean base exactly once, however many
+        # signals share it.
+        import hashlib
+        from dataclasses import replace
+
+        from repro.isa.arch import TINY_PROFILE
+        from repro.uarch.core import build_core
+        from repro.uarch.designs import build_design, config_for_version
+        from repro.uarch.versions import version_by_name
+
+        version = version_by_name("A.v6")
+        buggy = build_design(version, arch=TINY_PROFILE)
+        clean = build_core(
+            replace(config_for_version(version, arch=TINY_PROFILE), bugs=frozenset())
+        )
+
+        def node_count(design):
+            seen, stack = set(), [
+                *design.next_state.values(),
+                *design.outputs.values(),
+                *design.assumptions.values(),
+            ]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node.children)
+            return len(seen)
+
+        hashed = []
+        sha256 = hashlib.sha256
+
+        def counting(data=b""):
+            hashed.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        assert lint_bug_library([version]).ok
+        assert len(hashed) == node_count(buggy) + node_count(clean)

@@ -1,10 +1,14 @@
 """Single-I verdicts against the encodings the checker does not use.
 
-The engine unrolls the bits ``pin_<instr>`` fixes as constants.  Wrapping
-the pin as ``pin | 0`` hides its shape from the extractor (the AIG folds the
-wrapper away), so the same check runs on the unsubstituted encoding; the
-two must agree on every instruction, and every counterexample must replay
-with the pin holding at cycle 0.
+The engine unrolls the bits ``pin_<instr>`` fixes as constants, and a query
+with pinned bits unrolls on demand: it blasts only what its property window
+and assumptions read, and only the live branch of an ``ite`` whose select
+the pins fold to a constant.  Wrapping the pin as ``pin | 0`` hides its
+shape from the extractor (the AIG folds the wrapper away), so the same
+check runs on the unsubstituted encoding, whose frames are blasted eagerly;
+the two must agree on every instruction's verdict and counterexample
+length, and every counterexample must replay with the pin holding at
+cycle 0.
 
 The checker also skips CNF preprocessing, so its verdicts and
 counterexample lengths must equal those of the same problem run with
@@ -58,6 +62,9 @@ def _assert_replays(checker, instr, result, pins):
 
 
 def _assert_pins_match_unpinned(version, settings):
+    """The pinned run, unrolled on demand, against the eager run of the
+    unsubstituted ``pin | 0`` form: same verdict, same counterexample
+    length."""
     checker = CHECKERS[settings](version)
     for instr in checker.instructions:
         pins = checker.assumptions_for(instr)
@@ -70,6 +77,10 @@ def _assert_pins_match_unpinned(version, settings):
         substituted = _run(checker, instr, pins)
         unsubstituted = _run(checker, instr, wrapped)
         assert substituted.status is unsubstituted.status, instr.name
+        assert (
+            substituted.counterexample_length
+            == unsubstituted.counterexample_length
+        ), instr.name
         for result in (substituted, unsubstituted):
             if result.status is BMCStatus.VIOLATION:
                 _assert_replays(checker, instr, result, pins)
@@ -85,6 +96,25 @@ def test_pin_differential(settings):
 @pytest.mark.parametrize("version", VERSIONS)
 def test_pin_differential_all_versions(version, settings):
     _assert_pins_match_unpinned(version, settings)
+
+
+def test_late_window_finishes():
+    """A pinned query whose window starts at cycle 30 reads state that
+    depends on every frame below it; the unroller resolves it bottom-up
+    rather than with one nested blast per frame, so it finishes."""
+    checker = SingleIChecker("A.v6", arch=TINY_PROFILE)
+    instr = next(i for i in checker.instructions if i.name == "ADD")
+    problem = BMCProblem(
+        design=checker.design,
+        prop=dataclasses.replace(checker.property_for(instr), start_cycle=30),
+        assumptions=checker.assumptions_for(instr),
+        initial_state=checker.initial_state(),
+        bound_schedule=[32],
+        preprocess=False,
+    )
+    result = BoundedModelChecker(problem).run()
+    assert result.status is BMCStatus.NO_VIOLATION_WITHIN_BOUND
+    assert result.frames_proven == 32
 
 
 def _assert_preprocessing_changes_nothing(version, settings, monkeypatch):
