@@ -7,8 +7,7 @@ to discover work, and ``GET /jobs/<id>/telemetry`` for each job's solver
 heartbeats -- then renders one frame per ``--interval``: queue depth,
 cache hit rate, per-job search progress (current bound, conflicts,
 propagations/s) with a per-bound ETA extrapolated from the bound-cost
-growth curve, and the ``BENCH_history.jsonl`` pps trajectory as a
-sparkline so a perf trend is visible next to the live numbers.
+growth curve.
 
 Usage::
 
@@ -21,8 +20,7 @@ Usage::
 ``--once`` renders a single frame and exits 0 (1 when the server is
 unreachable), which is how CI smoke-tests the dashboard against the
 serve-smoke server.  Without ``--job`` the dashboard follows every job
-the server reports via ``GET /jobs``; ``--history ''`` disables the
-bench-trajectory panel.
+the server reports via ``GET /jobs``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import urllib.error
@@ -39,13 +36,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs import parse_prometheus
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_HISTORY = os.path.join(REPO_ROOT, "BENCH_history.jsonl")
-
-#: Unicode sparkline ramp (history trajectory panel).
-_SPARK = "▁▂▃▄▅▆▇█"
-#: History entries rendered in the trajectory panel.
-HISTORY_POINTS = 16
 #: Job rows rendered per frame (newest first beyond this are dropped).
 MAX_JOB_ROWS = 8
 #: Per-bound growth ratio clamp for the ETA extrapolation: BMC bound
@@ -74,19 +64,6 @@ def _get(base: str, path: str, timeout: float) -> Optional[object]:
         return json.loads(body)
     except ValueError:
         return None
-
-
-def _spark(values: List[float]) -> str:
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    if hi <= lo:
-        return _SPARK[3] * len(values)
-    span = hi - lo
-    return "".join(
-        _SPARK[min(len(_SPARK) - 1, int((v - lo) / span * len(_SPARK)))]
-        for v in values
-    )
 
 
 def _fmt_count(value: float) -> str:
@@ -184,61 +161,10 @@ def _job_row(base: str, summary: Dict[str, object], timeout: float) -> str:
 
 
 # ----------------------------------------------------------------------
-def _history_panel(path: str) -> List[str]:
-    """Render the ``BENCH_history.jsonl`` pps trajectory per run name."""
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            raw_lines = stream.readlines()
-    except OSError:
-        return []
-    entries = []
-    for raw in raw_lines:
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            entry = json.loads(raw)
-        except ValueError:
-            continue
-        if isinstance(entry, dict):
-            entries.append(entry)
-    entries = entries[-HISTORY_POINTS:]
-    if not entries:
-        return []
-    series: Dict[str, List[float]] = {}
-    for entry in entries:
-        runs = entry.get("runs")
-        if not isinstance(runs, dict):
-            continue
-        for name, run in runs.items():
-            if not isinstance(run, dict):
-                continue
-            pps = float(run.get("propagations_per_second", 0.0) or 0.0)
-            if pps > 0.0:
-                series.setdefault(name, []).append(pps)
-    lines = [
-        f"bench history ({os.path.basename(path)}, last "
-        f"{len(entries)} entries, commit "
-        f"{entries[-1].get('commit', 'unknown')}):"
-    ]
-    for name in sorted(series):
-        points = series[name]
-        if len(points) < 2:
-            continue
-        trend = points[-1] / points[0]
-        lines.append(
-            f"  {name:<40} {_spark(points)}  "
-            f"pps {_fmt_count(points[-1])} ({trend:.2f}x of oldest)"
-        )
-    return lines if len(lines) > 1 else []
-
-
-# ----------------------------------------------------------------------
 def render_frame(
     base: str,
     *,
     job_ids: List[str],
-    history_path: str,
     timeout: float,
 ) -> Tuple[List[str], bool]:
     """One dashboard frame; ``(lines, server_reachable)``."""
@@ -358,8 +284,6 @@ def render_frame(
             lines.append(f"  ... {len(summaries) - len(shown)} more")
     else:
         lines.append("jobs      : none tracked yet")
-    if history_path:
-        lines.extend(_history_panel(history_path))
     return lines, True
 
 
@@ -384,11 +308,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="follow only this job id (repeatable; default: GET /jobs)",
     )
     parser.add_argument(
-        "--history", default=DEFAULT_HISTORY,
-        help="BENCH_history.jsonl to render as a trajectory panel "
-        "(default: repo root; '' disables)",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=5.0,
         help="per-request HTTP timeout in seconds (default 5)",
     )
@@ -398,7 +317,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         lines, reachable = render_frame(
             args.server,
             job_ids=args.job or [],
-            history_path=args.history,
             timeout=args.timeout,
         )
         if args.once:

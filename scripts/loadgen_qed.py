@@ -19,10 +19,6 @@ deterministic selftest sleeps only in ``--selftest`` mode; otherwise you
 submit real bug ids)::
 
     ... loadgen_qed.py --server 127.0.0.1:8123 --bugs wrport_collision
-
-``--bench-json BENCH_bmc.json`` merges the report under a top-level
-``loadgen`` key of the benchmark snapshot (``bench_bmc.py --check`` only
-gates entries under ``runs``, so the section rides along un-gated).
 """
 
 from __future__ import annotations
@@ -264,11 +260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json-out", default=None,
                         help="write the report as JSON to this path")
     parser.add_argument(
-        "--bench-json", default=None,
-        help="merge the report under a top-level 'loadgen' key of this "
-        "BENCH_bmc.json snapshot",
-    )
-    parser.add_argument(
         "--check-fairness", type=float, default=None, metavar="RATIO",
         help="exit 1 if contended polite p99 exceeds RATIO x the "
         "uncontended p99",
@@ -306,16 +297,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.json_out, "w", encoding="utf-8") as stream:
             json.dump(report, stream, indent=2, sort_keys=True)
         print(f"wrote {args.json_out}")
-    if args.bench_json:
-        try:
-            with open(args.bench_json, "r", encoding="utf-8") as stream:
-                bench = json.load(stream)
-        except (OSError, json.JSONDecodeError):
-            bench = {}
-        bench["loadgen"] = report
-        with open(args.bench_json, "w", encoding="utf-8") as stream:
-            json.dump(bench, stream, indent=2, sort_keys=True)
-        print(f"merged loadgen section into {args.bench_json}")
 
     failures: List[str] = []
     if report["contended_polite"]["failures"] or report["greedy"]["failures"]:

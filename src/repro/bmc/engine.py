@@ -128,7 +128,13 @@ class BMCStatus(Enum):
 
 @dataclass
 class BoundStats:
-    """Solver work and formula growth of one bound's query."""
+    """Solver work, cone and slab sizes of one bound's query.
+
+    A run's bounds are :attr:`BMCResult.per_bound_stats`.  A served job's
+    clients see each bound as the engine's ``bound`` heartbeat on
+    ``/jobs/<id>/telemetry`` and as its ``bmc.bound`` span in
+    ``/jobs/<id>/trace``.
+    """
 
     bound: int
     #: First frame of the violation window ( == bound - 1 for a dense
@@ -156,10 +162,6 @@ class BoundStats:
     #: i.e. the clauses the *next* bound starts from.  A growing number
     #: here is the signature of cross-bound reuse.
     learned_clauses_carried: int = 0
-    #: Formula growth caused by this bound (new frames + window encoding),
-    #: measured *after* preprocessing reduced the slab.
-    new_variables: int = 0
-    new_clauses: int = 0
     #: AIG nodes in the cone of influence of this bound's window roots.
     cone_nodes: int = 0
     #: Environmental assumptions asserted (in the cone) vs. deferred.
@@ -178,18 +180,6 @@ class BoundStats:
     dist: Optional[DistStats] = None
 
     @property
-    def propagations_per_second(self) -> float:
-        """Solver propagation throughput of this bound's query.
-
-        Propagations divided by :attr:`solve_seconds` (0.0 for skipped
-        bounds or queries too fast to time) -- the per-bound form of the
-        benchmark gate metric.
-        """
-        if self.solve_seconds <= 0.0:
-            return 0.0
-        return self.propagations / self.solve_seconds
-
-    @property
     def variables_eliminated(self) -> int:
         """Variables removed from this bound's slab by preprocessing."""
         return self.preprocess.variables_eliminated if self.preprocess else 0
@@ -198,69 +188,6 @@ class BoundStats:
     def clauses_subsumed(self) -> int:
         """Clauses removed from this bound's slab by subsumption."""
         return self.preprocess.clauses_subsumed if self.preprocess else 0
-
-    def to_json_dict(self) -> Dict[str, object]:
-        """JSON-serializable form of this bound's statistics.
-
-        Used verbatim by the bench report (``scripts/bench_bmc.py``).  A
-        served job's clients see each bound as the engine's ``bound``
-        heartbeat on ``/jobs/<id>/telemetry`` and as its ``bmc.bound`` span
-        in ``/jobs/<id>/trace``, not as this dict.
-        """
-        row: Dict[str, object] = {
-            "bound": self.bound,
-            "window_start": self.window_start,
-            "verdict": self.verdict,
-            "runtime_seconds": round(self.runtime_seconds, 6),
-            "solve_seconds": round(self.solve_seconds, 6),
-            "propagations_per_second": round(self.propagations_per_second, 1),
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "learned_clauses": self.learned_clauses,
-            "learned_clauses_carried": self.learned_clauses_carried,
-            "new_variables": self.new_variables,
-            "new_clauses": self.new_clauses,
-            "cone_nodes": self.cone_nodes,
-            "assumptions_asserted": self.assumptions_asserted,
-            "assumptions_deferred": self.assumptions_deferred,
-            "slab_clauses_before": self.slab_clauses_before,
-            "slab_clauses_after": self.slab_clauses_after,
-        }
-        if self.preprocess is not None:
-            row["preprocess"] = {
-                "variables_eliminated": self.preprocess.variables_eliminated,
-                "clauses_subsumed": self.preprocess.clauses_subsumed,
-                "literals_strengthened": self.preprocess.literals_strengthened,
-                "units_derived": self.preprocess.units_derived,
-                "failed_literals": self.preprocess.failed_literals,
-                "rounds": self.preprocess.rounds,
-                "time_seconds": round(self.preprocess.time_seconds, 6),
-            }
-        if self.dist is not None:
-            row["dist"] = {
-                "workers": self.dist.workers,
-                "cubes_total": self.dist.cubes_total,
-                "cubes_sat": self.dist.cubes_sat,
-                "cubes_unsat": self.dist.cubes_unsat,
-                "cubes_unknown": self.dist.cubes_unknown,
-                "resplits": self.dist.resplits,
-                "wall_seconds": round(self.dist.wall_seconds, 6),
-                "cubes": [
-                    {
-                        "literals": list(cube.literals),
-                        "verdict": cube.verdict,
-                        "depth": cube.depth,
-                        "conflicts": cube.conflicts,
-                        "decisions": cube.decisions,
-                        "propagations": cube.propagations,
-                        "runtime_seconds": round(cube.runtime_seconds, 6),
-                        "worker": cube.worker,
-                    }
-                    for cube in self.dist.cubes
-                ],
-            }
-        return row
 
 
 @dataclass
@@ -274,8 +201,6 @@ class BMCResult:
     runtime_seconds: float
     counterexample: Optional[CounterexampleTrace] = None
     per_bound_stats: List[BoundStats] = field(default_factory=list)
-    num_sat_variables: int = 0
-    num_sat_clauses: int = 0
     #: True when a wall-clock :class:`repro.deadline.Deadline` stopped the
     #: bound loop before the schedule was exhausted.  The stopped bound is
     #: still reported in :attr:`per_bound_stats` with ``verdict="unknown"``
@@ -313,25 +238,9 @@ class BMCResult:
     def solve_seconds(self) -> float:
         """Wall-clock spent inside the solver, summed over every bound.
 
-        Excludes encoding, cone analysis and preprocessing -- the
-        denominator of :attr:`propagations_per_second`.
+        Excludes encoding, cone analysis and preprocessing.
         """
         return sum(stats.solve_seconds for stats in self.per_bound_stats)
-
-    @property
-    def propagations_per_second(self) -> float:
-        """Whole-run solver propagation throughput (0.0 when untimed)."""
-        seconds = self.solve_seconds
-        if seconds <= 0.0:
-            return 0.0
-        return self.total_propagations / seconds
-
-    @property
-    def learned_clauses_carried(self) -> int:
-        """Learned clauses alive in the solver after the final bound."""
-        if not self.per_bound_stats:
-            return 0
-        return self.per_bound_stats[-1].learned_clauses_carried
 
     @property
     def learned_clauses_reused(self) -> int:
@@ -1010,8 +919,6 @@ class BoundedModelChecker:
                 break
             # runtime_seconds is this span; encoding runs to bmc.coi's end.
             bound_span = obs_trace.span("bmc.bound", bound=bound)
-            vars_before = self._cnf.num_vars
-            clauses_before = self._cnf.num_clauses
             if observer is not None:
                 # Solver heartbeats sampled while this bound's query runs
                 # carry the bound number (the dashboard's progress axis).
@@ -1035,8 +942,6 @@ class BoundedModelChecker:
                             if self._solver
                             else 0
                         ),
-                        new_variables=self._cnf.num_vars - vars_before,
-                        new_clauses=self._cnf.num_clauses - clauses_before,
                     )
                 )
                 continue
@@ -1154,8 +1059,6 @@ class BoundedModelChecker:
                         r.stats.learned_clauses for r in solve_results
                     ),
                     learned_clauses_carried=learned_carried,
-                    new_variables=self._cnf.num_vars - vars_before,
-                    new_clauses=self._cnf.num_clauses - clauses_before,
                     cone_nodes=cone_nodes,
                     assumptions_asserted=asserted,
                     assumptions_deferred=deferred,
@@ -1212,8 +1115,6 @@ class BoundedModelChecker:
             runtime_seconds=run_span.seconds,
             counterexample=counterexample,
             per_bound_stats=per_bound_stats,
-            num_sat_variables=self._cnf.num_vars,
-            num_sat_clauses=self._cnf.num_clauses,
             deadline_expired=deadline_expired,
         )
 

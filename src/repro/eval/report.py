@@ -113,8 +113,7 @@ def solver_reuse_statistics(campaign: CampaignResult) -> Dict[str, object]:
     The ``throughput`` section reports the flat-arena propagation core's
     speed: total unit propagations, the wall-clock spent *inside* the
     solver (excluding encoding and preprocessing), and their ratio --
-    the same propagations-per-second number ``scripts/bench_bmc.py``
-    records and CI gates against a regression floor.
+    the number perfbench reports per run as ``sat.props_per_s``.
     """
     propagations = sum(r.qed_solver_propagations for r in campaign.records)
     solve_seconds = sum(r.qed_solve_seconds for r in campaign.records)

@@ -6,9 +6,12 @@ case study, inline and over a two-worker pool, it must return exactly the
 verdict of the sequential engine, and its counterexamples must replay (the harness
 interprets them through the same simulator path).  Small bounds keep the
 sweep inside the tier-1 budget; the detection SAT side is exercised by the
-A.v5 QED-mem bug, whose counterexample fits the small-bound regime.
+A.v5 QED-mem bug, whose counterexample fits the small-bound regime.  Two
+absolute pins ride along: every version is clean at the small bound, and a
+conflict-budgeted QED-CF run proves at least five frames.
 """
 
+import functools
 import json
 
 import pytest
@@ -22,26 +25,54 @@ FOCUS = ["LDI", "MOV", "INC", "ADD"]
 SMALL_BOUND = 4
 
 
+@functools.lru_cache(maxsize=None)
+def _sequential_verdict(version):
+    """``(found_violation, frames_proven, cubes_solved)`` of the sequential
+    engine at the small bound: each version's check runs once and feeds
+    both the absolute pin and the engine comparison."""
+    result = SymbolicQED(
+        version, mode=QEDMode.EDDIV, focus_opcodes=FOCUS
+    ).check(max_bound=SMALL_BOUND)
+    return (
+        result.found_violation,
+        result.bmc_result.frames_proven,
+        result.cubes_solved,
+    )
+
+
 class TestAllVersionsAgree:
+    @pytest.mark.parametrize(
+        "version", ALL_VERSIONS, ids=[v.name for v in ALL_VERSIONS]
+    )
+    def test_small_bound_verdict_is_clean(self, version):
+        """Every version is clean with all frames proven at the small bound.
+
+        The absolute verdict is pinned beside the comparison below, so a
+        false detection introduced by a solver rewrite fails even when
+        both engines agree on it.
+        """
+        found_violation, frames_proven, _ = _sequential_verdict(version)
+        assert not found_violation
+        assert frames_proven == SMALL_BOUND
+
     @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
     @pytest.mark.parametrize(
         "version", ALL_VERSIONS, ids=[v.name for v in ALL_VERSIONS]
     )
     def test_sequential_and_distributed_verdicts_match(self, version, workers):
+        found_violation, frames_proven, cubes_solved = _sequential_verdict(
+            version
+        )
         harness = SymbolicQED(
             version, mode=QEDMode.EDDIV, focus_opcodes=FOCUS
         )
-        sequential = harness.check(max_bound=SMALL_BOUND)
         distributed = harness.check(
             max_bound=SMALL_BOUND, split=SplitConfig(workers=workers)
         )
-        assert distributed.found_violation == sequential.found_violation
-        assert (
-            distributed.bmc_result.frames_proven
-            == sequential.bmc_result.frames_proven
-        )
+        assert distributed.found_violation == found_violation
+        assert distributed.bmc_result.frames_proven == frames_proven
         assert distributed.cubes_solved > 0
-        assert sequential.cubes_solved == 0
+        assert cubes_solved == 0
 
 
 class TestDetectionSide:
@@ -130,3 +161,29 @@ class TestConflictBudgetUnknown:
         assert not result.found_violation
         assert bmc.frames_proven < SMALL_BOUND
         assert any(s.verdict == "unknown" for s in bmc.per_bound_stats)
+
+    def test_budgeted_cf_run_proves_five_frames(self):
+        """Depth under a conflict budget: B.v6 QED-CF to bound 7 on the
+        inline cube loop proves at least 5 frames (bounds 6 and 7 end
+        UNKNOWN today).
+
+        This pins depth, not QED-CF soundness: the QED module's two-entry
+        queue never lets a duplicate BZ issue in this harness (ROADMAP
+        item 1), so the query checks no branch.
+        """
+        harness = SymbolicQED(
+            "B.v6",
+            mode=QEDMode.EDDIV_CF,
+            focus_opcodes=["LDI", "ADD", "CMPI", "BZ"],
+            tracked_registers=(0,),
+        )
+        result = harness.check(
+            max_bound=7,
+            single_query=False,
+            max_conflicts_per_query=3000,
+            split=SplitConfig(workers=1, cube_conflict_budget=1500),
+        )
+        bmc = result.bmc_result
+        assert not result.found_violation
+        assert bmc.bound_reached == 7
+        assert bmc.frames_proven >= 5

@@ -11,6 +11,7 @@ from repro.eval import (
     format_table,
     runtime_statistics,
     setup_effort_table,
+    solver_reuse_statistics,
 )
 from repro.eval.campaign import (
     BugDetectionRecord,
@@ -84,6 +85,32 @@ class TestReports:
         assert percent["qed_cf"] == pytest.approx(28.6, abs=0.1)
         assert percent["qed_mem"] == pytest.approx(7.1, abs=0.1)
         assert percent["single_i"] == pytest.approx(28.6, abs=0.1)
+
+    def test_solver_reuse_throughput_is_total_propagations_over_solve_time(
+        self,
+    ):
+        records = []
+        for propagations, seconds, reused in ((3000, 1.0, 0), (9000, 2.0, 5)):
+            record = BugDetectionRecord(bug_id="b", version_name="X")
+            record.qed_solver_conflicts = 10
+            record.qed_learned_clauses = 7
+            record.qed_learned_clauses_reused = reused
+            record.qed_solver_propagations = propagations
+            record.qed_solve_seconds = seconds
+            records.append(record)
+        stats = solver_reuse_statistics(CampaignResult(records=records))
+        assert stats["conflicts"] == 20
+        assert stats["learned_clauses"] == 14
+        assert stats["learned_clauses_reused"] == 5
+        assert stats["throughput"] == {
+            "propagations": 12000,
+            "solve_seconds": 3.0,
+            "propagations_per_second": 4000.0,
+        }
+        # No solver time (every query answered before the solver ran):
+        # the ratio reads 0, not a division error.
+        empty = solver_reuse_statistics(CampaignResult(records=[]))
+        assert empty["throughput"]["propagations_per_second"] == 0.0
 
 
 class TestParallelCampaign:

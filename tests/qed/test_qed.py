@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bmc.trace import property_holds_at, replay_inputs
 from repro.isa import TINY_PROFILE, decode, encode
 from repro.qed import QEDMode, SingleIChecker, SymbolicQED, allowed_instructions
 from repro.qed.eddiv import EDDIVMapping
@@ -146,6 +147,37 @@ class TestDetection:
         assert result.found_violation
         report = result.counterexample_report()
         assert "LDIL" in report
+
+
+class TestInteractionBugDetection:
+    def test_wrport_collision_query_is_pinned_and_replays(self):
+        # The campaign's wrport_collision query (the A.v3 interaction bug of
+        # Table 2) as one bound-8 query, pinned exactly: nothing is proven
+        # before the violation, and the 7-cycle counterexample replays in
+        # the RTL simulator to a QED failure on its last cycle.
+        harness = SymbolicQED(
+            "A.v3",
+            mode=QEDMode.EDDIV,
+            focus_opcodes=["LDI", "MOV", "INC", "ADD"],
+            tracked_registers=(0,),
+        )
+        result = harness.check(max_bound=8)
+        bmc = result.bmc_result
+        assert result.found_violation
+        assert bmc.bound_reached == 8
+        assert bmc.frames_proven == 0
+        assert bmc.counterexample_length == result.counterexample_cycles == 7
+        assert result.counterexample_instructions >= 2
+        trace = bmc.counterexample
+        prop = harness.prop.expr
+        replayed = replay_inputs(
+            harness.design, trace.inputs, prop, trace.property_name,
+            initial_state=trace.states[0],
+        )
+        assert not property_holds_at(
+            harness.design, replayed, prop, replayed.length - 1
+        )
+        assert result.counterexample.mismatching_register_pairs()
 
 
 class TestCleanDesignQEDMem:
