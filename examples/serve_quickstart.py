@@ -25,9 +25,9 @@ def main() -> None:
         run_industrial_flow=False, run_directed_tests=False
     )
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as cache_dir:
-        # use_processes=False runs the solve on a worker thread -- handy for
-        # a demo; a real deployment keeps each worker's solver process.
-        with LocalServer(cache_dir=cache_dir, use_processes=False) as url:
+        # One local worker, which solves in its own solver process (forked
+        # at the first job, reaped when the server stops).
+        with LocalServer(cache_dir=cache_dir) as url:
             client = ServeClient(url)
             print(f"verification service up on {url}")
 

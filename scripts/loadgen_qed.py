@@ -283,7 +283,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     cache_dir=cache_dir,
                     workers=args.workers,
                     entry=_selftest_entry,
-                    use_processes=False,
                     max_queue_depth=args.max_queue_depth,
                     admission=dict(
                         rate=args.client_rate, burst=args.client_burst

@@ -308,7 +308,6 @@ def cmd_worker(args) -> int:
     worker = FleetWorker(
         args.server,
         worker_id=args.id,
-        use_processes=not args.use_threads,
         max_jobs=args.max_jobs,
         stop_event=stop,
     )
@@ -537,11 +536,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     worker.add_argument(
         "--max-jobs", type=int, default=None,
         help="exit after serving this many leases (default: run forever)",
-    )
-    worker.add_argument(
-        "--use-threads", action="store_true",
-        help="solve on a thread instead of a killable child process "
-        "(test/debug mode)",
     )
     worker.set_defaults(func=cmd_worker)
 

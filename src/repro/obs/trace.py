@@ -37,13 +37,9 @@ keeps a served job's heartbeats live; only the process that opened a
 capture ever ships from it.
 
 No locks anywhere: collectors are single-writer by construction (one
-process, one logical job at a time), which is what lets this module sit
-inside the fork-safety lint scope.  The one caveat is serve workers that
-solve on threads (``use_processes=False``) when more than one runs in a
-process: concurrent jobs share the module globals (collector, capture,
-process registry), so their spans, events and metric deltas may land in
-the wrong job's batch or be lost.  The default, one solver child per
-worker, is exact.
+process, one logical job at a time -- every served or campaign solve runs
+in its worker's own solver child), which is what lets this module sit
+inside the fork-safety lint scope.
 """
 
 from __future__ import annotations

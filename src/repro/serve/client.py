@@ -48,7 +48,6 @@ class QueueStats(TypedDict, total=False):
     """Typed mirror of :meth:`repro.serve.queue.JobQueue.stats_dict`."""
 
     workers: int
-    use_processes: bool
     jobs_submitted: int
     cache_hits: int
     coalesced: int

@@ -34,12 +34,13 @@ Four pieces, all stdlib-only:
     solving (each beat renews the lease and ships the buffered events --
     the entry's observability batches, which carry its heartbeats --
     upstream), then commit with the fence token and the remaining events.
-    Each worker owns one persistent solver child, forked at its first
-    lease and reused (killed on revocation or stop, forked again after it
-    dies); events and the outcome come back over a pipe, in order.
-    ``use_processes=False`` solves on a thread.  Chaos sites ``fleet.worker.heartbeat`` (drop a beat) and
-    ``fleet.worker.commit`` (delay into zombiehood, drop, duplicate) make
-    the failure schedules of :mod:`tests.chaos` reproducible.
+    Every solve, local or remote, runs in the worker's one persistent
+    solver child, forked at its first lease and reused (killed on
+    revocation or stop, forked again after it dies); events and the
+    outcome come back over a pipe, in order.  Chaos sites
+    ``fleet.worker.heartbeat`` (drop a beat) and ``fleet.worker.commit``
+    (delay into zombiehood, drop, duplicate) make the failure schedules of
+    :mod:`tests.chaos` reproducible.
 
 :class:`AdmissionController`
     Front-end admission: per-client token buckets (client identity from
@@ -200,7 +201,6 @@ class FleetCoordinator:
             worker = FleetWorker(
                 worker_id=f"local-{index}",
                 entry=self.queue.entry,
-                use_processes=self.queue.use_processes,
                 client=self,
             )
             self.register({"worker_id": worker.worker_id, "pid": os.getpid()})
@@ -638,34 +638,18 @@ class FleetCoordinator:
 
 # ----------------------------------------------------------------------
 # Worker side.
-def _run_entry(
-    entry: Callable,
-    spec_dict: Dict[str, object],
-    job_id: str,
-    progress: Callable[[Dict[str, object]], None],
-    deadline_seconds: Optional[float],
-) -> Dict[str, object]:
-    """One entry call as an outcome: ``{"result": ...}`` or ``{"error": ...}``
-    (``deadline_seconds`` is passed only when set: old 3-argument entries)."""
-    kwargs: Dict[str, object] = {}
-    if deadline_seconds is not None:
-        kwargs["deadline_seconds"] = deadline_seconds
-    try:
-        return {"result": entry(spec_dict, job_id, progress, **kwargs)}
-    except Exception as exc:  # entry exceptions are deterministic
-        return {"error": f"{type(exc).__name__}: {exc}"}
-
-
 def _solver_loop(  # fork-entry: a worker's persistent solver child
     conn, parent_end, entry: Callable
 ) -> None:
     """Body of a worker's solver child: one job per request, until EOF.
 
-    A request is ``(spec_dict, job_id, deadline_seconds)``.  Every event
-    the entry emits goes back as ``("event", payload)`` and the outcome
-    last as ``("outcome", {...})``, so the pipe's order delivers a job's
-    events before its outcome.  An idle child also exits once its worker
-    is gone (re-parented), even if a sibling still holds the pipe.
+    A request is ``(spec_dict, job_id, deadline_seconds)``; the entry
+    takes the last as a keyword.  Every event the entry emits goes back
+    as ``("event", payload)`` and the outcome last as ``("outcome",
+    {"result": ...})`` (``{"error": ...}`` if the entry raised), so the
+    pipe's order delivers a job's events before its outcome.  An idle
+    child also exits once its worker is gone (re-parented), even if a
+    sibling still holds the pipe.
     """
     parent_end.close()
     parent = os.getppid()
@@ -684,7 +668,13 @@ def _solver_loop(  # fork-entry: a worker's persistent solver child
             spec_dict, job_id, deadline_seconds = conn.recv()
         except (EOFError, OSError):
             return
-        outcome = _run_entry(entry, spec_dict, job_id, progress, deadline_seconds)
+        try:
+            result = entry(
+                spec_dict, job_id, progress, deadline_seconds=deadline_seconds
+            )
+            outcome: Dict[str, object] = {"result": result}
+        except Exception as exc:  # entry exceptions are deterministic
+            outcome = {"error": f"{type(exc).__name__}: {exc}"}
         try:
             conn.send(("outcome", outcome))
         except OSError:
@@ -697,11 +687,13 @@ _FORK_LOCK = threading.Lock()
 
 
 class _SolverChild:
-    """A worker's persistent solver process (``use_processes=True``).
+    """A worker's persistent solver process: where every solve runs.
 
     Forked lazily at the first :meth:`start` -- so it inherits the
     fingerprints and shared netlists the process has warmed by then -- and
-    reused across leases; forked again after it dies or is killed.
+    reused across leases; forked again after it dies or is killed.  One
+    process per solve in flight is what keeps :mod:`repro.obs` collectors
+    single-writer, and what lets a revoked or aborted solve be killed.
     """
 
     def __init__(self, entry: Callable) -> None:
@@ -798,75 +790,12 @@ class _SolverChild:
             self._conn = None
 
 
-class _ThreadRunner:
-    """Each solve on a daemon thread (``use_processes=False``).
-
-    A thread cannot be killed: revocation and stop abandon it, and its
-    late events and outcome land in that lease's own buffers, never in
-    the next one's.
-    """
-
-    def __init__(self, entry: Callable) -> None:
-        self.entry = entry
-        self._lock = threading.Lock()
-        self._events: List[Dict[str, object]] = []
-        self._outcome: Dict[str, object] = {}
-        self._finished = threading.Event()
-
-    def start(
-        self,
-        spec_dict: Dict[str, object],
-        job_id: str,
-        deadline_seconds: Optional[float],
-    ) -> None:
-        events: List[Dict[str, object]] = []
-        outcome: Dict[str, object] = {}
-        finished = threading.Event()
-        self._events, self._outcome, self._finished = events, outcome, finished
-        lock = self._lock
-
-        def progress(payload: Dict[str, object]) -> None:
-            with lock:
-                events.append(payload)
-
-        def main() -> None:
-            try:
-                outcome.update(
-                    _run_entry(
-                        self.entry, spec_dict, job_id, progress, deadline_seconds
-                    )
-                )
-            finally:
-                finished.set()  # no outcome at all reads as a crash
-
-        threading.Thread(target=main, name="fleet-solve", daemon=True).start()
-
-    def wait(self, timeout: float) -> bool:
-        return self._finished.wait(timeout)
-
-    def drain_events(self) -> List[Dict[str, object]]:
-        with self._lock:
-            events = list(self._events)
-            self._events.clear()
-        return events
-
-    def outcome(self) -> Dict[str, object]:
-        return dict(self._outcome) or {"crashed": True}
-
-    def interrupt(self) -> None:
-        self._finished.set()  # wake the wait; the thread itself runs on
-
-    def close(self) -> None:
-        pass
-
-
 class FleetWorker:
     """Pull-loop worker: register -> lease -> solve+heartbeat -> commit.
 
-    ``use_processes=True`` (the deployment mode) solves in the worker's
-    persistent solver child, which it SIGKILLs when the coordinator
-    revokes the lease; ``use_processes=False`` solves on a daemon thread.
-    *client* defaults to a :class:`ServeClient` for *server_url*; the
+    Every lease is solved in the worker's persistent solver child, which
+    it SIGKILLs when the coordinator revokes the lease or the worker
+    aborts; a solver that dies is reported as a crash.  *client* defaults to a :class:`ServeClient` for *server_url*; the
     server's own workers pass the coordinator itself (its in-process
     :meth:`FleetCoordinator.fleet_call`).  Retries after a transport error
     are paced on the heartbeat interval, jittered with a seed derived from
@@ -880,7 +809,6 @@ class FleetWorker:
         *,
         worker_id: Optional[str] = None,
         entry: Callable = execute_job_spec,
-        use_processes: bool = True,
         max_jobs: Optional[int] = None,
         request_timeout: float = 30.0,
         client=None,
@@ -899,7 +827,7 @@ class FleetWorker:
         self.max_jobs = max_jobs
         self._stop = stop_event or threading.Event()
         self._abort = threading.Event()
-        self._runner = (_SolverChild if use_processes else _ThreadRunner)(entry)
+        self._solver = _SolverChild(entry)
         self._rng = random.Random(f"fleet:{self.worker_id}")
         # Paced by the coordinator's answer at registration time.
         self.heartbeat_seconds = 2.0
@@ -924,7 +852,7 @@ class FleetWorker:
         lease handed back uncommitted; the loop then deregisters."""
         self._abort.set()
         self._stop.set()
-        self._runner.interrupt()
+        self._solver.interrupt()
 
     # ------------------------------------------------------------------
     def run(self) -> Dict[str, object]:
@@ -941,7 +869,7 @@ class FleetWorker:
                 self.jobs_leased += 1
                 self._run_lease(lease)
         finally:
-            self._runner.close()
+            self._solver.close()
             try:
                 self.client.fleet_call(
                     "deregister", {"worker_id": self.worker_id}
@@ -1003,18 +931,18 @@ class FleetWorker:
             "job_id": job_id,
         }
         deadline_seconds = lease.get("deadline_seconds")
-        runner = self._runner
-        runner.start(
+        solver = self._solver
+        solver.start(
             dict(lease["spec"]),
             job_id,
             None if deadline_seconds is None else float(deadline_seconds),
         )
         pending: List[Dict[str, object]] = []
         while True:
-            done = runner.wait(self.heartbeat_seconds)
-            pending.extend(runner.drain_events())
+            done = solver.wait(self.heartbeat_seconds)
+            pending.extend(solver.drain_events())
             if self._abort.is_set():
-                runner.close()  # leave the lease to expire on deregister
+                solver.close()  # leave the lease to expire on deregister
                 return
             if done:
                 break
@@ -1034,7 +962,7 @@ class FleetWorker:
                     self.client.fleet_call("heartbeat", {**body, "events": []})
                 if resp.get("lease") == "revoked":
                     self.leases_revoked += 1
-                    runner.close()  # the lease is gone; stop burning CPU on it
+                    solver.close()  # the lease is gone; stop burning CPU on it
                     return
             except ServeError:
                 # Partitioned mid-solve: keep solving.  If the partition
@@ -1045,8 +973,8 @@ class FleetWorker:
         body = {
             **ident,
             "fence": int(lease["fence"]),
-            "events": pending + runner.drain_events(),
-            **runner.outcome(),
+            "events": pending + solver.drain_events(),
+            **solver.outcome(),
         }
         # Chaos-harness commit site (one hit per commit: message_fate also
         # applies inline actions): a seeded ``delay`` here longer than the

@@ -76,10 +76,6 @@ Traces of queued and running jobs are never evicted; finished ones age
 out oldest-finished first.  Jobs that FAIL, are quarantined, or expire
 their deadline dump a flight-recorder JSON artifact
 (:class:`repro.obs.flight.FlightRecorder`) with the trace attached.
-
-``use_processes=False`` runs each local solve on a thread instead of the
-worker's solver child -- same contract, no fork -- which in-process demos
-(``examples/serve_quickstart.py``) use.
 """
 
 from __future__ import annotations
@@ -214,12 +210,11 @@ def execute_job_spec(  # fork-entry: runs in a fleet worker's solver child
     """Worker entry point: run one campaign job described by *spec_dict*.
 
     Returns ``{"record": <record json dict>, "definitive": bool}``.  Runs
-    in a fleet worker's solver child (``progress`` then writes to the
-    child's pipe) or on a thread (``progress`` buffers for the next
-    heartbeat); either way every event ships through ``progress`` as an
-    :data:`~repro.obs.trace.ObsBatch`.  The design fingerprint is
-    re-verified against the current content so a stale spec fails loudly
-    instead of caching a result under the wrong key.
+    in a fleet worker's solver child and ships every event through
+    ``progress`` (the child's pipe) as an :data:`~repro.obs.trace.ObsBatch`.
+    The design fingerprint is re-verified against the current content so
+    a stale spec fails loudly instead of caching a result under the wrong
+    key.
 
     ``deadline_seconds`` is the budget *remaining* at dispatch time; it is
     rebased onto this process's monotonic clock and propagated through
@@ -322,8 +317,9 @@ def _selftest_entry(  # fork-entry: runs in a fleet worker's solver child
         time.sleep(float(bug_id[len("__sleep:"):].rstrip("_")))
     ship = _shipper(progress)
     if ship is not None:
-        # A private collector: thread-mode workers share the module-global
-        # one, so the double neither installs nor captures.
+        # A private collector, neither installed nor captured: the double
+        # ships exactly one batch of one heartbeat -- no spans, no metrics
+        # delta, no mid-run shipments -- whatever tracing state it runs in.
         beats = obs_trace.ObsCollector()
         beats.heartbeat("bound", bound=1, verdict="unsat", selftest=True)
         ship({"spans": [], "events": beats.events, "dropped": 0})
@@ -356,7 +352,6 @@ class JobQueue:
         cache: Optional[ResultCache] = None,
         workers: int = 1,
         entry: Callable = execute_job_spec,
-        use_processes: bool = True,
         max_tracked_jobs: int = 4096,
         max_retries: int = 2,
         retry_backoff_base: float = 0.05,
@@ -379,7 +374,6 @@ class JobQueue:
         #: Local workers: in-process fleet workers started by :meth:`start`.
         self.workers = workers
         self.entry = entry
-        self.use_processes = use_processes
         #: Retry policy: a job whose lease never commits (crashed solver,
         #: expired lease) is re-queued up to ``max_retries`` times with
         #: capped exponential backoff (``base * 2**(attempt-1)``, never
@@ -1083,7 +1077,6 @@ class JobQueue:
         )
         return {
             "workers": self.workers,
-            "use_processes": self.use_processes,
             "jobs_submitted": counter("qed_jobs_submitted_total"),
             "cache_hits": counter("qed_cache_hits_total"),
             "coalesced": counter("qed_jobs_coalesced_total"),

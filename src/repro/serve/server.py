@@ -610,7 +610,6 @@ class LocalServer:
         cache: Optional[ResultCache] = None,
         workers: int = 1,
         entry=execute_job_spec,
-        use_processes: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
         state_path: Optional[str] = None,
@@ -626,7 +625,6 @@ class LocalServer:
             cache=self.cache,
             workers=workers,
             entry=entry,
-            use_processes=use_processes,
             **queue_kwargs,
         )
         self._host = host

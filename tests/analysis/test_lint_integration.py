@@ -87,7 +87,6 @@ class TestServeRejection:
         with LocalServer(
             cache_dir=str(tmp_path),
             entry=_selftest_entry,
-            use_processes=False,
         ) as url:
             host, port = url.removeprefix("http://").split(":")
             connection = http.client.HTTPConnection(host, int(port), timeout=30)

@@ -28,15 +28,13 @@ CHAOS_BUG = "wrport_collision"  # EDDI-V interaction bug, ~2 s solve
 
 
 def _worker_process_main(url: str, worker_id: str) -> None:
-    """Child-process body: a thread-mode worker running the REAL entry.
+    """Child-process body: a fleet worker running the REAL entry.
 
-    Thread mode inside a dedicated OS process: SIGKILLing the process
-    takes the solve down with it -- no goodbye, no deregister, exactly
-    the failure the lease clock exists for.
+    The worker gets a dedicated OS process: SIGKILLing it mid-lease means
+    no goodbye, no deregister, no commit -- exactly the failure the lease
+    clock exists for.
     """
-    FleetWorker(
-        url, worker_id=worker_id, use_processes=False
-    ).run()
+    FleetWorker(url, worker_id=worker_id).run()
 
 
 def _wait_for_lease(client: ServeClient, worker_id: str, timeout: float = 60.0):
@@ -87,12 +85,7 @@ class TestWorkerSigkill:
             proc.join(timeout=10)
             # Worker B recovers the job once the dead worker's lease is
             # swept (max_jobs=1: solve it, commit it, exit).
-            FleetWorker(
-                url,
-                worker_id="chaos-b",
-                use_processes=False,
-                max_jobs=1,
-            ).run()
+            FleetWorker(url, worker_id="chaos-b", max_jobs=1).run()
             final = client.wait_done(view.job_id, timeout=120)
             assert final.state == "done"
             fleet_stats = client.fleet()
@@ -131,7 +124,6 @@ class TestZombieFencing:
             cache_dir=str(tmp_path / "cache"),
             workers=0,
             entry=_selftest_entry,
-            use_processes=False,
             fleet=True,
             fleet_kwargs=dict(lease_seconds=0.8, heartbeat_seconds=0.2),
         ) as url:
@@ -141,7 +133,6 @@ class TestZombieFencing:
                 url,
                 worker_id="zombie-a",
                 entry=_selftest_entry,
-                use_processes=False,
                 max_jobs=1,
             )
             thread_a = threading.Thread(target=worker_a.run, daemon=True)
@@ -157,7 +148,6 @@ class TestZombieFencing:
                 url,
                 worker_id="zombie-b",
                 entry=_selftest_entry,
-                use_processes=False,
                 max_jobs=1,
             )
             worker_b.run()
@@ -192,7 +182,6 @@ class TestZombieFencing:
             cache_dir=None,
             workers=0,
             entry=_selftest_entry,
-            use_processes=False,
             fleet=True,
             fleet_kwargs=dict(heartbeat_seconds=0.2),
         ) as url:
@@ -202,7 +191,6 @@ class TestZombieFencing:
                 url,
                 worker_id="dup-w",
                 entry=_selftest_entry,
-                use_processes=False,
                 max_jobs=1,
             )
             worker.run()
@@ -235,7 +223,6 @@ class TestZombieFencing:
             cache_dir=None,
             workers=0,
             entry=_selftest_entry,
-            use_processes=False,
             fleet=True,
             fleet_kwargs=dict(lease_seconds=0.6, heartbeat_seconds=0.15),
         ) as url:
@@ -245,7 +232,6 @@ class TestZombieFencing:
                 url,
                 worker_id="mute-a",
                 entry=_selftest_entry,
-                use_processes=False,
                 max_jobs=1,
             )
             thread_a = threading.Thread(target=worker_a.run, daemon=True)
@@ -261,7 +247,6 @@ class TestZombieFencing:
                 url,
                 worker_id="loud-b",
                 entry=_selftest_entry,
-                use_processes=False,
                 max_jobs=1,
             )
             worker_b.run()

@@ -31,7 +31,6 @@ def run(coro):
 
 async def with_queue(body, **kwargs):
     kwargs.setdefault("entry", _selftest_entry)
-    kwargs.setdefault("use_processes", True)
     kwargs.setdefault("retry_backoff_base", 0.01)
     queue = JobQueue(**kwargs)
     await queue.start()

@@ -40,7 +40,6 @@ def run(coro):
 
 async def with_queue(body, **kwargs):
     kwargs.setdefault("entry", _selftest_entry)
-    kwargs.setdefault("use_processes", False)
     kwargs.setdefault("retry_backoff_base", 0.01)
     queue = JobQueue(**kwargs)
     await queue.start()
@@ -89,7 +88,7 @@ class TestWorkerKillRetry:
             assert queue.stats_dict()["failed"] == 0
             assert not queue.quarantined
 
-        run(with_queue(body, use_processes=True))
+        run(with_queue(body))
 
 
 class TestPoisonQuarantine:
@@ -136,7 +135,7 @@ class TestPoisonQuarantine:
             assert forced.state is JobState.DONE
             assert_fault_free_verdict(forced.record)
 
-        run(with_queue(body, use_processes=True))
+        run(with_queue(body))
 
 
 class TestProgressMessageFaults:
@@ -238,6 +237,8 @@ class TestDeadlines:
             # The zero-work synthetic record must never enter the cache.
             assert doomed.cache_key not in queue.cache
             assert blocker.cache_key in queue.cache
+            # No deadline set, none handed down.
+            assert "deadline_seconds" not in blocker.record
 
         run(with_queue(body, cache=ResultCache(None)))
 
@@ -250,28 +251,6 @@ class TestDeadlines:
             assert 0.0 < handed <= 30.0
 
         run(with_queue(body))
-
-    def test_no_deadline_keeps_legacy_entry_signature(self):
-        # Entries with the historic 3-argument signature must keep
-        # working when no deadline is set (no kwargs are passed).
-        async def body(queue):
-            job = queue.submit(spec("__echo__", tag="legacy"))
-            await wait_terminal(queue, job)
-            assert job.state is JobState.DONE
-            assert "deadline_seconds" not in job.record
-
-        run(with_queue(body, entry=_legacy_entry))
-
-
-def _legacy_entry(spec_dict, job_id="", progress=None):
-    return {
-        "record": {
-            "bug_id": str(spec_dict.get("bug_id", "")),
-            "detected_by": {"eddiv": True},
-            "qed_definitive": True,
-        },
-        "definitive": True,
-    }
 
 
 class TestDrainAndResume:

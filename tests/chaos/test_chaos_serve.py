@@ -22,7 +22,6 @@ from chaos_helpers import make_spec as spec
 def _server(tmp_path, **kwargs):
     kwargs.setdefault("cache_dir", str(tmp_path / "cache"))
     kwargs.setdefault("entry", _selftest_entry)
-    kwargs.setdefault("use_processes", False)
     return LocalServer(**kwargs)
 
 
@@ -80,7 +79,6 @@ class TestDrainResume:
         first = LocalServer(
             cache_dir=cache_dir,
             entry=_selftest_entry,
-            use_processes=False,
             state_path=state_path,
         )
         url = first.start()
@@ -116,7 +114,6 @@ class TestDrainResume:
         second = LocalServer(
             cache_dir=cache_dir,
             entry=_selftest_entry,
-            use_processes=False,
             state_path=state_path,
         )
         url = second.start()

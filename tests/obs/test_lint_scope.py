@@ -39,6 +39,31 @@ REMOVED_POOL_NAMES = (
     "qed_clauses_shared",
 )
 
+#: Names of the removed second solve runner: a solve on a thread of the
+#: worker's own process, chosen by an option and a worker CLI flag.
+REMOVED_RUNNER_NAMES = (
+    "_ThreadRunner",
+    "use_processes",
+    "use_threads",
+    "--use-threads",
+)
+
+
+def _source_lines(matches):
+    """``path:line`` of each line of the Python files under ``src``,
+    ``scripts`` and ``examples`` for which *matches* is true."""
+    hits = []
+    for top in ("src", "scripts", "examples"):
+        pattern = os.path.join(REPO_ROOT, top, "**", "*.py")
+        for path in sorted(glob.glob(pattern, recursive=True)):
+            with open(path, "r", encoding="utf-8") as stream:
+                hits.extend(
+                    f"{os.path.relpath(path, REPO_ROOT)}:{number}"
+                    for number, line in enumerate(stream, 1)
+                    if matches(line)
+                )
+    return hits
+
 
 class TestHotLoopStaysClean:
     def test_instrumented_solver_passes_hot_loop_lint(self):
@@ -93,6 +118,20 @@ class TestOneDispatchPath:
                 )
         assert offenders == []
 
+    @pytest.mark.parametrize("name", REMOVED_RUNNER_NAMES)
+    def test_removed_thread_runner_stays_gone(self, name):
+        # Every solve runs in its worker's solver child: only a process can
+        # be killed when its lease is revoked, and only one job per process
+        # keeps the observability collectors single-writer.
+        assert _source_lines(lambda line: name in line) == []
+
+    def test_solve_fabric_takes_no_runner_option(self):
+        from repro.serve import FleetWorker, JobQueue, LocalServer
+
+        for cls in (JobQueue, FleetWorker, LocalServer):
+            parameters = inspect.signature(cls).parameters
+            assert set(REMOVED_RUNNER_NAMES).isdisjoint(parameters), cls
+
 
 class TestOneSplitPath:
     def test_dist_forks_in_one_place(self):
@@ -141,16 +180,9 @@ class TestOneSplitPath:
         # cube.  The one use left is a literal key of a removed setting,
         # which old config dicts may still carry.
         word = re.compile(rf"\b{name}\b")
-        hits = []
-        for top in ("src", "scripts", "examples"):
-            pattern = os.path.join(REPO_ROOT, top, "**", "*.py")
-            for path in sorted(glob.glob(pattern, recursive=True)):
-                with open(path, "r", encoding="utf-8") as stream:
-                    hits.extend(
-                        f"{os.path.relpath(path, REPO_ROOT)}:{number}"
-                        for number, line in enumerate(stream, 1)
-                        if word.search(line.replace(f'"{name}":', ""))
-                    )
+        hits = _source_lines(
+            lambda line: word.search(line.replace(f'"{name}":', ""))
+        )
         assert hits == []
 
 

@@ -19,9 +19,7 @@ import dashboard_qed  # noqa: E402
 
 
 def test_frame_shows_the_cache_hit_and_miss_on_both_lines(tmp_path):
-    with LocalServer(
-        cache_dir=str(tmp_path), entry=_selftest_entry, use_processes=False
-    ) as url:
+    with LocalServer(cache_dir=str(tmp_path), entry=_selftest_entry) as url:
         client = ServeClient(url)
         cold = client.submit(spec=spec())
         assert client.wait_done(cold.job_id, timeout=10).state == "done"
@@ -38,9 +36,7 @@ def test_frame_shows_the_cache_hit_and_miss_on_both_lines(tmp_path):
 
 
 def test_once_renders_the_followed_job_and_exits_0(tmp_path, capsys):
-    with LocalServer(
-        cache_dir=str(tmp_path), entry=_selftest_entry, use_processes=False
-    ) as url:
+    with LocalServer(cache_dir=str(tmp_path), entry=_selftest_entry) as url:
         client = ServeClient(url)
         job = client.submit(spec=spec())
         assert client.wait_done(job.job_id, timeout=10).state == "done"

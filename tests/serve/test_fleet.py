@@ -2,8 +2,8 @@
 
 Coordinator tests drive :class:`FleetCoordinator` directly on the queue's
 loop with synthetic sweep times (no real reaper, no sleeps for expiry);
-the end-to-end test runs a real :class:`FleetWorker` in thread mode
-against a fleet-only :class:`LocalServer`.
+the end-to-end test runs a real :class:`FleetWorker` (on a thread, solving
+in its solver child) against a fleet-only :class:`LocalServer`.
 """
 
 import asyncio
@@ -33,7 +33,6 @@ def run(coro):
 
 async def with_fleet(body, *, lease_seconds=0.5, heartbeat_seconds=0.1, **kwargs):
     kwargs.setdefault("entry", _selftest_entry)
-    kwargs.setdefault("use_processes", False)
     kwargs.setdefault("workers", 0)
     kwargs.setdefault("retry_backoff_base", 0.01)
     queue = JobQueue(**kwargs)
@@ -381,7 +380,6 @@ class TestWorkerEndToEnd:
             cache_dir=str(tmp_path),
             workers=0,
             entry=_selftest_entry,
-            use_processes=False,
             fleet=True,
             fleet_kwargs=dict(lease_seconds=5.0, heartbeat_seconds=0.2),
         )
@@ -397,7 +395,6 @@ class TestWorkerEndToEnd:
                 url,
                 worker_id="wt-1",
                 entry=_selftest_entry,
-                use_processes=False,
                 max_jobs=2,
             )
             thread = threading.Thread(target=worker.run, daemon=True)
@@ -426,7 +423,6 @@ class TestWorkerEndToEnd:
             cache_dir=str(tmp_path),
             workers=0,
             entry=_selftest_entry,
-            use_processes=False,
             fleet=True,
         ) as url:
             again = ServeClient(url).submit(spec=spec())
@@ -437,21 +433,21 @@ class TestWorkerEndToEnd:
             cache_dir=None,
             workers=0,
             entry=_selftest_entry,
-            use_processes=False,
             fleet=True,
             fleet_kwargs=dict(heartbeat_seconds=0.2),
         ) as url:
             client = ServeClient(url)
             view = client.submit(spec=spec())
 
-            def raising_entry(spec_dict, job_id="", progress=None, **kwargs):
+            def raising_entry(
+                spec_dict, job_id="", progress=None, *, deadline_seconds=None
+            ):
                 raise ValueError("boom")
 
             worker = FleetWorker(
                 url,
                 worker_id="wt-err",
                 entry=raising_entry,
-                use_processes=False,
                 max_jobs=1,
             )
             worker.run()
@@ -492,7 +488,6 @@ class TestAdmission:
             cache_dir=None,
             workers=1,
             entry=_selftest_entry,
-            use_processes=False,
             max_queue_depth=1,
         ) as url:
             client = ServeClient(url)
@@ -519,7 +514,6 @@ class TestAdmission:
             cache_dir=None,
             workers=1,
             entry=_selftest_entry,
-            use_processes=False,
             admission=dict(rate=0.5, burst=1.0),
         ) as url:
             host, port = url.replace("http://", "").split(":")

@@ -37,7 +37,6 @@ def run(coro):
 
 async def with_queue(body, **kwargs):
     kwargs.setdefault("entry", _selftest_entry)
-    kwargs.setdefault("use_processes", False)
     queue = JobQueue(**kwargs)
     await queue.start()
     try:
@@ -144,9 +143,7 @@ class TestQueueTraces:
             return ids
 
         first, second = run(
-            with_queue(
-                body, entry=execute_job_spec, use_processes=True, workers=1
-            )
+            with_queue(body, entry=execute_job_spec, workers=1)
         )
         assert first and second
         assert len({i.split(".")[0] for i in first | second}) == 1
@@ -193,7 +190,6 @@ class TestHttpEndpoints:
         with LocalServer(
             cache=ResultCache(None),
             entry=_selftest_entry,
-            use_processes=False,
             flight_dir=str(tmp_path),
         ) as url:
             body = json.dumps({"spec": spec().canonical_dict()}).encode()

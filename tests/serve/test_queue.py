@@ -1,9 +1,9 @@
 """Job queue: priority, coalescing, cancellation, crash recovery, caching.
 
-Most tests drive the queue with the deterministic
-:func:`repro.serve.queue._selftest_entry` double on *thread*-mode local
-workers (fast, no fork); the crash-recovery and single-path tests use real
-solver processes because killing the solver is the point.
+Tests drive the queue with the deterministic
+:func:`repro.serve.queue._selftest_entry` double (or a fake entry of the
+same signature), solved like every job in each local worker's solver
+child, so the crash-recovery and single-path tests kill real processes.
 """
 
 import asyncio
@@ -39,7 +39,6 @@ def run(coro):
 
 async def with_queue(body, **kwargs):
     kwargs.setdefault("entry", _selftest_entry)
-    kwargs.setdefault("use_processes", False)
     queue = JobQueue(**kwargs)
     await queue.start()
     try:
@@ -245,7 +244,7 @@ class TestWorkerCrash:
             stats = queue.stats_dict()
             assert stats["failed"] == 1 and stats["executed"] == 1
 
-        run(with_queue(body, use_processes=True))
+        run(with_queue(body))
 
     def test_entry_exception_fails_job_without_a_retry(self):
         async def body(queue):
@@ -289,11 +288,9 @@ class TestWorkerCrash:
 
         run(with_queue(body, cache=cache, workers=1))
 
-    # The solve thread's death is the point of the test; pytest reports it.
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-    )
-    def test_thread_solve_without_outcome_is_a_crash(self):
+    def test_system_exit_in_entry_is_a_crash(self):
+        # SystemExit is no entry error: it ends the solver child with no
+        # outcome, which is retried as a crash until the budget is spent.
         async def body(queue):
             job = queue.submit(spec())
             await wait_terminal(queue, job)
@@ -304,20 +301,22 @@ class TestWorkerCrash:
         run(with_queue(body, entry=_exiting_entry, retry_backoff_base=0.01))
 
 
-def _raising_entry(spec_dict, job_id="", progress=None):
+def _raising_entry(spec_dict, job_id="", progress=None, *, deadline_seconds=None):
     raise RuntimeError("entry exploded")
 
 
-def _exiting_entry(spec_dict, job_id="", progress=None):
-    raise SystemExit(3)  # ends the solve thread without an outcome
+def _exiting_entry(spec_dict, job_id="", progress=None, *, deadline_seconds=None):
+    raise SystemExit(3)  # ends the solver child without an outcome
 
 
-def _sleep_then_crash(spec_dict, job_id="", progress=None, **kwargs):
+def _sleep_then_crash(spec_dict, job_id="", progress=None, *, deadline_seconds=None):
     time.sleep(0.5)
     os._exit(1)
 
 
-def _crash_once_after_a_second(spec_dict, job_id="", progress=None, **kwargs):
+def _crash_once_after_a_second(
+    spec_dict, job_id="", progress=None, *, deadline_seconds=None
+):
     # The token file makes only the first attempt crash, a second in.
     token = spec_dict["config"]["token"]
     if not os.path.exists(token):
@@ -327,7 +326,7 @@ def _crash_once_after_a_second(spec_dict, job_id="", progress=None, **kwargs):
     return {"record": {"bug_id": spec_dict["bug_id"]}, "definitive": True}
 
 
-def _forking_entry(spec_dict, job_id="", progress=None, **kwargs):
+def _forking_entry(spec_dict, job_id="", progress=None, *, deadline_seconds=None):
     # A solve may fork a pool of its own, as a spec with ``split`` does.
     child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(0,))
     child.start()
@@ -343,7 +342,7 @@ def _forking_entry(spec_dict, job_id="", progress=None, **kwargs):
 CHATTY_BOUNDS = 8
 
 
-def _chatty_entry(spec_dict, job_id="", progress=None, **kwargs):
+def _chatty_entry(spec_dict, job_id="", progress=None, *, deadline_seconds=None):
     collector = obs_trace.start_trace()
     with obs_trace.capture(progress):
         for bound in range(1, CHATTY_BOUNDS + 1):
@@ -373,11 +372,7 @@ class TestSinglePath:
             assert healthy.attempts == 0
             assert healthy.cache_key not in queue.quarantined
 
-        run(
-            with_queue(
-                body, workers=2, use_processes=True, retry_backoff_base=0.01
-            )
-        )
+        run(with_queue(body, workers=2, retry_backoff_base=0.01))
 
     def test_crash_during_drain_lands_in_the_snapshot(self):
         async def body(queue):
@@ -390,7 +385,7 @@ class TestSinglePath:
             assert job.attempts == 0
             assert job.cache_key not in queue.quarantined
 
-        run(with_queue(body, use_processes=True, entry=_sleep_then_crash))
+        run(with_queue(body, entry=_sleep_then_crash))
 
     def test_queue_latency_is_the_queue_wait_spans(self, tmp_path):
         # The crashed first attempt (about 1 s) is not queue wait: the
@@ -416,7 +411,6 @@ class TestSinglePath:
         run(
             with_queue(
                 body,
-                use_processes=True,
                 entry=_crash_once_after_a_second,
                 retry_backoff_base=0.01,
             )
@@ -429,13 +423,11 @@ class TestSinglePath:
             assert job.state is JobState.DONE, job.error
             assert job.record["exitcode"] == 0
 
-        run(with_queue(body, use_processes=True, entry=_forking_entry))
+        run(with_queue(body, entry=_forking_entry))
 
     def test_idle_workers_stay_live_then_run(self):
         async def main():
-            queue = JobQueue(
-                entry=_selftest_entry, workers=2, use_processes=True
-            )
+            queue = JobQueue(entry=_selftest_entry, workers=2)
             FleetCoordinator(queue, heartbeat_seconds=0.1)
             await queue.start()
             try:
@@ -474,7 +466,7 @@ class TestSinglePath:
             ]
             assert [e["attrs"]["worker"] for e in granted] == ["local-0"]
 
-        run(with_queue(body, use_processes=True, entry=_chatty_entry))
+        run(with_queue(body, entry=_chatty_entry))
 
     def test_stop_reaps_every_solver_child(self, tmp_path):
         before = set(multiprocessing.active_children())

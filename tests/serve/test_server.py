@@ -17,9 +17,7 @@ from serve_helpers import make_spec as spec
 
 @pytest.fixture()
 def server(tmp_path):
-    with LocalServer(
-        cache_dir=str(tmp_path), entry=_selftest_entry, use_processes=False
-    ) as url:
+    with LocalServer(cache_dir=str(tmp_path), entry=_selftest_entry) as url:
         yield ServeClient(url)
 
 
@@ -181,18 +179,14 @@ class TestJobsOverHttp:
 class TestRestartPersistence:
     def test_cache_survives_server_restart(self, tmp_path):
         directory = str(tmp_path)
-        with LocalServer(
-            cache_dir=directory, entry=_selftest_entry, use_processes=False
-        ) as url:
+        with LocalServer(cache_dir=directory, entry=_selftest_entry) as url:
             client = ServeClient(url)
             cold = client.submit(spec=spec("__echo__", tag="restart"))
             final = client.wait_done(cold.job_id, timeout=10)
             assert final.state == "done" and not final.cache_hit
 
         # A brand-new server process-equivalent over the same cache dir.
-        with LocalServer(
-            cache_dir=directory, entry=_selftest_entry, use_processes=False
-        ) as url:
+        with LocalServer(cache_dir=directory, entry=_selftest_entry) as url:
             client = ServeClient(url)
             warm = client.submit(spec=spec("__echo__", tag="restart"))
             assert warm.cache_hit and warm.state == "done"

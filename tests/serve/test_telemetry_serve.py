@@ -10,8 +10,8 @@ per-bound heartbeat per ``bmc.bound`` span of the trace, agreeing with it.
 
 import asyncio
 import json
+import multiprocessing
 import os
-import threading
 import urllib.error
 import urllib.request
 
@@ -43,7 +43,6 @@ def run(coro):
 
 async def with_queue(body, **kwargs):
     kwargs.setdefault("entry", _selftest_entry)
-    kwargs.setdefault("use_processes", False)
     queue = JobQueue(**kwargs)
     await queue.start()
     try:
@@ -182,11 +181,12 @@ class TestBatchIds:
         assert _shipper(None) is None
 
 
-#: Released by the test once it saw the running job's heartbeat.
-_RELEASE = threading.Event()
+#: Released by the test once it saw the running job's heartbeat; made
+#: before the solver child forks, so the child waits on the same event.
+_RELEASE = multiprocessing.get_context("fork").Event()
 
 
-def _beating_entry(spec_dict, job_id="", progress=None, **kwargs):
+def _beating_entry(spec_dict, job_id="", progress=None, *, deadline_seconds=None):
     """Record one heartbeat, then hold the lease until released."""
     collector = obs_trace.start_trace()
     try:
@@ -202,7 +202,7 @@ class TestHeartbeatsWhileRunning:
     def test_heartbeats_reach_the_view_before_the_commit(self):
         async def main():
             _RELEASE.clear()
-            queue = JobQueue(entry=_beating_entry, use_processes=False)
+            queue = JobQueue(entry=_beating_entry)
             FleetCoordinator(queue, heartbeat_seconds=0.1)
             await queue.start()
             try:
@@ -232,7 +232,6 @@ class TestHttpTelemetry:
         with LocalServer(
             cache=ResultCache(None),
             entry=_selftest_entry,
-            use_processes=False,
             flight_dir=str(tmp_path),
         ) as url:
             body = json.dumps({"spec": spec().canonical_dict()}).encode()
@@ -291,7 +290,6 @@ class TestHttpTelemetry:
         with LocalServer(
             cache=ResultCache(None),
             entry=_selftest_entry,
-            use_processes=False,
             flight_dir=str(tmp_path),
         ) as url:
             body = json.dumps({"spec": spec().canonical_dict()}).encode()
